@@ -39,6 +39,23 @@ def _emit(payload, out_path=None):
     print(text)
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a one-line message (no usage dump)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parse_xi(system, text):
     coords = [int(x) for x in text.split(",")]
     return system.coweight(coords)
@@ -236,7 +253,7 @@ def _cmd_verify(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liehofer",
         description="Exact circle-subgroup indices, Hofer lengths, loop-group "
         "Morse series and SU(2) Hessian numerics on coadjoint orbits.",
@@ -279,7 +296,7 @@ def _build_parser():
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
     p = add("verify", _cmd_verify, help="run the cross-module verification suite")
-    p.add_argument("--box", type=int, default=4, help="coordinate bound for sweeps")
+    p.add_argument("--box", type=_nonnegative_int, default=4, help="coordinate bound for sweeps")
     p.add_argument("--systems", default="all")
     p.add_argument("--checks", help="comma-separated subset of: " + ", ".join(verify.CHECKS))
 

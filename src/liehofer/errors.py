@@ -39,3 +39,8 @@ class EnergyBoundViolation(LieHoferError):
 
 class NumericalFailure(LieHoferError):
     """A numerical routine (eigensolver, quadrature) failed to converge."""
+
+
+class ConsistencyError(LieHoferError):
+    """Internally derived data disagree with an independent check (a bug in
+    the package, never a bad input)."""

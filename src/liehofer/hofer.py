@@ -1,9 +1,12 @@
 """Hofer geometry of circle actions on coadjoint orbits.
 
-Positive Hofer norms are computed by maximizing the generating Hamiltonian
-over the Weyl orbit of the base coweight; linearity of the Hamiltonian and
-convexity of the orbit projection reduce the full coadjoint orbit to the
-Weyl orbit.  All lengths are reported in lattice units (long roots at
+Positive Hofer norms maximize the generating Hamiltonian over the
+coadjoint orbit of the base coweight; linearity of the Hamiltonian and
+convexity of the orbit projection reduce this to the Weyl orbit.  The Weyl
+group acts by isometries and the maximum of <w xi, eta> sits in the closed
+dominant chamber, so it is computed in closed form as <dom(xi), dom(eta)>
+(Bourbaki, Lie VI; Humphreys, Reflection Groups 1.12), with no orbit
+enumeration.  All lengths are reported in lattice units (long roots at
 squared length 2, loops parametrized in turns), stored as exact squares.
 """
 
@@ -16,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateOrbit, EmptyFamily
-from .root_system import inner, orbit_array
+from .root_system import dominant_representative, inner
+from .root_system import orbit_array  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -32,26 +36,17 @@ class NormReport:
         return NormReport(sq, math.sqrt(float(sq)))
 
 
-def _gram_int_row(system, eta):
-    """gram @ eta as (integer vector, common denominator)."""
-    g = system.gram
-    row = [
-        sum(g[i][j] * eta.coords[j] for j in range(system.rank))
-        for i in range(system.rank)
-    ]
-    den = math.lcm(*(x.denominator for x in row)) if row else 1
-    return np.array([int(x * den) for x in row], dtype=np.int64), den
-
-
 def orbit_maximum(eta, xi):
-    """max over w in the Weyl orbit of xi of <w, eta>, exact rational."""
+    """max over w in the Weyl orbit of xi of <w, eta>, exact rational.
+
+    Closed form <dom(xi), dom(eta)>: the Weyl group acts by isometries and
+    the maximum lies in the closed dominant chamber.
+    """
     if xi.is_zero:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
-    if eta.system != xi.system:
+    if eta.system is not xi.system:
         raise DegenerateOrbit("coweights belong to different root systems")
-    geta, den = _gram_int_row(xi.system, eta)
-    values = orbit_array(xi) @ geta
-    return Fraction(int(values.max()), den)
+    return inner(dominant_representative(xi), dominant_representative(eta))
 
 
 def positive_norm(eta, xi):

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotDominant
+from .errors import DimensionError, NotDominant
 from .root_system import Coweight, pairing, weyl_poincare
 
 # classical exponents per family
@@ -85,7 +84,10 @@ class TruncatedSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.cutoff + 1
+        if len(self.coeffs) != self.cutoff + 1:
+            raise DimensionError(
+                f"{len(self.coeffs)} coefficients for cutoff {self.cutoff}"
+            )
 
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -132,22 +134,15 @@ def stratum_poincare(xi):
 
 def in_coroot_lattice(xi):
     """True iff xi lies in the coroot lattice (i.e. comes from a loop in
-    the simply connected group).  Solves the Cartan-matrix system exactly."""
+    the simply connected group).  The coroot alpha_j^vee has coordinates
+    (cartan[i][j])_i, so the test is C^-1 xi integral, i.e.
+    adj(C) xi = 0 mod det(C)."""
     system = xi.system
-    n = system.rank
-    # coroot alpha_j^vee has coordinates (cartan[i][j])_i
-    a = [[Fraction(system.cartan[i][j]) for j in range(n)] + [Fraction(xi.coords[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return all(a[i][n].denominator == 1 for i in range(n))
+    det = system.cartan_det
+    return all(
+        sum(a * c for a, c in zip(row, xi.coords)) % det == 0
+        for row in system.cartan_adj
+    )
 
 
 def enumerate_critical_strata(system, cutoff):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EnergyBoundViolation
+from .errors import EnergyBoundViolation, NumericalFailure
 
 PT = "pt"
 FUND = "fund"
@@ -122,7 +122,10 @@ def is_invertible(x, area=1.0, orders=3):
         residual = QuantumElement.from_terms(
             list(quantum_product(x, y, area).terms) + [(-1, FUND, 0.0)]
         )
-        assert residual.is_zero or residual.max_exponent() < 10 ** (-_EXP_DECIMALS)
+        if not (residual.is_zero or residual.max_exponent() < 10 ** (-_EXP_DECIMALS)):
+            raise NumericalFailure(
+                f"Newton inverse leaves a residual at exponent {residual.max_exponent()}"
+            )
     return True
 
 

@@ -5,18 +5,24 @@ integer vectors in the fundamental-coweight basis, so that the simple root
 alpha_i pairs to the i-th coordinate.  All scalars are exact (ints and
 Fractions); the inner product is normalized so long roots have squared
 length 2.  Simple roots follow the Bourbaki numbering.
+
+Linear algebra is integer: each system inverts its Cartan matrix once, as
+an adjugate over the determinant, and keeps the coweight Gram matrix as an
+integer matrix over one denominator.  Weyl orbits are enumerated only for
+the orbit-sum check and as a test oracle; no norm computation uses them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedSystem
+from .errors import ConsistencyError, DimensionError, UnsupportedSystem
 
 # (family, rank) -> number of positive roots
 _POSITIVE_COUNTS = {
@@ -93,21 +99,28 @@ def _root_gram(cartan, symmetrizer):
     )
 
 
-def _invert(mat):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
+def _adjugate(mat):
+    """Integer adjugate and determinant (adj, det) of a square integer
+    matrix, by fraction-free Gauss-Jordan elimination (Bareiss): every
+    division is exact, so no Fraction is ever built."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if a[r][k] != 0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    # now a = [d*I | d*A^-1] with d = sign * det A, so adj A = sign * right block
+    det = sign * prev
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return adj, det
 
 
 def _reflect_root(cartan, coords, i):
@@ -136,12 +149,20 @@ def _all_roots(cartan):
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Root datum of a semisimple family: exact Cartan data and gram matrices.
 
-    ``gram`` is the matrix of inner products of fundamental coweights,
-    ``root_gram`` the matrix of inner products of simple roots.
+    ``gram`` is the matrix of inner products of fundamental coweights (as
+    Fractions), ``root_gram`` the matrix of inner products of simple roots.
+    ``cartan_adj`` and ``cartan_det`` give the inverse Cartan matrix as
+    adj(C) / det(C); ``gram_num`` / ``gram_den`` is ``gram`` as an integer
+    matrix over one denominator, the form every inner product uses.  Hofer
+    norms need no Weyl orbit: the orbit maximum is the inner product of the
+    dominant representatives.
+
+    Systems are canonical (``build_root_system`` is cached), so equality
+    and hashing are by identity.
     """
 
     family: str
@@ -151,6 +172,10 @@ class RootSystem:
     positive_roots: tuple
     gram: tuple
     root_gram: tuple
+    cartan_adj: tuple
+    cartan_det: int
+    gram_num: tuple
+    gram_den: int
 
     @property
     def label(self):
@@ -213,10 +238,20 @@ def build_root_system(family, rank):
     symm = _symmetrizer(cartan)
     roots = _all_roots(cartan)
     positive = tuple(sorted(r for r in roots if all(c >= 0 for c in r)))
-    assert len(positive) == _POSITIVE_COUNTS[key]
-    root_gram = _root_gram(cartan, symm)
-    gram = _invert(root_gram)
-    return RootSystem(family, rank, cartan, symm, positive, gram, root_gram)
+    if len(positive) != _POSITIVE_COUNTS[key]:
+        raise ConsistencyError(
+            f"{family}{rank}: {len(positive)} positive roots generated, "
+            f"{_POSITIVE_COUNTS[key]} expected"
+        )
+    adj, det = _adjugate(cartan)
+    # gram = diag(d_i / d_min) C^-1 = (d_i adj_ij) / (d_min det)
+    gram_num = tuple(tuple(d * x for x in row) for d, row in zip(symm, adj))
+    gram_den = min(symm) * det
+    gram = tuple(tuple(Fraction(x, gram_den) for x in row) for row in gram_num)
+    return RootSystem(
+        family, rank, cartan, symm, positive, gram, _root_gram(cartan, symm),
+        adj, det, gram_num, gram_den,
+    )
 
 
 def from_label(label):
@@ -238,14 +273,15 @@ def pairing(root, xi):
 def inner(xi1, xi2):
     """Exact Ad-invariant inner product of two coweights (long roots at
     squared length 2)."""
-    if xi1.system != xi2.system:
+    system = xi1.system
+    if system is not xi2.system:
         raise DimensionError("coweights belong to different root systems")
-    g = xi1.system.gram
-    return sum(
-        xi1.coords[i] * g[i][j] * xi2.coords[j]
-        for i in range(xi1.system.rank)
-        for j in range(xi1.system.rank)
-    )
+    y = xi2.coords
+    total = 0
+    for x, row in zip(xi1.coords, system.gram_num):
+        if x:
+            total += x * sum(map(operator.mul, row, y))
+    return Fraction(total, system.gram_den)
 
 
 def reflect_coweight(system, coords, i):
@@ -290,18 +326,23 @@ def weyl_orbit(xi):
 
 
 def orbit_array(xi):
-    """Weyl orbit as an int64 array of coordinate rows (internal fast path)."""
+    """Weyl orbit as an int64 array of coordinate rows."""
     return np.array(_orbit_coords(xi.system, xi.coords), dtype=np.int64)
 
 
 def dominant_representative(xi):
-    """The unique dominant coweight in the Weyl orbit of xi."""
-    c = xi.coords
+    """The unique dominant coweight in the Weyl orbit of xi: apply the
+    simple reflection of the first negative coordinate until none is left."""
+    c = list(xi.coords)
+    cartan = xi.system.cartan
     while True:
-        i = next((k for k, v in enumerate(c) if v < 0), None)
-        if i is None:
-            return Coweight(xi.system, c)
-        c = reflect_coweight(xi.system, c, i)
+        for i, ci in enumerate(c):
+            if ci < 0:
+                break
+        else:
+            return Coweight(xi.system, tuple(c))
+        for j, row in enumerate(cartan):
+            c[j] -= ci * row[i]
 
 
 def weyl_poincare(system, walls=None):

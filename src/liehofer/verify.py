@@ -2,7 +2,8 @@
 suite.
 
 Each check returns (passed, detail, counterexample); a failed check always
-carries a concrete counterexample datum.
+carries a concrete counterexample datum.  A sweep that checked nothing is
+vacuous and fails, with the empty sweep as its counterexample.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def check_index_equality(labels, box):
                     "bott_index": bott_index(dom),
                 }
             checked += 1
+    if not checked:
+        return False, "0 regular coweights checked: the sweep is vacuous", {
+            "systems": list(labels), "box": box, "checked": 0,
+        }
     return True, f"{checked} regular coweights agree", None
 
 
@@ -85,6 +90,10 @@ def check_norm_inequality(labels, box, samples=10_000, seed=7):
                     "xi": list(xi.coords),
                 }
             checked += 1
+    if not checked:
+        return False, "0 (eta, xi) pairs checked: the sweep is vacuous", {
+            "systems": list(labels), "box": box, "checked": 0,
+        }
     return True, f"{checked} (eta, xi) pairs satisfy the inequality", None
 
 

@@ -104,3 +104,23 @@ def test_verify_fast_subset(capsys):
 def test_verify_rejects_unknown_check(capsys):
     code = main(["verify", "--checks", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize("box", ["-1", "x"])
+def test_verify_rejects_bad_box_with_one_line(capsys, box):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--box", box, "--systems", "A1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--box" in captured.err
+
+
+def test_verify_empty_sweep_fails(capsys):
+    code, payload = run(
+        capsys, "verify", "--box", "0", "--systems", "A1", "--checks", "index-equality",
+    )
+    assert code == 1
+    assert payload["all_pass"] is False
+    assert payload["checks"]["index-equality"]["pass"] is False
+    assert payload["checks"]["index-equality"]["counterexample"]["checked"] == 0
