@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,6 +47,16 @@ def _nonnegative_int(text):
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _finite_positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -283,16 +294,32 @@ def _build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--cutoff", type=int, default=12)
 
-    p = add("hessian-su2", _cmd_hessian, help="finite-difference Hessian spectrum on SU(2)")
-    p.add_argument("--m", type=int, required=True, help="winding number")
-    p.add_argument("--n", type=int, default=64, help="loop resolution")
+    p = add(
+        "hessian-su2", _cmd_hessian,
+        help="Hessian spectrum on SU(2) from one step block (energy) and "
+        "L+ second differences along its unstable directions",
+    )
+    p.add_argument("--m", type=int, required=True, help="winding number, 4m <= n")
+    p.add_argument(
+        "--n", type=int, default=64,
+        help=f"loop resolution, 32..{su2_loops.MAX_N}",
+    )
     p.add_argument("--functional", choices=("energy", "lplus"), default="energy")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
+    p.add_argument(
+        "--tol", type=_finite_positive_float, default=1e-6,
+        help="zero band relative to max |eigenvalue|, in (0, 1)",
+    )
+    p.add_argument(
+        "--h", type=_finite_positive_float, default=1e-4,
+        help="finite-difference step, in [1e-5, 1e-2]",
+    )
 
     p = add("seidel-cp1", _cmd_seidel, help="leading quantum term for an A1 circle")
     p.add_argument("--xi", type=int, required=True, help="A1 coweight coordinate")
-    p.add_argument("--area", type=float, default=1.0, help="symplectic area of the line")
+    p.add_argument(
+        "--area", type=_finite_positive_float, default=1.0,
+        help="symplectic area of the line",
+    )
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
     p = add("verify", _cmd_verify, help="run the cross-module verification suite")

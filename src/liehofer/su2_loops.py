@@ -1,6 +1,11 @@
 """Desk-scale numerics on SU(2): discretized energy and positive Hofer
-length of based loops of unit quaternions, and finite-difference Hessian
-spectra at the circle subgroups.
+length of based loops of unit quaternions, and Hessian spectra at the
+circle subgroups.
+
+The energy Hessian at a circle subgroup is assembled from one step term:
+the geodesic is homogeneous and the quaternion dot product is
+left-invariant, so every step contributes the same 6x6 second-difference
+block and the matrix is block-tridiagonal with constant blocks.
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -100,10 +105,14 @@ def random_loop(n, rng, amplitude=1.0):
     return DiscreteLoop(points)
 
 
+def _distances(dots):
+    """Lattice-unit geodesic distances from quaternion dot products."""
+    return _SQRT2 * np.arccos(np.clip(dots, -1.0, 1.0)) / (2 * np.pi)
+
+
 def _step_distances(loop):
     """Lattice-unit geodesic distances between consecutive points."""
-    dots = np.clip(np.sum(loop.points[:-1] * loop.points[1:], axis=1), -1.0, 1.0)
-    return _SQRT2 * np.arccos(dots) / (2 * np.pi)
+    return _distances(np.sum(loop.points[:-1] * loop.points[1:], axis=1))
 
 
 def discrete_energy(loop):
@@ -154,40 +163,54 @@ def _functional(name):
     raise ValueError(f"unknown functional {name!r} (expected 'energy' or 'lplus')")
 
 
+# Largest loop resolution: the dense eigensolve of the 3(n-1)-square
+# Hessian peaks near 350 MB at n = 1024.
+MAX_N = 1024
+
+
 def energy_hessian(m, n, h=1e-4):
-    """Second-difference matrix of the discrete energy at the winding-m
-    geodesic, in exponential normal coordinates at the loop points.
+    """Second-difference Hessian of the discrete energy at the winding-m
+    geodesic, in the body-frame coordinates of ``apply_tangent``.
 
-    The energy couples each point only to its neighbors, so blocks with
-    point distance > 1 vanish identically and are not evaluated.
+    Step j of the geodesic goes from q_j to q_{j+1} = q_j g with one fixed
+    g, and the dot product is left-invariant, so the step term in the
+    coordinates (w_j, w_{j+1}) is f(w_a, w_b) = n d(exp w_a, g exp w_b)^2
+    for every j.  Its 6x6 Hessian [[A, B], [B^T, D]] (72 evaluations of f
+    with step h) gives every diagonal block A + D and every off-diagonal
+    block B or B^T; the end steps supply one half each at the first and
+    last interior points.  Assembly is O(n).
+
+    Raises ValueError when n > MAX_N or 4m > n: beyond the latter the step
+    angle is too coarse for the eigenvalue counts to resolve the index.
     """
-    return _fd_hessian(discrete_energy, m, n, h)
+    if n > MAX_N:
+        raise ValueError(f"resolution n={n} exceeds the maximum {MAX_N}")
+    if 4 * m > n:
+        raise ValueError(f"winding m={m} needs n >= 4m = {4 * m} points, got n={n}")
+    step = _step_hessian(geodesic_loop(m, n).points[1], n, h)
+    a, b, d = step[:3, :3], step[:3, 3:], step[3:, 3:]
+    k = n - 1
+    hess = np.zeros((k, 3, k, 3))
+    points = np.arange(k)
+    hess[points, :, points, :] = a + d
+    hess[points[:-1], :, points[1:], :] = b
+    hess[points[1:], :, points[:-1], :] = b.T
+    return hess.reshape(3 * k, 3 * k)
 
 
-def _fd_hessian(func, m, n, h):
-    base = geodesic_loop(m, n)
-    dim = 3 * (n - 1)
-    f0 = func(base)
-
-    def f(x):
-        return func(apply_tangent(base, x))
-
-    hess = np.zeros((dim, dim))
-    e = np.eye(dim)
-    for i in range(dim):
-        hess[i, i] = (f(h * e[i]) - 2.0 * f0 + f(-h * e[i])) / (h * h)
-        pt_i = i // 3
-        for j in range(i + 1, dim):
-            if j // 3 - pt_i > 1:
-                break  # no coupling beyond adjacent points
-            v = (
-                f(h * (e[i] + e[j]))
-                - f(h * (e[i] - e[j]))
-                - f(h * (-e[i] + e[j]))
-                + f(-h * (e[i] + e[j]))
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = v
-    return 0.5 * (hess + hess.T)
+def _step_hessian(g, n, h):
+    """Central second differences of f(w_a, w_b) = n d(exp w_a, g exp w_b)^2
+    at 0, all probes evaluated in one vectorized call."""
+    e = h * np.eye(6)
+    i, j = np.triu_indices(6, k=1)
+    pair, anti = e[i] + e[j], e[i] - e[j]
+    probes = np.concatenate([e, -e, pair, anti, -anti, -pair, np.zeros((1, 6))])
+    dots = np.sum(_qexp(probes[:, :3]) * _qmul(g, _qexp(probes[:, 3:])), axis=1)
+    f = n * _distances(dots) ** 2
+    plus, minus, fpp, fpm, fmp, fmm, f0 = np.split(f, [6, 12, 27, 42, 57, 72])
+    hess = np.diag((plus - 2.0 * f0 + minus) / (h * h))
+    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    return hess
 
 
 def _classify(values, tol):
@@ -201,18 +224,24 @@ def _classify(values, tol):
 def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
     """Eigenvalue counts of the chosen functional at the winding-m geodesic.
 
-    'energy': dense symmetric eigensolve of the full second-difference
-    matrix; the zero band tol * max|eigenvalue| absorbs the two critical-
-    stratum directions (the adjoint-orbit 2-sphere).
+    'energy': dense symmetric eigensolve of the block-tridiagonal energy
+    Hessian built from one step block (``energy_hessian``); the zero band
+    tol * max|eigenvalue| absorbs the two critical-stratum directions (the
+    adjoint-orbit 2-sphere).
 
-    'lplus': second differences of L+ along the energy-unstable
-    eigendirections only; negativity off that subspace is exactly what the
-    conjecture leaves open, so it is not asserted here.
+    'lplus': second differences of the full-loop L+ along the
+    energy-unstable eigendirections only; negativity off that subspace is
+    exactly what the conjecture leaves open, so it is not asserted here.
+
+    Raises ValueError unless 32 <= n <= MAX_N, 4m <= n, h lies in
+    [1e-5, 1e-2] and tol lies in (0, 1).
     """
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("step h must lie in [1e-5, 1e-2]")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     _functional(functional)  # validate name early
     ehess = energy_hessian(m, n, h)
     try:

@@ -124,3 +124,28 @@ def test_verify_empty_sweep_fails(capsys):
     assert payload["all_pass"] is False
     assert payload["checks"]["index-equality"]["pass"] is False
     assert payload["checks"]["index-equality"]["counterexample"]["checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["hessian-su2", "--m", "16", "--n", "32"], "4m"),
+        (["hessian-su2", "--m", "1", "--n", "100000"], "maximum"),
+        (["hessian-su2", "--m", "1", "--tol", "-1"], "--tol"),
+        (["hessian-su2", "--m", "1", "--tol", "nan"], "--tol"),
+        (["hessian-su2", "--m", "1", "--tol", "1.5"], "tolerance"),
+        (["hessian-su2", "--m", "1", "--h", "nan"], "--h"),
+        (["hessian-su2", "--m", "1", "--h", "inf"], "--h"),
+        (["seidel-cp1", "--xi", "2", "--area", "nan"], "--area"),
+        (["seidel-cp1", "--xi", "2", "--area", "-1"], "--area"),
+    ],
+)
+def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liehofer.su2_loops import (
+    MAX_N,
     DiscreteLoop,
     apply_tangent,
     constant_loop,
@@ -101,6 +102,20 @@ def test_spectrum_preconditions():
         hessian_spectrum("energy", 1, 64, h=1.0)
     with pytest.raises(ValueError):
         hessian_spectrum("curvature", 1, 64)
+    with pytest.raises(ValueError):
+        hessian_spectrum("energy", 1, 64, h=math.nan)
+    with pytest.raises(ValueError, match="4m"):
+        hessian_spectrum("energy", 16, 32)
+    with pytest.raises(ValueError, match="4m"):
+        hessian_spectrum("energy", 9, 32)
+    hessian_spectrum("energy", 8, 32)  # 4m == n is still resolved
+    with pytest.raises(ValueError, match="maximum"):
+        hessian_spectrum("energy", 1, MAX_N + 1)
+    with pytest.raises(ValueError, match="maximum"):
+        energy_hessian(1, 100000)
+    for tol in (-1.0, 0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            hessian_spectrum("energy", 1, 32, tol=tol)
 
 
 def test_counts_invariant_under_axis_change():
@@ -127,3 +142,60 @@ def test_counts_invariant_under_conjugation():
     conj_loop = DiscreteLoop(conj)
     assert abs(discrete_energy(conj_loop) - discrete_energy(loop)) < 1e-9
     assert abs(discrete_lplus(conj_loop) - discrete_lplus(loop)) < 1e-9
+
+
+def _fd_hessian(func, m, n, h):
+    """Independent oracle: dense second differences of the whole-loop
+    functional, one coordinate pair at a time (blocks of points more than
+    one apart vanish identically and are skipped)."""
+    base = geodesic_loop(m, n)
+    dim = 3 * (n - 1)
+    f0 = func(base)
+
+    def f(x):
+        return func(apply_tangent(base, x))
+
+    hess = np.zeros((dim, dim))
+    e = np.eye(dim)
+    for i in range(dim):
+        hess[i, i] = (f(h * e[i]) - 2.0 * f0 + f(-h * e[i])) / (h * h)
+        pt_i = i // 3
+        for j in range(i + 1, dim):
+            if j // 3 - pt_i > 1:
+                break
+            v = (
+                f(h * (e[i] + e[j]))
+                - f(h * (e[i] - e[j]))
+                - f(h * (-e[i] + e[j]))
+                + f(-h * (e[i] + e[j]))
+            ) / (4.0 * h * h)
+            hess[i, j] = hess[j, i] = v
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("m", [1, 2])
+def test_energy_hessian_matches_full_loop_oracle(m, n):
+    block = energy_hessian(m, n)
+    oracle = _fd_hessian(discrete_energy, m, n, 1e-4)
+    assert block.shape == oracle.shape == (3 * (n - 1), 3 * (n - 1))
+    assert np.max(np.abs(block - oracle)) < 1e-5
+    evals = np.linalg.eigvalsh(block)
+    oracle_evals = np.linalg.eigvalsh(oracle)
+    scale = np.max(np.abs(oracle_evals))
+    assert np.max(np.abs(evals - oracle_evals)) < 1e-6 * scale
+
+
+def test_energy_hessian_is_symmetric():
+    hess = energy_hessian(3, 64)
+    assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_energy_counts_sweep(n):
+    for m in range(1, n // 4 + 1):
+        report = hessian_spectrum("energy", m, n)
+        negative = 2 * (2 * m - 1)
+        counts = (report.negative_count, report.zero_count, report.positive_count)
+        assert counts == (negative, 2, 3 * (n - 1) - negative - 2), (m, n)
+
