@@ -15,8 +15,22 @@ from fractions import Fraction
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
-from .errors import LieHoferError, UnsupportedSystem
+from .errors import (
+    DegenerateOrbit,
+    DegenerateSubgroup,
+    DimensionError,
+    EmptyFamily,
+    LieHoferError,
+    NotDominant,
+    UnsupportedSystem,
+)
 from .root_system import from_label
+
+# errors that only bad input can raise: usage errors, exit 2
+_INPUT_ERRORS = (
+    UnsupportedSystem, DimensionError, DegenerateSubgroup, DegenerateOrbit,
+    NotDominant, EmptyFamily, ValueError,
+)
 
 
 def _fmt(value):
@@ -292,7 +306,10 @@ def _build_parser():
 
     p = add("omega-series", _cmd_omega_series, help="loop-group Poincare series vs oracle")
     p.add_argument("--system", required=True)
-    p.add_argument("--cutoff", type=int, default=12)
+    p.add_argument(
+        "--cutoff", type=int, default=12,
+        help=f"even series degree, 0..{loop_morse.MAX_CUTOFF}",
+    )
 
     p = add(
         "hessian-su2", _cmd_hessian,
@@ -335,7 +352,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UnsupportedSystem, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LieHoferError as exc:

@@ -142,9 +142,11 @@ class PsiLeadingReport:
     invertible: bool = field(default=True)
 
     def as_element(self):
-        return QuantumElement.from_terms(
-            [(self.sign, PT, self.exponent)] + list(self.corrections)
-        )
+        return _psi_element(self.sign, self.exponent, self.corrections)
+
+
+def _psi_element(sign, exponent, corrections):
+    return QuantumElement.from_terms([(sign, PT, exponent)] + list(corrections))
 
 
 def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
@@ -165,18 +167,13 @@ def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
                 f"correction ({coeff}, {basis}, {exponent}) reaches the "
                 f"leading exponent {l_plus}"
             )
-    report = PsiLeadingReport(
-        sign=orientation_sign,
-        exponent=l_plus,
-        corrections=corrections,
-        area=float(area),
-    )
-    element = report.as_element()
+    area = float(area)
+    element = _psi_element(orientation_sign, l_plus, corrections)
     return PsiLeadingReport(
         sign=orientation_sign,
         exponent=l_plus,
         corrections=corrections,
-        area=float(area),
+        area=area,
         nonzero=not element.is_zero,
-        invertible=is_invertible(element, area=float(area)),
+        invertible=is_invertible(element, area=area),
     )

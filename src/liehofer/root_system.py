@@ -267,7 +267,7 @@ def pairing(root, xi):
         raise DimensionError(
             f"root has {len(root)} coordinates, system rank is {xi.system.rank}"
         )
-    return sum(int(n) * c for n, c in zip(root, xi.coords))
+    return sum(map(operator.mul, root, xi.coords))
 
 
 def inner(xi1, xi2):
@@ -350,9 +350,17 @@ def weyl_poincare(system, walls=None):
     generated by the listed simple reflections (all of them by default).
 
     Returned as a tuple of coefficients; breadth-first enumeration of the
-    subgroup acting on a regular vector, with BFS depth as length.
+    subgroup acting on a regular vector, with BFS depth as length.  The
+    result is memoized per system and set of walls (``walls`` may be any
+    iterable of simple-root indices).
     """
-    gens = sorted(set(range(system.rank) if walls is None else walls))
+    gens = range(system.rank) if walls is None else walls
+    return _weyl_poincare(system, frozenset(gens))
+
+
+@lru_cache(maxsize=None)
+def _weyl_poincare(system, gens):
+    gens = sorted(gens)
     start = (1,) * system.rank
     seen = {start}
     frontier = [start]

@@ -138,6 +138,10 @@ def test_verify_empty_sweep_fails(capsys):
         (["hessian-su2", "--m", "1", "--h", "inf"], "--h"),
         (["seidel-cp1", "--xi", "2", "--area", "nan"], "--area"),
         (["seidel-cp1", "--xi", "2", "--area", "-1"], "--area"),
+        (["index", "--system", "A1", "--xi", "1,2"], "coordinates"),
+        (["seidel-cp1", "--xi", "0"], "zero coweight"),
+        (["omega-series", "--system", "A2", "--cutoff", "100000"], "cutoff"),
+        (["omega-series", "--system", "A2", "--cutoff", "7"], "cutoff"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

@@ -1,10 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+import liehofer.loop_morse as loop_morse
+import liehofer.root_system as root_system
 from liehofer.circle_index import CircleSubgroup, riemannian_index_conjugate
 from liehofer.errors import NotDominant
 from liehofer.loop_morse import (
+    MAX_CUTOFF,
+    CriticalStratum,
     bott_index,
     enumerate_critical_strata,
     exponents,
@@ -15,7 +20,7 @@ from liehofer.loop_morse import (
     stratum_poincare,
     transgression_series,
 )
-from liehofer.root_system import from_label, weyl_orbit
+from liehofer.root_system import from_label, weyl_orbit, weyl_poincare
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -139,3 +144,77 @@ def test_exponents_table():
     assert exponents(from_label("D4")) == (1, 3, 3, 5)
     assert exponents(from_label("G2")) == (1, 5)
     assert exponents(from_label("F4")) == (1, 5, 7, 11)
+
+
+def _box_strata(system, cutoff):
+    """Oracle for the pruned walk: scan the whole box of coordinates up to
+    the per-coordinate bound cutoff/2 + 1 and keep what is below the cutoff."""
+    bound = cutoff // 2 + 1
+    strata = []
+    for coords in itertools.product(range(bound + 1), repeat=system.rank):
+        xi = system.coweight(coords)
+        idx = bott_index(xi)
+        if idx <= cutoff:
+            strata.append(
+                CriticalStratum(xi, idx, stratum_poincare(xi), in_coroot_lattice(xi))
+            )
+    strata.sort(key=lambda s: (s.bott_index, s.xi.coords))
+    return strata
+
+
+@pytest.mark.parametrize("cutoff", [0, 2, 8, 20])
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_walk_matches_box_scan(label, cutoff):
+    system = from_label(label)
+    walked, boxed = enumerate_critical_strata(system, cutoff), _box_strata(system, cutoff)
+    assert walked == boxed  # coords, index, polynomial, lattice flag and order
+
+
+def test_bott_index_is_nondecreasing_in_each_coordinate():
+    rng = random.Random(20081017)
+    for _ in range(600):
+        system = from_label(rng.choice(ALL_LABELS))
+        coords = [rng.randrange(7) for _ in range(system.rank)]
+        i = rng.randrange(system.rank)
+        raised = list(coords)
+        raised[i] += rng.randrange(1, 4)
+        assert bott_index(system.coweight(coords)) <= bott_index(system.coweight(raised))
+
+
+def test_walk_evaluates_few_candidates(monkeypatch):
+    calls = []
+    real = loop_morse.bott_index
+
+    def counting(xi):
+        calls.append(xi)
+        return real(xi)
+
+    monkeypatch.setattr(loop_morse, "bott_index", counting)
+    for label in ALL_LABELS:
+        enumerate_critical_strata(from_label(label), 20)
+    assert 0 < len(calls) < 1000
+
+
+def test_cutoff_cap():
+    system = from_label("A2")
+    assert enumerate_critical_strata(system, MAX_CUTOFF)
+    for fn in (enumerate_critical_strata, transgression_series):
+        with pytest.raises(ValueError):
+            fn(system, MAX_CUTOFF + 2)
+        with pytest.raises(ValueError):
+            fn(system, -2)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_memoized_weyl_poincare_matches_fresh_bfs(label):
+    system = from_label(label)
+    fresh = root_system._weyl_poincare.__wrapped__
+    assert weyl_poincare(system) == fresh(system, frozenset(range(system.rank)))
+    for size in range(system.rank + 1):
+        for walls in itertools.combinations(range(system.rank), size):
+            expected = fresh(system, frozenset(walls))
+            for given in (list(walls), set(walls), frozenset(walls)):
+                assert weyl_poincare(system, given) == expected
+    info = root_system._weyl_poincare.cache_info()
+    weyl_poincare(system, [0])
+    assert root_system._weyl_poincare.cache_info().hits == info.hits + 1
