@@ -49,8 +49,11 @@ def _fmt(value):
 def _emit(payload, out_path=None):
     text = json.dumps(_fmt(payload), indent=2)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     print(text)
 
 
@@ -340,7 +343,10 @@ def _build_parser():
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
     p = add("verify", _cmd_verify, help="run the cross-module verification suite")
-    p.add_argument("--box", type=_nonnegative_int, default=4, help="coordinate bound for sweeps")
+    p.add_argument(
+        "--box", type=_nonnegative_int, default=4,
+        help=f"coordinate bound for sweeps, 0..{verify.MAX_BOX}",
+    )
     p.add_argument("--systems", default="all")
     p.add_argument("--checks", help="comma-separated subset of: " + ", ".join(verify.CHECKS))
 

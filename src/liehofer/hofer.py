@@ -6,8 +6,11 @@ convexity of the orbit projection reduce this to the Weyl orbit.  The Weyl
 group acts by isometries and the maximum of <w xi, eta> sits in the closed
 dominant chamber, so it is computed in closed form as <dom(xi), dom(eta)>
 (Bourbaki, Lie VI; Humphreys, Reflection Groups 1.12), with no orbit
-enumeration.  All lengths are reported in lattice units (long roots at
-squared length 2, loops parametrized in turns), stored as exact squares.
+enumeration.  Every quantity is an integer numerator over the system's one
+denominator ``gram_den`` until it is returned: one dominant reduction per
+coweight and one integer inner product per quantity.  All lengths are
+reported in lattice units (long roots at squared length 2, loops
+parametrized in turns), stored as exact squares.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateOrbit, EmptyFamily
-from .root_system import dominant_representative, inner
+from .root_system import dominant_coords, inner, inner_numerator
 from .root_system import orbit_array  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
@@ -32,8 +35,21 @@ class NormReport:
 
     @staticmethod
     def from_squared(sq):
-        sq = Fraction(sq)
+        if type(sq) is not Fraction:
+            sq = Fraction(sq)
         return NormReport(sq, math.sqrt(float(sq)))
+
+
+def _orbit_maximum_numerator(eta, xi):
+    """(system, M): the orbit maximum is M / gram_den, where M is the
+    integer numerator of <dom(xi), dom(eta)>."""
+    if xi.is_zero:
+        raise DegenerateOrbit("orbit of the zero coweight is a point")
+    system = xi.system
+    if eta.system is not system:
+        raise DegenerateOrbit("coweights belong to different root systems")
+    dom_xi = dominant_coords(system, xi.coords)
+    return system, inner_numerator(system, dom_xi, dominant_coords(system, eta.coords))
 
 
 def orbit_maximum(eta, xi):
@@ -42,29 +58,35 @@ def orbit_maximum(eta, xi):
     Closed form <dom(xi), dom(eta)>: the Weyl group acts by isometries and
     the maximum lies in the closed dominant chamber.
     """
-    if xi.is_zero:
-        raise DegenerateOrbit("orbit of the zero coweight is a point")
-    if eta.system is not xi.system:
-        raise DegenerateOrbit("coweights belong to different root systems")
-    return inner(dominant_representative(xi), dominant_representative(eta))
+    system, m = _orbit_maximum_numerator(eta, xi)
+    return Fraction(m, system.gram_den)
 
 
 def positive_norm(eta, xi):
     """Positive Hofer norm of eta on the orbit of xi.
 
     Returns (m, report): the raw orbit maximum m >= 0 and the squared
-    positive norm m^2 / <xi, xi>.
+    positive norm m^2 / <xi, xi>.  With m = M / gram_den and <xi, xi> =
+    X / gram_den in integer numerators, the square is M^2 / (gram_den X),
+    built as one Fraction.
     """
-    m = orbit_maximum(eta, xi)
-    return m, NormReport.from_squared(m * m / inner(xi, xi))
+    system, m = _orbit_maximum_numerator(eta, xi)
+    den = system.gram_den
+    sq = Fraction(m * m, den * inner_numerator(system, xi.coords, xi.coords))
+    return Fraction(m, den), NormReport.from_squared(sq)
 
 
 def check_norm_inequality(eta, xi):
     """Exact test m^2 <= <xi,xi><eta,eta> of the positive-vs-Riemannian
     norm inequality; always true for a correct build (Cauchy-Schwarz), so
-    a False return flags an implementation bug."""
-    m = orbit_maximum(eta, xi)
-    return m * m <= inner(xi, xi) * inner(eta, eta)
+    a False return flags an implementation bug.
+
+    Every term carries gram_den squared, so the test is the integer
+    comparison M^2 <= X E of the numerators of m, <xi, xi> and <eta, eta>.
+    """
+    system, m = _orbit_maximum_numerator(eta, xi)
+    x = inner_numerator(system, xi.coords, xi.coords)
+    return m * m <= x * inner_numerator(system, eta.coords, eta.coords)
 
 
 def hofer_length_circle(xi):

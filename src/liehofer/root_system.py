@@ -8,8 +8,14 @@ length 2.  Simple roots follow the Bourbaki numbering.
 
 Linear algebra is integer: each system inverts its Cartan matrix once, as
 an adjugate over the determinant, and keeps the coweight Gram matrix as an
-integer matrix over one denominator.  Weyl orbits are enumerated only for
-the orbit-sum check and as a test oracle; no norm computation uses them.
+integer matrix ``gram_num`` over one denominator ``gram_den``.  Two kernels
+work on coordinate tuples: ``inner_numerator`` gives the integer numerator
+of an inner product over ``gram_den``, and ``dominant_coords`` reduces
+coordinates to the dominant chamber.  ``inner`` and
+``dominant_representative`` wrap them, and the Hofer norms call them
+directly, building a Fraction only for the value they return.  Weyl orbits
+are enumerated only for the orbit-sum check and as a test oracle; no norm
+computation uses them.
 """
 
 from __future__ import annotations
@@ -186,7 +192,7 @@ class RootSystem:
         return _weyl_order(self.family, self.rank)
 
     def coweight(self, coords):
-        return Coweight(self, tuple(int(c) for c in coords))
+        return Coweight(self, tuple(map(int, coords)))
 
     def zero(self):
         return self.coweight((0,) * self.rank)
@@ -211,7 +217,7 @@ class Coweight:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_dominant(self):
@@ -270,18 +276,28 @@ def pairing(root, xi):
     return sum(map(operator.mul, root, xi.coords))
 
 
+def inner_numerator(system, x, y):
+    """Integer numerator of the inner product of the coweights with
+    coordinate tuples x and y, over the system's denominator ``gram_den``.
+
+    The caller has checked that both belong to ``system``, so both have
+    ``system.rank`` coordinates.
+    """
+    total = 0
+    for a, row in zip(x, system.gram_num):
+        if a:
+            total += a * sum(map(operator.mul, row, y))
+    return total
+
+
 def inner(xi1, xi2):
     """Exact Ad-invariant inner product of two coweights (long roots at
-    squared length 2)."""
+    squared length 2): the integer numerator ``inner_numerator`` over
+    ``gram_den``, as a Fraction."""
     system = xi1.system
     if system is not xi2.system:
         raise DimensionError("coweights belong to different root systems")
-    y = xi2.coords
-    total = 0
-    for x, row in zip(xi1.coords, system.gram_num):
-        if x:
-            total += x * sum(map(operator.mul, row, y))
-    return Fraction(total, system.gram_den)
+    return Fraction(inner_numerator(system, xi1.coords, xi2.coords), system.gram_den)
 
 
 def reflect_coweight(system, coords, i):
@@ -330,19 +346,25 @@ def orbit_array(xi):
     return np.array(_orbit_coords(xi.system, xi.coords), dtype=np.int64)
 
 
-def dominant_representative(xi):
-    """The unique dominant coweight in the Weyl orbit of xi: apply the
-    simple reflection of the first negative coordinate until none is left."""
-    c = list(xi.coords)
-    cartan = xi.system.cartan
+def dominant_coords(system, coords):
+    """Coordinates of the unique dominant coweight in the Weyl orbit of
+    ``coords``: apply the simple reflection of the first negative coordinate
+    until none is left."""
+    c = list(coords)
+    cartan = system.cartan
     while True:
         for i, ci in enumerate(c):
             if ci < 0:
                 break
         else:
-            return Coweight(xi.system, tuple(c))
+            return tuple(c)
         for j, row in enumerate(cartan):
             c[j] -= ci * row[i]
+
+
+def dominant_representative(xi):
+    """The unique dominant coweight in the Weyl orbit of xi."""
+    return Coweight(xi.system, dominant_coords(xi.system, xi.coords))
 
 
 def weyl_poincare(system, walls=None):

@@ -25,6 +25,17 @@ ALL_SYSTEMS = (
     "D4", "G2", "F4",
 )
 
+# Largest coordinate bound of the two box sweeps.  The box holds
+# (2 box + 1)^rank coweights; at the cap the slowest system takes about 16 s
+# (`verify --box 10 --systems F4 --checks index-equality`, 2-vCPU VM,
+# Python 3.11.7).
+MAX_BOX = 10
+
+
+def _check_box(box):
+    if not 0 <= box <= MAX_BOX:
+        raise ValueError(f"box must lie in 0..{MAX_BOX}, got {box}")
+
 
 def box_coweights(system, box, regular_only=False, nonzero_only=True):
     """All integer coweights with coordinates in [-box, box]."""
@@ -40,6 +51,7 @@ def box_coweights(system, box, regular_only=False, nonzero_only=True):
 def check_index_equality(labels, box):
     """Virtual index == conjugate-point index == Bott index of the
     dominant representative, exactly, for every regular coweight."""
+    _check_box(box)
     checked = 0
     for label in labels:
         system = from_label(label)
@@ -65,6 +77,7 @@ def check_index_equality(labels, box):
 def check_norm_inequality(labels, box, samples=10_000, seed=7):
     """m^2 <= <xi,xi><eta,eta>, exhaustively at rank <= 2 and on seeded
     random pairs at rank 3-4."""
+    _check_box(box)
     rng = np.random.default_rng(seed)
     checked = 0
     for label in labels:

@@ -142,6 +142,9 @@ def test_verify_empty_sweep_fails(capsys):
         (["seidel-cp1", "--xi", "0"], "zero coweight"),
         (["omega-series", "--system", "A2", "--cutoff", "100000"], "cutoff"),
         (["omega-series", "--system", "A2", "--cutoff", "7"], "cutoff"),
+        (["hofer", "--system", "A2", "--xi", "1,2", "--out", "/nonexistent/x.json"],
+         "/nonexistent/x.json"),
+        (["verify", "--box", "100000"], "box"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

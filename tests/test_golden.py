@@ -15,6 +15,8 @@ CASES = {
     "omega_series_F4_cutoff20.json": ["omega-series", "--system", "F4", "--cutoff", "20"],
     "index_F4.json": ["index", "--system", "F4", "--xi", "1,2,1,1"],
     "seidel_cp1_xi2.json": ["seidel-cp1", "--xi", "2"],
+    "weights_F4.json": ["weights", "--system", "F4", "--xi", "1,-2,0,3"],
+    "hofer_G2_eta.json": ["hofer", "--system", "G2", "--xi", "2,-1", "--eta=-3,1"],
 }
 
 

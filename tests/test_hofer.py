@@ -47,6 +47,17 @@ def test_positive_norm_degenerate_orbit():
         positive_norm(a2.coweight([1, 0]), a2.coweight([0, 0]))
 
 
+@pytest.mark.parametrize("labels", [("A2", "B2"), ("B2", "A2"), ("A1", "A2"), ("A2", "A1")])
+def test_mismatched_systems_rejected(labels):
+    # same rank and different rank: neither may pair coordinates across systems
+    eta_system, xi_system = (from_label(label) for label in labels)
+    eta = eta_system.coweight(range(1, eta_system.rank + 1))
+    xi = xi_system.coweight(range(2, xi_system.rank + 2))
+    for fn in (orbit_maximum, positive_norm, check_norm_inequality):
+        with pytest.raises(DegenerateOrbit):
+            fn(eta, xi)
+
+
 def test_orbit_maximum_nonnegative():
     # orbit-sum-zero forces the orbit maximum of a linear function >= 0
     for label in ("A2", "B2", "G2", "B3"):

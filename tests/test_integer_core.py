@@ -7,6 +7,7 @@ force over the enumerated Weyl orbit with the oracle Gram, not ``inner``.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -113,6 +114,38 @@ def test_orbit_maximum_matches_brute_force_over_the_orbit(label):
     for eta, xi in _seeded_pairs(system, 12):
         brute = max(_oracle_inner(gram, w.coords, eta.coords) for w in weyl_orbit(xi))
         assert orbit_maximum(eta, xi) == brute, (eta, xi)
+
+
+def _wide_pairs(system):
+    """The seeded pairs, pairs with coordinates up to +-8, and eta = 0."""
+    rng = random.Random(f"wide-pairs-{system.label}")
+    pairs = _seeded_pairs(system, 12)
+    while len(pairs) < 24:
+        eta = tuple(rng.randint(-8, 8) for _ in range(system.rank))
+        xi = tuple(rng.randint(-8, 8) for _ in range(system.rank))
+        if any(xi):
+            pairs.append((system.coweight(eta), system.coweight(xi)))
+    zero = system.zero()
+    pairs += [(zero, xi) for _, xi in pairs[:3]]
+    return pairs
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_norms_match_brute_force_over_the_orbit(label):
+    system = from_label(label)
+    gram = _invert(system.root_gram)
+    for eta, xi in _wide_pairs(system):
+        brute = max(_oracle_inner(gram, w.coords, eta.coords) for w in weyl_orbit(xi))
+        xixi = _oracle_inner(gram, xi.coords, xi.coords)
+        etaeta = _oracle_inner(gram, eta.coords, eta.coords)
+        m, report = positive_norm(eta, xi)
+        assert type(m) is Fraction and m == brute, (eta, xi)
+        assert type(report.value_squared) is Fraction
+        assert report.value_squared == brute * brute / xixi, (eta, xi)
+        assert report.value_float == math.sqrt(brute * brute / xixi), (eta, xi)
+        assert type(orbit_maximum(eta, xi)) is Fraction
+        holds = check_norm_inequality(eta, xi)
+        assert type(holds) is bool and holds == (brute * brute <= xixi * etaeta)
 
 
 def test_norm_path_enumerates_no_weyl_orbit():
