@@ -11,7 +11,10 @@ The Bott index is nondecreasing in every coordinate of a dominant
 coweight, so the strata below a cutoff are found by a depth-first walk
 that stops each coordinate at the cutoff instead of scanning a box.
 Stratum polynomials are quotients of Weyl Poincare polynomials, which
-``weyl_poincare`` memoizes per system and parabolic.
+``weyl_poincare`` builds in closed form from the root heights and
+memoizes per system and parabolic.  The two sides of the check share no
+Lie data: the oracle takes its exponents from the literature table
+``root_system.EXPONENTS``, which no stratum computation reads.
 """
 
 from __future__ import annotations
@@ -19,26 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, NotDominant
-from .root_system import Coweight, pairing, weyl_poincare
+from .root_system import EXPONENTS, Coweight, pairing, weyl_poincare
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
 # takes about 1 s through the CLI (`omega-series --system A4 --cutoff 200`,
 # 2-vCPU VM, Python 3.11.7); the number of strata grows like cutoff^rank.
 MAX_CUTOFF = 200
 
-# classical exponents per family
-_EXPONENTS = {
-    "A": lambda n: tuple(range(1, n + 1)),
-    "B": lambda n: tuple(range(1, 2 * n, 2)),
-    "C": lambda n: tuple(range(1, 2 * n, 2)),
-    "D": lambda n: (1, 3, 3, 5),  # rank 4 only
-    "G": lambda n: (1, 5),
-    "F": lambda n: (1, 5, 7, 11),
-}
-
 
 def exponents(system):
-    return _EXPONENTS[system.family](system.rank)
+    """Classical exponents of the system, from the literature table
+    ``EXPONENTS``; they feed the transgression oracle only."""
+    return EXPONENTS[(system.family, system.rank)]
 
 
 # -- small exact polynomial helpers (coefficient tuples, index = degree) --
@@ -155,7 +150,9 @@ def in_coroot_lattice(xi):
     )
 
 
-def _check_cutoff(cutoff):
+def _check_cutoff(cutoff, even=False):
+    if even and cutoff % 2:
+        raise ValueError("cutoff must be a nonnegative even integer")
     if not 0 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in 0..{MAX_CUTOFF}, got {cutoff}")
 
@@ -171,9 +168,7 @@ def enumerate_critical_strata(system, cutoff):
     coordinate as soon as the index exceeds the cutoff.  Each coordinate
     is also capped at cutoff/2 + 1, the bound from its simple root alone.
     """
-    if cutoff % 2:
-        raise ValueError("cutoff must be a nonnegative even integer")
-    _check_cutoff(cutoff)
+    _check_cutoff(cutoff, even=True)
     bound = cutoff // 2 + 1
     rank = system.rank
     coords = [0] * rank
@@ -219,6 +214,7 @@ def omega_g_series(system, cutoff, check=True):
     With check=True (default) the result is compared against the
     transgression oracle; a mismatch raises ArithmeticError.
     """
+    _check_cutoff(cutoff, even=True)  # before the coefficient list is allocated
     coeffs = [0] * (cutoff + 1)
     for s in enumerate_critical_strata(system, cutoff):
         if not s.in_coroot_lattice:

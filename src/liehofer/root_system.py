@@ -16,12 +16,18 @@ coordinates to the dominant chamber.  ``inner`` and
 directly, building a Fraction only for the value they return.  Weyl orbits
 are enumerated only for the orbit-sum check and as a test oracle; no norm
 computation uses them.
+
+The one hand table of Lie data is ``EXPONENTS``, the Bourbaki exponents of
+each supported system.  Weyl groups are never enumerated: the exponents of
+a parabolic subsystem come from its root heights, and its Poincare
+polynomial and order follow in closed form.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,29 +36,20 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionError, UnsupportedSystem
 
-# (family, rank) -> number of positive roots
-_POSITIVE_COUNTS = {
-    ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
-    ("B", 2): 4, ("B", 3): 9, ("B", 4): 16,
-    ("C", 2): 4, ("C", 3): 9, ("C", 4): 16,
-    ("D", 4): 12,
-    ("G", 2): 6,
-    ("F", 4): 24,
+# Exponents m_i of every supported system (Bourbaki, Lie IV-VI, Planches),
+# in the order the sweeps visit the systems.  The one hand table of Lie
+# data: it says which systems exist, checks the generated roots through
+# |positive roots| = sum m_i, and feeds the transgression oracle in
+# ``loop_morse``.  Weyl Poincare polynomials never read it; they take their
+# exponents from the root heights.
+EXPONENTS = {
+    ("A", 1): (1,), ("A", 2): (1, 2), ("A", 3): (1, 2, 3), ("A", 4): (1, 2, 3, 4),
+    ("B", 2): (1, 3), ("B", 3): (1, 3, 5), ("B", 4): (1, 3, 5, 7),
+    ("C", 2): (1, 3), ("C", 3): (1, 3, 5), ("C", 4): (1, 3, 5, 7),
+    ("D", 4): (1, 3, 3, 5),
+    ("G", 2): (1, 5),
+    ("F", 4): (1, 5, 7, 11),
 }
-
-SUPPORTED = tuple(sorted(_POSITIVE_COUNTS))
-
-
-def _weyl_order(family, rank):
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if family == "G":
-        return 12
-    return 1152  # F4
 
 
 def _cartan_matrix(family, rank):
@@ -189,7 +186,7 @@ class RootSystem:
 
     @property
     def weyl_order(self):
-        return _weyl_order(self.family, self.rank)
+        return sum(weyl_poincare(self))
 
     def coweight(self, coords):
         return Coweight(self, tuple(map(int, coords)))
@@ -234,20 +231,21 @@ class Coweight:
 def build_root_system(family, rank):
     """Canonical root system for the given family label and rank.
 
-    Raises UnsupportedSystem outside the table A1-A4, B2-B4, C2-C4, D4,
-    G2, F4.
+    Raises UnsupportedSystem outside ``EXPONENTS``: A1-A4, B2-B4, C2-C4,
+    D4, G2, F4.
     """
     key = (family, int(rank))
-    if key not in _POSITIVE_COUNTS:
+    if key not in EXPONENTS:
         raise UnsupportedSystem(f"no root system {family}{rank} in the supported table")
     cartan = _cartan_matrix(family, rank)
     symm = _symmetrizer(cartan)
     roots = _all_roots(cartan)
     positive = tuple(sorted(r for r in roots if all(c >= 0 for c in r)))
-    if len(positive) != _POSITIVE_COUNTS[key]:
+    expected = sum(EXPONENTS[key])
+    if len(positive) != expected:
         raise ConsistencyError(
             f"{family}{rank}: {len(positive)} positive roots generated, "
-            f"{_POSITIVE_COUNTS[key]} expected"
+            f"{expected} expected"
         )
     adj, det = _adjugate(cartan)
     # gram = diag(d_i / d_min) C^-1 = (d_i adj_ij) / (d_min det)
@@ -367,14 +365,30 @@ def dominant_representative(xi):
     return Coweight(xi.system, dominant_coords(xi.system, xi.coords))
 
 
+def height_exponents(system, walls):
+    """Exponents of the parabolic subsystem spanned by the listed simple
+    roots, read off its root heights: the number of exponents equal to m is
+    the number of its positive roots of height m minus the number of height
+    m + 1 (Kostant 1959)."""
+    outside = [i for i in range(system.rank) if i not in walls]
+    heights = Counter(
+        sum(root) for root in system.positive_roots
+        if not any(root[i] for i in outside)
+    )
+    return tuple(
+        m for m in sorted(heights) for _ in range(heights[m] - heights[m + 1])
+    )
+
+
 def weyl_poincare(system, walls=None):
     """Poincare polynomial sum_w t^(2 l(w)) of the parabolic subgroup
     generated by the listed simple reflections (all of them by default).
 
-    Returned as a tuple of coefficients; breadth-first enumeration of the
-    subgroup acting on a regular vector, with BFS depth as length.  The
-    result is memoized per system and set of walls (``walls`` may be any
-    iterable of simple-root indices).
+    Returned as a tuple of coefficients, in closed form: the product of
+    1 + t^2 + ... + t^(2m) over the exponents m that ``height_exponents``
+    reads off the root heights (Humphreys, Reflection Groups and Coxeter
+    Groups 3.15).  The result is memoized per system and set of walls
+    (``walls`` may be any iterable of simple-root indices).
     """
     gens = range(system.rank) if walls is None else walls
     return _weyl_poincare(system, frozenset(gens))
@@ -382,23 +396,11 @@ def weyl_poincare(system, walls=None):
 
 @lru_cache(maxsize=None)
 def _weyl_poincare(system, gens):
-    gens = sorted(gens)
-    start = (1,) * system.rank
-    seen = {start}
-    frontier = [start]
-    lengths = [1]  # count of elements per length, index = length
-    while frontier:
-        new = []
-        for c in frontier:
-            for i in gens:
-                r = reflect_coweight(system, c, i)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        if new:
-            lengths.append(len(new))
-        frontier = new
-    coeffs = [0] * (2 * (len(lengths) - 1) + 1)
-    for ell, count in enumerate(lengths):
-        coeffs[2 * ell] = count
+    coeffs = [1]
+    for m in height_exponents(system, gens):
+        out = [0] * (len(coeffs) + 2 * m)
+        for i, c in enumerate(coeffs):
+            for k in range(i, i + 2 * m + 1, 2):
+                out[k] += c
+        coeffs = out
     return tuple(coeffs)

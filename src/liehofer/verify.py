@@ -16,14 +16,9 @@ from . import hofer, loop_morse, quantum_cp1, su2_loops
 from .circle_index import CircleSubgroup, index_equality_report
 from .errors import EnergyBoundViolation
 from .loop_morse import bott_index
-from .root_system import build_root_system, dominant_representative, from_label
+from .root_system import EXPONENTS, build_root_system, dominant_representative, from_label
 
-ALL_SYSTEMS = (
-    "A1", "A2", "A3", "A4",
-    "B2", "B3", "B4",
-    "C2", "C3", "C4",
-    "D4", "G2", "F4",
-)
+ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 
 # Largest coordinate bound of the two box sweeps.  The box holds
 # (2 box + 1)^rank coweights; at the cap the slowest system takes about 16 s

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -171,3 +172,25 @@ def test_normalization_integral_zero_eta_rejected():
 
 def test_sphere_moment_max_is_height():
     assert abs(sphere_moment_max((0, 0, 2)) - 2.0) < 5e-3
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "G2", "F4"])
+def test_positive_norm_scaling_laws(label):
+    # eta -> k eta scales m by k (and the squared norm by k^2);
+    # xi -> k xi scales m by k and leaves the norm unchanged
+    system = from_label(label)
+    rng = random.Random(f"norm-scaling-{label}")
+    for _ in range(20):
+        eta = system.coweight([rng.randint(-4, 4) for _ in range(system.rank)])
+        xi = system.coweight([rng.randint(-4, 4) for _ in range(system.rank)])
+        if xi.is_zero:
+            continue
+        m, report = positive_norm(eta, xi)
+        k = rng.randint(2, 5)
+        m_eta, report_eta = positive_norm(system.coweight([k * c for c in eta.coords]), xi)
+        assert m_eta == k * m
+        assert report_eta.value_squared == k * k * report.value_squared
+        m_xi, report_xi = positive_norm(eta, system.coweight([k * c for c in xi.coords]))
+        assert m_xi == k * m
+        assert report_xi.value_squared == report.value_squared

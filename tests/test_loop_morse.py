@@ -20,7 +20,8 @@ from liehofer.loop_morse import (
     stratum_poincare,
     transgression_series,
 )
-from liehofer.root_system import from_label, weyl_orbit, weyl_poincare
+from liehofer.root_system import EXPONENTS, from_label, weyl_orbit, weyl_poincare
+from weyl_oracle import bfs_weyl_poincare
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -198,23 +199,38 @@ def test_walk_evaluates_few_candidates(monkeypatch):
 def test_cutoff_cap():
     system = from_label("A2")
     assert enumerate_critical_strata(system, MAX_CUTOFF)
-    for fn in (enumerate_critical_strata, transgression_series):
+    for fn in (enumerate_critical_strata, transgression_series, omega_g_series):
+        # 10**30 must be rejected before a coefficient list of that length
+        # is allocated (which would raise OverflowError or exhaust memory)
+        for cutoff in (MAX_CUTOFF + 2, -2, 10**30):
+            with pytest.raises(ValueError):
+                fn(system, cutoff)
+    for fn in (enumerate_critical_strata, omega_g_series):
         with pytest.raises(ValueError):
-            fn(system, MAX_CUTOFF + 2)
-        with pytest.raises(ValueError):
-            fn(system, -2)
+            fn(system, 7)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_memoized_weyl_poincare_matches_fresh_bfs(label):
     system = from_label(label)
-    fresh = root_system._weyl_poincare.__wrapped__
-    assert weyl_poincare(system) == fresh(system, frozenset(range(system.rank)))
+    assert weyl_poincare(system) == bfs_weyl_poincare(system, range(system.rank))
     for size in range(system.rank + 1):
         for walls in itertools.combinations(range(system.rank), size):
-            expected = fresh(system, frozenset(walls))
+            expected = bfs_weyl_poincare(system, walls)
             for given in (list(walls), set(walls), frozenset(walls)):
                 assert weyl_poincare(system, given) == expected
     info = root_system._weyl_poincare.cache_info()
     weyl_poincare(system, [0])
     assert root_system._weyl_poincare.cache_info().hits == info.hits + 1
+
+
+def test_stratum_side_reads_no_literature_exponents(monkeypatch):
+    # (1, 3, 9, 11) has the same sum as F4's (1, 5, 7, 11), so the root
+    # count check at build time cannot tell them apart; only the oracle can
+    f4 = from_label("F4")
+    before = omega_g_series(f4, 20, check=False)
+    monkeypatch.setitem(EXPONENTS, ("F", 4), (1, 3, 9, 11))
+    root_system._weyl_poincare.cache_clear()
+    assert omega_g_series(f4, 20, check=False) == before
+    with pytest.raises(ArithmeticError):
+        omega_g_series(f4, 20, check=True)

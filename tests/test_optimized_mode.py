@@ -22,7 +22,7 @@ CASES = {
     "positive-root-count": (
         "ConsistencyError",
         "import liehofer.root_system as rs\n"
-        "rs._POSITIVE_COUNTS[('A', 2)] = 4\n"
+        "rs.EXPONENTS[('A', 2)] = (1, 3)\n"
         "rs.build_root_system('A', 2)\n",
     ),
     "newton-inverse-residual": (

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +7,20 @@ import pytest
 
 from liehofer.errors import DimensionError, UnsupportedSystem
 from liehofer.root_system import (
+    EXPONENTS,
     build_root_system,
+    dominant_coords,
     dominant_representative,
     from_label,
+    height_exponents,
     inner,
     pairing,
     reflect_coweight,
     weyl_orbit,
     weyl_poincare,
 )
+
+from weyl_oracle import bfs_weyl_poincare
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -201,9 +207,46 @@ def test_weyl_poincare_structure(label):
     system = from_label(label)
     poly = weyl_poincare(system)
     assert poly[0] == 1
-    assert sum(poly) == system.weyl_order
+    assert system.weyl_order == sum(bfs_weyl_poincare(system, range(system.rank)))
     assert poly == poly[::-1]  # palindromic
     assert all(poly[d] == 0 for d in range(1, len(poly), 2))
     # parabolic generated by the first simple reflection has order 2
     if system.rank >= 1:
         assert sum(weyl_poincare(system, frozenset([0]))) == 2
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_height_exponents_match_literature_table(label):
+    system = from_label(label)
+    assert height_exponents(system, range(system.rank)) == EXPONENTS[(system.family, system.rank)]
+    assert height_exponents(system, ()) == ()
+
+
+def _seeded_coweights(system, rng, count=40, box=5):
+    return [
+        system.coweight([rng.randint(-box, box) for _ in range(system.rank)])
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_inner_is_invariant_under_simple_reflections(label):
+    system = from_label(label)
+    rng = random.Random(f"inner-reflection-{label}")
+    points = _seeded_coweights(system, rng)
+    for x, y in zip(points, points[1:]):
+        for i in range(system.rank):
+            sx = system.coweight(reflect_coweight(system, x.coords, i))
+            sy = system.coweight(reflect_coweight(system, y.coords, i))
+            assert inner(sx, sy) == inner(x, y)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_dominant_coords_properties(label):
+    system = from_label(label)
+    rng = random.Random(f"dominant-coords-{label}")
+    for xi in _seeded_coweights(system, rng, box=3):
+        dom = dominant_coords(system, xi.coords)
+        assert all(c >= 0 for c in dom)
+        assert dominant_coords(system, dom) == dom
+        assert system.coweight(dom) in weyl_orbit(xi)
