@@ -3,8 +3,8 @@ index, and an independent conjugate-point oracle for the Riemannian index.
 
 Loops are parametrized over [0, 1] (turns), so all frequencies are the
 integer root pairings.  With the sign conventions used throughout the
-package the weights at the maximum are negative; this is asserted, never
-silently fixed.
+package the weights at the maximum are negative; a weight that is not
+raises InvalidWeights, and is never silently fixed.
 """
 
 from __future__ import annotations

@@ -36,22 +36,7 @@ def exponents(system):
     return EXPONENTS[(system.family, system.rank)]
 
 
-# -- small exact polynomial helpers (coefficient tuples, index = degree) --
-
-def poly_mul(a, b, cutoff=None):
-    deg = len(a) + len(b) - 2
-    if cutoff is not None:
-        deg = min(deg, cutoff)
-    out = [0] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > deg:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > deg:
-                break
-            out[i + j] += ai * bj
-    return tuple(out)
-
+# -- exact polynomial division (coefficient tuples, index = degree) --
 
 def poly_divexact(num, den):
     """Exact polynomial division; raises ArithmeticError on a remainder."""
@@ -73,14 +58,6 @@ def poly_divexact(num, den):
     return tuple(q)
 
 
-def geometric_series(period, cutoff):
-    """Truncated expansion of 1/(1 - t^period)."""
-    out = [0] * (cutoff + 1)
-    for d in range(0, cutoff + 1, period):
-        out[d] = 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Nonnegative-integer power series truncated at an even cutoff."""
@@ -93,9 +70,6 @@ class TruncatedSeries:
             raise DimensionError(
                 f"{len(self.coeffs)} coefficients for cutoff {self.cutoff}"
             )
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
 
 @dataclass(frozen=True)
@@ -198,13 +172,15 @@ def enumerate_critical_strata(system, cutoff):
 
 def transgression_series(system, cutoff):
     """Independent oracle: Poincare series of the based loop group from
-    the classical exponents, prod_i 1/(1 - t^(2 m_i))."""
+    the classical exponents, prod_i 1/(1 - t^(2 m_i)).  Each factor is one
+    in-place recurrence: multiplying by 1/(1 - t^p) adds c[d - p] to c[d]
+    in increasing degree d."""
     _check_cutoff(cutoff)
-    coeffs = (1,) + (0,) * cutoff
+    coeffs = [1] + [0] * cutoff
     for m in exponents(system):
-        coeffs = poly_mul(coeffs, geometric_series(2 * m, cutoff), cutoff)
-    coeffs = tuple(coeffs) + (0,) * (cutoff - len(coeffs) + 1)
-    return TruncatedSeries(cutoff, coeffs[: cutoff + 1])
+        for d in range(2 * m, cutoff + 1):
+            coeffs[d] += coeffs[d - 2 * m]
+    return TruncatedSeries(cutoff, tuple(coeffs))
 
 
 def omega_g_series(system, cutoff, check=True):

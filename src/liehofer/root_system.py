@@ -2,20 +2,23 @@
 
 Roots are stored as integer vectors in the simple-root basis; coweights as
 integer vectors in the fundamental-coweight basis, so that the simple root
-alpha_i pairs to the i-th coordinate.  All scalars are exact (ints and
-Fractions); the inner product is normalized so long roots have squared
-length 2.  Simple roots follow the Bourbaki numbering.
+alpha_i pairs to the i-th coordinate.  Simple roots follow the Bourbaki
+numbering, and the inner product is normalized so long roots have squared
+length 2.
 
-Linear algebra is integer: each system inverts its Cartan matrix once, as
-an adjugate over the determinant, and keeps the coweight Gram matrix as an
-integer matrix ``gram_num`` over one denominator ``gram_den``.  Two kernels
-work on coordinate tuples: ``inner_numerator`` gives the integer numerator
-of an inner product over ``gram_den``, and ``dominant_coords`` reduces
+Every system comes from one Cartan rule (a chain or the D fork, plus the
+one multiple bond of a non-simply-laced diagram), and all of its data are
+integers.  Each system inverts its Cartan matrix once, as an adjugate over
+the determinant, and keeps the coweight Gram matrix as an integer matrix
+``gram_num`` over one denominator ``gram_den``.  Two kernels work on
+coordinate tuples: ``inner_numerator`` gives the integer numerator of an
+inner product over ``gram_den``, and ``dominant_coords`` reduces
 coordinates to the dominant chamber.  ``inner`` and
-``dominant_representative`` wrap them, and the Hofer norms call them
-directly, building a Fraction only for the value they return.  Weyl orbits
-are enumerated only for the orbit-sum check and as a test oracle; no norm
-computation uses them.
+``dominant_representative`` wrap them; ``inner`` builds the only Fraction
+in this module.  The Hofer norms call the kernels directly, building a
+Fraction only for the value they return.  Weyl orbits are enumerated only
+for the orbit-sum check and as a test oracle; no norm computation uses
+them.
 
 The one hand table of Lie data is ``EXPONENTS``, the Bourbaki exponents of
 each supported system.  Weyl groups are never enumerated: the exponents of
@@ -53,53 +56,39 @@ EXPONENTS = {
 
 
 def _cartan_matrix(family, rank):
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    if family in ("A", "B", "C"):
-        for i in range(rank - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-        if family == "B":
-            c[rank - 2][rank - 1] = -2
-        elif family == "C":
-            c[rank - 1][rank - 2] = -2
-    elif family == "D":
-        # alpha_2 is the trivalent node for D4
-        for i, j in ((0, 1), (1, 2), (1, 3)):
-            c[i][j] = c[j][i] = -1
-    elif family == "G":
-        c[0][1], c[1][0] = -1, -3
-    elif family == "F":
-        c = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-    return tuple(tuple(row) for row in c)
+    """Cartan matrix c_ij = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) read off
+    the Dynkin diagram: single bonds along a chain (for D the last node
+    hangs off the third-to-last, the fork), then the one multiple bond of a
+    non-simply-laced diagram, given as (i, j, c_ij)."""
+    c = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for k in range(rank - 1):
+        i = k - 1 if family == "D" and k == rank - 2 else k
+        c[i][k + 1] = c[k + 1][i] = -1
+    bond = {
+        "B": (rank - 2, rank - 1, -2), "C": (rank - 1, rank - 2, -2),
+        "F": (1, 2, -2), "G": (1, 0, -3),
+    }.get(family)
+    if bond:
+        i, j, cij = bond
+        c[i][j] = cij
+    return tuple(map(tuple, c))
 
 
 def _symmetrizer(cartan):
-    """Minimal positive integers d with d_i c_ij = d_j c_ji."""
-    rank = len(cartan)
-    d = [None] * rank
-    d[0] = Fraction(1)
+    """Minimal positive integers d with d_i c_ij = d_j c_ji, by a walk over
+    the (connected) diagram in integers: before d_j = d_i c_ij / c_ji is
+    set, every d found so far is scaled by -c_ji, so the division is exact."""
+    d = [1] + [0] * (len(cartan) - 1)
     todo = [0]
     while todo:
         i = todo.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+        for j, cij in enumerate(cartan[i]):
+            if cij and not d[j]:
+                d = [-cartan[j][i] * x for x in d]
+                d[j] = d[i] * cij // cartan[j][i]
                 todo.append(j)
-    # supported diagrams are connected, so all entries are set
-    lcm = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * lcm) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _root_gram(cartan, symmetrizer):
-    """Gram matrix of the simple roots, long roots at squared length 2."""
-    rank = len(cartan)
-    dmin = min(symmetrizer)
-    # half squared lengths: e_i proportional to 1/d_i, max normalized to 1
-    e = [Fraction(dmin, d) for d in symmetrizer]
-    return tuple(
-        tuple(cartan[i][j] * e[j] for j in range(rank)) for i in range(rank)
-    )
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def _adjugate(mat):
@@ -154,13 +143,13 @@ def _all_roots(cartan):
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Root datum of a semisimple family: exact Cartan data and gram matrices.
+    """Root datum of a semisimple family: exact integer Cartan data and the
+    coweight Gram matrix.
 
-    ``gram`` is the matrix of inner products of fundamental coweights (as
-    Fractions), ``root_gram`` the matrix of inner products of simple roots.
     ``cartan_adj`` and ``cartan_det`` give the inverse Cartan matrix as
-    adj(C) / det(C); ``gram_num`` / ``gram_den`` is ``gram`` as an integer
-    matrix over one denominator, the form every inner product uses.  Hofer
+    adj(C) / det(C).  ``gram_num`` / ``gram_den`` is the matrix of inner
+    products of the fundamental coweights, an integer matrix over one
+    denominator: the one Gram form, which every inner product uses.  Hofer
     norms need no Weyl orbit: the orbit maximum is the inner product of the
     dominant representatives.
 
@@ -171,10 +160,7 @@ class RootSystem:
     family: str
     rank: int
     cartan: tuple
-    symmetrizer: tuple
     positive_roots: tuple
-    gram: tuple
-    root_gram: tuple
     cartan_adj: tuple
     cartan_det: int
     gram_num: tuple
@@ -248,14 +234,10 @@ def build_root_system(family, rank):
             f"{expected} expected"
         )
     adj, det = _adjugate(cartan)
-    # gram = diag(d_i / d_min) C^-1 = (d_i adj_ij) / (d_min det)
+    # coweight Gram = diag(d_i / d_min) C^-1 = (d_i adj_ij) / (d_min det)
     gram_num = tuple(tuple(d * x for x in row) for d, row in zip(symm, adj))
     gram_den = min(symm) * det
-    gram = tuple(tuple(Fraction(x, gram_den) for x in row) for row in gram_num)
-    return RootSystem(
-        family, rank, cartan, symm, positive, gram, _root_gram(cartan, symm),
-        adj, det, gram_num, gram_den,
-    )
+    return RootSystem(family, rank, cartan, positive, adj, det, gram_num, gram_den)
 
 
 def from_label(label):

@@ -155,14 +155,6 @@ class SpectralReport:
     step: float
 
 
-def _functional(name):
-    if name == "energy":
-        return discrete_energy
-    if name == "lplus":
-        return discrete_lplus
-    raise ValueError(f"unknown functional {name!r} (expected 'energy' or 'lplus')")
-
-
 # Largest loop resolution: the dense eigensolve of the 3(n-1)-square
 # Hessian peaks near 350 MB at n = 1024.
 MAX_N = 1024
@@ -242,7 +234,10 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
         raise ValueError("step h must lie in [1e-5, 1e-2]")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    _functional(functional)  # validate name early
+    if functional not in ("energy", "lplus"):
+        raise ValueError(
+            f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
+        )
     ehess = energy_hessian(m, n, h)
     try:
         evals, evecs = np.linalg.eigh(ehess)

@@ -105,11 +105,12 @@ def check_norm_inequality(labels, box, samples=10_000, seed=7):
     return True, f"{checked} (eta, xi) pairs satisfy the inequality", None
 
 
-def check_omega_series(labels, cutoffs=None):
-    """Stratum assembly equals the transgression oracle, exactly."""
+def check_omega_series(labels):
+    """Stratum assembly equals the transgression oracle, exactly, to
+    degree 12."""
+    cutoff = 12
     for label in labels:
         system = from_label(label)
-        cutoff = (cutoffs or {}).get(label, 12)
         try:
             loop_morse.omega_g_series(system, cutoff, check=True)
         except ArithmeticError as exc:
@@ -117,16 +118,18 @@ def check_omega_series(labels, cutoffs=None):
     return True, f"series match to cutoff for {len(list(labels))} systems", None
 
 
-def check_hessian(n=48, tol=1e-6):
-    """Spectral counts at the once-around SU(2) geodesic."""
-    report = su2_loops.hessian_spectrum("energy", 1, n, tol=tol)
+def check_hessian():
+    """Spectral counts at the once-around SU(2) geodesic, n = 48 points,
+    default zero band."""
+    n = 48
+    report = su2_loops.hessian_spectrum("energy", 1, n)
     if (report.negative_count, report.zero_count) != (2, 2):
         return False, "energy spectrum off", {
             "m": 1, "n": n,
             "negative_count": report.negative_count,
             "zero_count": report.zero_count,
         }
-    lp = su2_loops.hessian_spectrum("lplus", 1, n, tol=tol)
+    lp = su2_loops.hessian_spectrum("lplus", 1, n)
     if lp.negative_count < 2:
         return False, "lplus second differences off", {
             "m": 1, "n": n, "negative_count": lp.negative_count,
@@ -134,12 +137,12 @@ def check_hessian(n=48, tol=1e-6):
     return True, f"energy counts (2, 2) and lplus >= 2 negatives at n={n}", None
 
 
-def check_seidel(area=1.0):
+def check_seidel():
     """Leading-term exponent matches the Hofer length of [2] on A1, and
-    the strict energy bound rejects offending corrections."""
+    the strict energy bound rejects offending corrections (unit area)."""
     a1 = build_root_system("A", 1)
     length = hofer.hofer_length_circle(a1.coweight([2]))
-    report = quantum_cp1.psi_leading(length.value_float, +1, area=area)
+    report = quantum_cp1.psi_leading(length.value_float, +1)
     if not (report.nonzero and report.invertible):
         return False, "leading class not invertible", {"xi": [2]}
     if abs(report.exponent - length.value_float) > 1e-12:
@@ -151,7 +154,6 @@ def check_seidel(area=1.0):
         quantum_cp1.psi_leading(
             length.value_float, +1,
             corrections=[(1, quantum_cp1.FUND, length.value_float)],
-            area=area,
         )
     except EnergyBoundViolation:
         return True, "leading exponent matches and the energy bound holds", None

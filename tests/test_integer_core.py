@@ -1,9 +1,11 @@
 """Independent oracles for the integer core: the coweight Gram matrix, the
 coroot-lattice test and the closed-form orbit maximum.
 
-The oracle is a Fraction Gauss-Jordan inverse; it shares no code with the
-integer adjugate the package uses.  Orbit maxima are checked against brute
-force over the enumerated Weyl orbit with the oracle Gram, not ``inner``.
+The Gram oracle comes from the Bourbaki simple roots (``bourbaki_oracle``)
+through a Fraction Gauss-Jordan inverse, so it shares no code with the
+Cartan rule, the symmetrizer or the integer adjugate the package uses.
+Orbit maxima are checked against brute force over the enumerated Weyl
+orbit with the oracle Gram, not ``inner``.
 """
 
 import itertools
@@ -29,24 +31,9 @@ from liehofer.root_system import (
     weyl_orbit,
 )
 
+from bourbaki_oracle import coweight_gram, invert
+
 ALL_LABELS = verify.ALL_SYSTEMS
-
-
-def _invert(mat):
-    """Exact inverse of a square matrix by Fraction Gauss-Jordan."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def _oracle_inner(gram, x, y):
@@ -66,19 +53,18 @@ def _seeded_pairs(system, count, box=3):
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_gram_is_inverse_of_root_gram(label):
+    # gram_num / gram_den is the inverse of the Bourbaki simple-root Gram
     system = from_label(label)
-    assert system.gram == _invert(system.root_gram)
-    assert all(
-        Fraction(n, system.gram_den) == g
-        for nrow, grow in zip(system.gram_num, system.gram)
-        for n, g in zip(nrow, grow)
-    )
+    assert system.gram_den > 0
+    assert tuple(
+        tuple(Fraction(n, system.gram_den) for n in row) for row in system.gram_num
+    ) == coweight_gram(label)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_cartan_adjugate_over_determinant_is_the_inverse(label):
     system = from_label(label)
-    inverse = _invert(system.cartan)
+    inverse = invert(system.cartan)
     assert system.cartan_det > 0
     assert all(
         Fraction(a, system.cartan_det) == x
@@ -92,7 +78,7 @@ def test_in_coroot_lattice_matches_gauss_jordan_solve(label):
     # xi = C n for the coroot coordinates n, so xi is a coroot-lattice point
     # iff the solve n = C^-1 xi is integral
     system = from_label(label)
-    inverse = _invert(system.cartan)
+    inverse = invert(system.cartan)
     for coords in itertools.product(range(-3, 4), repeat=system.rank):
         n = [sum(a * c for a, c in zip(row, coords)) for row in inverse]
         expected = all(x.denominator == 1 for x in n)
@@ -102,7 +88,7 @@ def test_in_coroot_lattice_matches_gauss_jordan_solve(label):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_inner_matches_oracle_gram(label):
     system = from_label(label)
-    gram = _invert(system.root_gram)
+    gram = coweight_gram(label)
     for eta, xi in _seeded_pairs(system, 50):
         assert inner(eta, xi) == _oracle_inner(gram, eta.coords, xi.coords)
 
@@ -110,7 +96,7 @@ def test_inner_matches_oracle_gram(label):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_orbit_maximum_matches_brute_force_over_the_orbit(label):
     system = from_label(label)
-    gram = _invert(system.root_gram)
+    gram = coweight_gram(label)
     for eta, xi in _seeded_pairs(system, 12):
         brute = max(_oracle_inner(gram, w.coords, eta.coords) for w in weyl_orbit(xi))
         assert orbit_maximum(eta, xi) == brute, (eta, xi)
@@ -133,7 +119,7 @@ def _wide_pairs(system):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_norms_match_brute_force_over_the_orbit(label):
     system = from_label(label)
-    gram = _invert(system.root_gram)
+    gram = coweight_gram(label)
     for eta, xi in _wide_pairs(system):
         brute = max(_oracle_inner(gram, w.coords, eta.coords) for w in weyl_orbit(xi))
         xixi = _oracle_inner(gram, xi.coords, xi.coords)

@@ -16,7 +16,6 @@ from liehofer.loop_morse import (
     in_coroot_lattice,
     omega_g_series,
     poly_divexact,
-    poly_mul,
     stratum_poincare,
     transgression_series,
 )
@@ -27,7 +26,6 @@ ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", 
 
 
 def test_poly_helpers():
-    assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)
     assert poly_divexact((1, 2, 1), (1, 1)) == (1, 1)
     with pytest.raises(ArithmeticError):
         poly_divexact((1, 1, 1), (1, 1))

@@ -20,6 +20,7 @@ from liehofer.root_system import (
     weyl_poincare,
 )
 
+from bourbaki_oracle import cartan_matrix
 from weyl_oracle import bfs_weyl_poincare
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
@@ -47,6 +48,12 @@ def test_cartan_shape(label):
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
+def test_cartan_matches_bourbaki_simple_roots(label):
+    # c_ij = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) in the Bourbaki numbering
+    assert from_label(label).cartan == cartan_matrix(label)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
 def test_reflection_closure(label):
     # s_i maps every positive root other than alpha_i to a positive root
     system = from_label(label)
@@ -64,9 +71,11 @@ def test_reflection_closure(label):
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_gram_positive_definite_exact(label):
-    # exact leading principal minors of the coweight gram matrix
+    # exact leading principal minors of the coweight gram matrix, whose
+    # integer numerator is gram_num over the positive gram_den
     system = from_label(label)
-    g = [list(row) for row in system.gram]
+    assert system.gram_den > 0
+    g = [list(row) for row in system.gram_num]
     for k in range(1, system.rank + 1):
         sub = [row[:k] for row in g[:k]]
         assert _det(sub) > 0
