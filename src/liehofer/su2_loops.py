@@ -5,7 +5,13 @@ circle subgroups.
 The energy Hessian at a circle subgroup is assembled from one step term:
 the geodesic is homogeneous and the quaternion dot product is
 left-invariant, so every step contributes the same 6x6 second-difference
-block and the matrix is block-tridiagonal with constant blocks.
+block and the matrix is block-tridiagonal with constant blocks.  Its
+diagonal block S and off-diagonal block B commute and B is normal, so the
+energy spectrum has a closed form (``energy_spectrum``): one 3x3 joint
+eigenbasis gives S v_k = a_k v_k and B v_k = mu_k v_k, and the eigenvalues
+are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ lane probes along the
+energy-negative eigenvectors, which it takes from a dense symmetric
+eigensolve of the assembled matrix (``energy_hessian``).
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -155,9 +161,35 @@ class SpectralReport:
     step: float
 
 
-# Largest loop resolution: the dense eigensolve of the 3(n-1)-square
-# Hessian peaks near 350 MB at n = 1024.
+# Largest loop resolution.  The energy lane is O(n), so this is no longer
+# a memory cap there: it is the relative zero band tol * max|eigenvalue|.
+# The low eigenvalues shrink like 1/n while the largest grows like n, so
+# past n = 1024 the band starts to swallow unstable modes (at tol 1e-6,
+# h 1e-4: m = 3, n = 2048 counts 3 zero modes where 2 are due).  The L+
+# lane still runs the dense eigensolve, which peaks near 350 MB at 1024.
 MAX_N = 1024
+
+# Generic weights of the Hermitian pencil whose eigenvectors form the
+# joint eigenbasis of S and B (see ``_joint_spectrum``).
+_PENCIL_T1, _PENCIL_T2 = 0.7548776662, 0.5698402910
+
+# Off-diagonal residual, relative to the block scale, above which the
+# pencil basis is not taken as a joint eigenbasis of S and B.
+_JOINT_RESIDUAL = 1e-10
+
+
+def _check_resolution(m, n):
+    if n > MAX_N:
+        raise ValueError(f"resolution n={n} exceeds the maximum {MAX_N}")
+    if 4 * m > n:
+        raise ValueError(f"winding m={m} needs n >= 4m = {4 * m} points, got n={n}")
+
+
+def _step_blocks(m, n, h):
+    """Diagonal block S = A + D and upper off-diagonal block B of the
+    energy Hessian, from the step block [[A, B], [B^T, D]]."""
+    step = _step_hessian(geodesic_loop(m, n).points[1], n, h)
+    return step[:3, :3] + step[3:, 3:], step[:3, 3:]
 
 
 def energy_hessian(m, n, h=1e-4):
@@ -170,24 +202,72 @@ def energy_hessian(m, n, h=1e-4):
     for every j.  Its 6x6 Hessian [[A, B], [B^T, D]] (72 evaluations of f
     with step h) gives every diagonal block A + D and every off-diagonal
     block B or B^T; the end steps supply one half each at the first and
-    last interior points.  Assembly is O(n).
+    last interior points.  Assembly is O(n), the matrix O(n^2): only the
+    L+ lane, which needs eigenvectors, and the tests build it.
 
     Raises ValueError when n > MAX_N or 4m > n: beyond the latter the step
-    angle is too coarse for the eigenvalue counts to resolve the index.
+    angle is too coarse for the eigenvalue counts to resolve the index,
+    beyond the former the relative zero band of ``hessian_spectrum``
+    breaks down (see ``MAX_N``).
     """
-    if n > MAX_N:
-        raise ValueError(f"resolution n={n} exceeds the maximum {MAX_N}")
-    if 4 * m > n:
-        raise ValueError(f"winding m={m} needs n >= 4m = {4 * m} points, got n={n}")
-    step = _step_hessian(geodesic_loop(m, n).points[1], n, h)
-    a, b, d = step[:3, :3], step[:3, 3:], step[3:, 3:]
+    _check_resolution(m, n)
+    s, b = _step_blocks(m, n, h)
     k = n - 1
     hess = np.zeros((k, 3, k, 3))
     points = np.arange(k)
-    hess[points, :, points, :] = a + d
+    hess[points, :, points, :] = s
     hess[points[:-1], :, points[1:], :] = b
     hess[points[1:], :, points[:-1], :] = b.T
     return hess.reshape(3 * k, 3 * k)
+
+
+def energy_spectrum(m, n, h=1e-4):
+    """Sorted eigenvalues of ``energy_hessian(m, n, h)`` in O(n) time and
+    memory, without building the matrix.
+
+    The Hessian is block-tridiagonal Toeplitz with diagonal block S and
+    off-diagonal blocks B above, B^T below.  With S v_k = a_k v_k and
+    B v_k = mu_k v_k in a joint eigenbasis (B is normal, so also
+    B^T v_k = conj(mu_k) v_k), the Hessian splits into three scalar
+    Dirichlet tridiagonal matrices with diagonal a_k and off-diagonal
+    mu_k, whose eigenvalues are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.
+
+    Raises ValueError when n > MAX_N or 4m > n, and NumericalFailure when
+    no joint eigenbasis of S and B is found.
+    """
+    _check_resolution(m, n)
+    a, mu = _joint_spectrum(*_step_blocks(m, n, h))
+    cosines = np.cos(np.pi * np.arange(1, n) / n)
+    return np.sort((a[:, None] + 2.0 * np.abs(mu)[:, None] * cosines).ravel())
+
+
+def _joint_spectrum(s, b):
+    """Eigenvalues a_k of the symmetric s and mu_k of the normal b on one
+    joint eigenbasis, taken from the eigenvectors of the Hermitian pencil
+    s + t1 (b + b^T) + i t2 (b - b^T) with fixed generic t1, t2 (``eig(b)``
+    alone fails where b repeats an eigenvalue that s splits).
+
+    Raises NumericalFailure unless that basis diagonalizes both s and b
+    to ``_JOINT_RESIDUAL`` of the block scale, which fails when s and b
+    do not commute or b is not normal.
+    """
+    pencil = s + _PENCIL_T1 * (b + b.T) + 1j * _PENCIL_T2 * (b - b.T)
+    try:
+        _, basis = np.linalg.eigh(pencil)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver failed for the step blocks: {exc}") from exc
+    s_k = basis.conj().T @ s @ basis
+    b_k = basis.conj().T @ b @ basis
+    off = ~np.eye(3, dtype=bool)
+    residual = max(np.max(np.abs(s_k[off])), np.max(np.abs(b_k[off])))
+    scale = max(np.max(np.abs(s)), np.max(np.abs(b)))
+    # written so that a NaN anywhere fails the check
+    if not residual <= _JOINT_RESIDUAL * scale:
+        raise NumericalFailure(
+            f"step blocks have no joint eigenbasis: off-diagonal residual "
+            f"{residual:.3g} at block scale {scale:.3g}"
+        )
+    return np.diagonal(s_k).real, np.diagonal(b_k)
 
 
 def _step_hessian(g, n, h):
@@ -216,14 +296,18 @@ def _classify(values, tol):
 def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
     """Eigenvalue counts of the chosen functional at the winding-m geodesic.
 
-    'energy': dense symmetric eigensolve of the block-tridiagonal energy
-    Hessian built from one step block (``energy_hessian``); the zero band
+    'energy': the closed-form spectrum of the block-tridiagonal energy
+    Hessian (``energy_spectrum``, O(n), no matrix is built); the zero band
     tol * max|eigenvalue| absorbs the two critical-stratum directions (the
-    adjoint-orbit 2-sphere).
+    adjoint-orbit 2-sphere).  The band is relative, and the low
+    eigenvalues scale like 1/n against a largest one like n, which is why
+    n stops at MAX_N.
 
     'lplus': second differences of the full-loop L+ along the
     energy-unstable eigendirections only; negativity off that subspace is
     exactly what the conjecture leaves open, so it is not asserted here.
+    The directions are the eigenvectors of a dense symmetric eigensolve of
+    ``energy_hessian``, O(n^2) memory and O(n^3) time.
 
     Raises ValueError unless 32 <= n <= MAX_N, 4m <= n, h lies in
     [1e-5, 1e-2] and tol lies in (0, 1).
@@ -238,15 +322,8 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
         raise ValueError(
             f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
         )
-    ehess = energy_hessian(m, n, h)
-    try:
-        evals, evecs = np.linalg.eigh(ehess)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"eigensolver failed for energy Hessian (m={m}, n={n}): {exc}"
-        ) from exc
-
     if functional == "energy":
+        evals = energy_spectrum(m, n, h)
         neg, zero, pos = _classify(evals, tol)
         return SpectralReport(
             functional, m, n, neg, zero, pos,
@@ -254,6 +331,13 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
         )
 
     # lplus: probe along the energy-negative eigendirections
+    ehess = energy_hessian(m, n, h)
+    try:
+        evals, evecs = np.linalg.eigh(ehess)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(
+            f"eigensolver failed for energy Hessian (m={m}, n={n}): {exc}"
+        ) from exc
     band = tol * float(np.max(np.abs(evals)))
     directions = evecs[:, evals < -band]
     base = geodesic_loop(m, n)

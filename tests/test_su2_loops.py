@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import liehofer.su2_loops as su2_loops
+from liehofer.errors import NumericalFailure
 from liehofer.su2_loops import (
     MAX_N,
     DiscreteLoop,
@@ -11,9 +13,11 @@ from liehofer.su2_loops import (
     discrete_energy,
     discrete_lplus,
     energy_hessian,
+    energy_spectrum,
     geodesic_loop,
     hessian_spectrum,
     random_loop,
+    _joint_spectrum,
     _qexp,
     _qmul,
 )
@@ -113,6 +117,10 @@ def test_spectrum_preconditions():
         hessian_spectrum("energy", 1, MAX_N + 1)
     with pytest.raises(ValueError, match="maximum"):
         energy_hessian(1, 100000)
+    with pytest.raises(ValueError, match="maximum"):
+        energy_spectrum(1, 100000)
+    with pytest.raises(ValueError, match="4m"):
+        energy_spectrum(9, 32)
     for tol in (-1.0, 0.0, 1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             hessian_spectrum("energy", 1, 32, tol=tol)
@@ -191,7 +199,37 @@ def test_energy_hessian_is_symmetric():
     assert np.array_equal(hess, hess.T)
 
 
-@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-2])
+@pytest.mark.parametrize("n", [64, 128, 257])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_energy_spectrum_matches_dense_eigensolve(m, n, h):
+    closed = energy_spectrum(m, n, h)
+    dense = np.linalg.eigvalsh(energy_hessian(m, n, h))
+    assert closed.shape == dense.shape == (3 * (n - 1),)
+    assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_joint_spectrum_rejects_non_commuting_blocks():
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(3, 3))
+    s = s + s.T
+    b = rng.normal(size=(3, 3))
+    with pytest.raises(NumericalFailure, match="joint eigenbasis"):
+        _joint_spectrum(s, b)
+    with pytest.raises(NumericalFailure):
+        _joint_spectrum(np.full((3, 3), np.nan), np.eye(3))
+
+
+def test_energy_lane_builds_no_dense_hessian(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("energy lane built the dense Hessian")
+
+    monkeypatch.setattr(su2_loops, "energy_hessian", dense)
+    report = hessian_spectrum("energy", 2, 128)
+    assert (report.negative_count, report.zero_count) == (6, 2)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
 def test_energy_counts_sweep(n):
     for m in range(1, n // 4 + 1):
         report = hessian_spectrum("energy", m, n)
