@@ -2,9 +2,10 @@
 index, and an independent conjugate-point oracle for the Riemannian index.
 
 Loops are parametrized over [0, 1] (turns), so all frequencies are the
-integer root pairings.  With the sign conventions used throughout the
-package the weights at the maximum are negative; a weight that is not
-raises InvalidWeights, and is never silently fixed.
+integer root pairings; each computation builds its own pairing row
+``pairings(xi)`` and shares it with no other.  With the sign conventions
+used throughout the package the weights at the maximum are negative; a
+weight that is not raises InvalidWeights, and is never silently fixed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateSubgroup, InvalidWeights
-from .root_system import Coweight, pairing
+from .root_system import Coweight, pairings
+from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,9 @@ class CircleSubgroup:
 
     @property
     def regular(self):
-        """True iff no root pairs to zero with xi (centralizer is the torus)."""
-        return all(pairing(a, self.xi) != 0 for a in self.system.positive_roots)
+        """True iff the pairing row of xi has no zero (centralizer is the
+        torus).  The box sweeps filter with an integer mask instead."""
+        return 0 not in pairings(self.xi)
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,8 @@ def weights_at_max(gamma):
     """
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    weights = []
-    for alpha in gamma.system.positive_roots:
-        p = pairing(alpha, gamma.xi)
-        if p != 0:
-            # of the pair {alpha, -alpha} exactly one pairs negatively
-            weights.append(-abs(p))
+    # of the pair {alpha, -alpha} exactly one pairs negatively
+    weights = [-abs(p) for p in pairings(gamma.xi) if p]
     return WeightMultiset(tuple(sorted(weights)))
 
 
@@ -90,8 +89,7 @@ def riemannian_index_conjugate(gamma):
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
     total = 0
-    for alpha in gamma.system.positive_roots:
-        v = abs(pairing(alpha, gamma.xi))
+    for v in map(abs, pairings(gamma.xi)):
         for j in range(1, v):  # conjugate times j/v, 0 < j < v
             total += 2
     return total

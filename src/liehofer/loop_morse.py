@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, NotDominant
-from .root_system import EXPONENTS, Coweight, pairing, weyl_poincare
+from .root_system import EXPONENTS, Coweight, pairings, weyl_poincare
+from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
 # takes about 1 s through the CLI (`omega-series --system A4 --cutoff 200`,
@@ -89,15 +90,11 @@ class CriticalStratum:
 
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:
-    sum of 2(pairing - 1) over positive roots with positive pairing."""
+    sum of 2(p - 1) over the positive entries p of its own pairing row
+    ``pairings(xi)``, built from the dominant coweight itself."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    total = 0
-    for alpha in xi.system.positive_roots:
-        p = pairing(alpha, xi)
-        if p > 0:
-            total += 2 * (p - 1)
-    return total
+    return sum(2 * (p - 1) for p in pairings(xi) if p > 0)
 
 
 def stratum_poincare(xi):

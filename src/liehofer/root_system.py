@@ -242,9 +242,9 @@ def build_root_system(family, rank):
 
 def from_label(label):
     """Parse a label like "B3" into a root system."""
-    if len(label) != 2 or not label[1].isdigit():
+    if len(label) < 2 or not label[1:].isdecimal():
         raise UnsupportedSystem(f"malformed system label {label!r}")
-    return build_root_system(label[0].upper(), int(label[1]))
+    return build_root_system(label[0].upper(), int(label[1:]))
 
 
 def pairing(root, xi):
@@ -254,6 +254,14 @@ def pairing(root, xi):
             f"root has {len(root)} coordinates, system rank is {xi.system.rank}"
         )
     return sum(map(operator.mul, root, xi.coords))
+
+
+def pairings(xi):
+    """Pairing row of a coweight: its Python-int pairings with the positive
+    roots, in their order.  The roots have the system's rank, so unlike
+    ``pairing`` no length is checked."""
+    coords = xi.coords
+    return [sum(map(operator.mul, root, coords)) for root in xi.system.positive_roots]
 
 
 def inner_numerator(system, x, y):

@@ -145,6 +145,7 @@ def test_verify_empty_sweep_fails(capsys):
         (["hofer", "--system", "A2", "--xi", "1,2", "--out", "/nonexistent/x.json"],
          "/nonexistent/x.json"),
         (["verify", "--box", "100000"], "box"),
+        (["index", "--system", "A10", "--xi", "1"], "supported table"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

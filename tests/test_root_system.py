@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liehofer.circle_index import CircleSubgroup
 from liehofer.errors import DimensionError, UnsupportedSystem
 from liehofer.root_system import (
     EXPONENTS,
@@ -15,10 +16,12 @@ from liehofer.root_system import (
     height_exponents,
     inner,
     pairing,
+    pairings,
     reflect_coweight,
     weyl_orbit,
     weyl_poincare,
 )
+from liehofer.verify import box_coweights
 
 from bourbaki_oracle import cartan_matrix
 from weyl_oracle import bfs_weyl_poincare
@@ -259,3 +262,21 @@ def test_dominant_coords_properties(label):
         assert all(c >= 0 for c in dom)
         assert dominant_coords(system, dom) == dom
         assert system.coweight(dom) in weyl_orbit(xi)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_pairings_row_matches_per_root_pairing(label):
+    system = from_label(label)
+    rng = random.Random(f"pairings-{label}")
+    for xi in _seeded_coweights(system, rng, box=5):
+        row = pairings(xi)
+        assert row == [pairing(alpha, xi) for alpha in system.positive_roots]
+        assert all(type(p) is int for p in row)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_regular_agrees_with_box_mask(label):
+    system = from_label(label)
+    regular = {xi.coords for xi in box_coweights(system, 2, regular_only=True, nonzero_only=False)}
+    for xi in box_coweights(system, 2, nonzero_only=False):
+        assert CircleSubgroup(xi).regular == (xi.coords in regular)

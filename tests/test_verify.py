@@ -1,6 +1,15 @@
+import itertools
+
 import pytest
 
-from liehofer.verify import MAX_BOX, check_index_equality, check_norm_inequality
+from liehofer.root_system import from_label, pairing
+from liehofer.verify import (
+    ALL_SYSTEMS,
+    MAX_BOX,
+    box_coweights,
+    check_index_equality,
+    check_norm_inequality,
+)
 
 
 @pytest.mark.parametrize("check", [check_index_equality, check_norm_inequality])
@@ -26,3 +35,31 @@ def test_box_cap(check):
             check(["A1"], box)
     passed, _, _ = check(["A1"], MAX_BOX)
     assert passed is True
+
+
+def _filtered_box(system, box, regular_only, nonzero_only):
+    """The per-coweight filter: every box point, tested one at a time."""
+    out = []
+    for coords in itertools.product(range(-box, box + 1), repeat=system.rank):
+        xi = system.coweight(coords)
+        if nonzero_only and xi.is_zero:
+            continue
+        if regular_only and not all(pairing(a, xi) != 0 for a in system.positive_roots):
+            continue
+        out.append(xi.coords)
+    return out
+
+
+def test_box_coweights_match_per_coweight_filter():
+    for label in ALL_SYSTEMS:
+        system = from_label(label)
+        for box in range(4 if system.rank > 3 else 5):
+            for regular_only, nonzero_only in itertools.product((False, True), repeat=2):
+                got = [
+                    xi.coords
+                    for xi in box_coweights(system, box, regular_only, nonzero_only)
+                ]
+                assert got == _filtered_box(system, box, regular_only, nonzero_only), (
+                    label, box, regular_only, nonzero_only,
+                )
+                assert all(type(c) is int for coords in got for c in coords)
