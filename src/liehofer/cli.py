@@ -84,14 +84,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _parse_xi(system, text):
+# Largest |coweight coordinate| on the command line: the conjugate-point oracle
+# loops once per unit of pairing, about 1 s for `index --system F4` at the bound.
+MAX_COORD = 10**5
+
+
+def _parse_xi(system, text, flag):
     coords = [int(x) for x in text.split(",")]
+    if any(abs(c) > MAX_COORD for c in coords):
+        raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
     return system.coweight(coords)
 
 
 def _cmd_index(args):
     system = from_label(args.system)
-    gamma = CircleSubgroup(_parse_xi(system, args.xi))
+    gamma = CircleSubgroup(_parse_xi(system, args.xi, "--xi"))
     report = index_equality_report(gamma)
     _emit(
         {
@@ -115,7 +122,7 @@ def _cmd_index(args):
 
 def _cmd_weights(args):
     system = from_label(args.system)
-    gamma = CircleSubgroup(_parse_xi(system, args.xi))
+    gamma = CircleSubgroup(_parse_xi(system, args.xi, "--xi"))
     _emit(
         {
             "command": "weights",
@@ -132,7 +139,7 @@ def _cmd_weights(args):
 
 def _cmd_hofer(args):
     system = from_label(args.system)
-    xi = _parse_xi(system, args.xi)
+    xi = _parse_xi(system, args.xi, "--xi")
     length = hofer.hofer_length_circle(xi)
     payload = {
         "command": "hofer",
@@ -146,7 +153,7 @@ def _cmd_hofer(args):
         },
     }
     if args.eta:
-        eta = _parse_xi(system, args.eta)
+        eta = _parse_xi(system, args.eta, "--eta")
         m, norm = hofer.positive_norm(eta, xi)
         payload.update(
             {
@@ -220,7 +227,7 @@ def _cmd_hessian(args):
 
 def _cmd_seidel(args):
     a1 = from_label("A1")
-    xi = a1.coweight([args.xi])
+    xi = _parse_xi(a1, args.xi, "--xi")
     length = hofer.hofer_length_circle(xi)
     report = quantum_cp1.psi_leading(
         length.value_float, args.sign, area=args.area
@@ -228,7 +235,7 @@ def _cmd_seidel(args):
     _emit(
         {
             "command": "seidel-cp1",
-            "xi": [args.xi],
+            "xi": list(xi.coords),
             "area": args.area,
             "sign": report.sign,
             "leading_basis": quantum_cp1.PT,
@@ -335,7 +342,7 @@ def _build_parser():
     )
 
     p = add("seidel-cp1", _cmd_seidel, help="leading quantum term for an A1 circle")
-    p.add_argument("--xi", type=int, required=True, help="A1 coweight coordinate")
+    p.add_argument("--xi", required=True, help="A1 coweight coordinate")
     p.add_argument(
         "--area", type=_finite_positive_float, default=1.0,
         help="symplectic area of the line",

@@ -2,16 +2,19 @@
 and the leading-term structure of the loop invariant.
 
 The ring has two basis classes, the point PT and the fundamental class
-FUND, and a real energy exponent per term.  The product table is module
+FUND, and an energy exponent per term.  The product table is module
 data (the unique line through two points): FUND is the unit and
 PT * PT = FUND with the exponent raised by the line area.  Only the
 exponent bookkeeping matters for the leading-term logic, so no complex
-phases are materialized.
+phases are materialized.  Exponents and areas are exact Fractions of the
+floats passed in, so sums never round and no tolerance decides when two
+energy levels coincide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnergyBoundViolation, NumericalFailure
@@ -19,19 +22,12 @@ from .errors import EnergyBoundViolation, NumericalFailure
 PT = "pt"
 FUND = "fund"
 
-# exponents within this tolerance are the same formal energy level
-_EXP_DECIMALS = 9
-
-
-def _key(basis, exponent):
-    return (basis, round(float(exponent), _EXP_DECIMALS))
-
 
 @dataclass(frozen=True)
 class QuantumElement:
     """Finite sum of terms (coefficient, basis class, energy exponent)."""
 
-    terms: tuple  # of (Fraction, basis, float exponent)
+    terms: tuple  # of (Fraction, basis, Fraction exponent): levels merge only if equal
 
     @staticmethod
     def from_terms(terms):
@@ -39,19 +35,10 @@ class QuantumElement:
         for coeff, basis, exponent in terms:
             if basis not in (PT, FUND):
                 raise ValueError(f"unknown basis class {basis!r}")
-            k = _key(basis, exponent)
-            if k in merged:
-                merged[k] = (merged[k][0] + Fraction(coeff), basis, merged[k][2])
-            else:
-                # store the snapped exponent so equality is structural
-                merged[k] = (Fraction(coeff), basis, k[1])
-        clean = tuple(
-            sorted(
-                (t for t in merged.values() if t[0] != 0),
-                key=lambda t: (-t[2], t[1]),
-            )
-        )
-        return QuantumElement(clean)
+            k = (basis, Fraction(exponent))
+            merged[k] = merged.get(k, 0) + Fraction(coeff)
+        clean = [(c, basis, e) for (basis, e), c in merged.items() if c != 0]
+        return QuantumElement(tuple(sorted(clean, key=lambda t: (-t[2], t[1]))))
 
     @property
     def is_zero(self):
@@ -62,11 +49,11 @@ class QuantumElement:
 
     def leading_terms(self):
         top = self.max_exponent()
-        return [t for t in self.terms if _key("", t[2])[1] == _key("", top)[1]]
+        return [t for t in self.terms if t[2] == top]
 
 
 def unit():
-    return QuantumElement.from_terms([(1, FUND, 0.0)])
+    return QuantumElement.from_terms([(1, FUND, 0)])
 
 
 def zero():
@@ -75,8 +62,9 @@ def zero():
 
 def quantum_product(a, b, area):
     """Bilinear extension of the CP^1 table at the given line area."""
-    if area <= 0:
-        raise ValueError("the line area must be positive")
+    if not (math.isfinite(area) and area > 0):
+        raise ValueError("the line area must be finite and positive")
+    area = Fraction(area)
     out = []
     for ca, basis_a, ea in a.terms:
         for cb, basis_b, eb in b.terms:
@@ -97,32 +85,26 @@ def leading_inverse(x, area):
     coeff, basis, exponent = lead[0]
     if basis == FUND:
         return QuantumElement.from_terms([(1 / coeff, FUND, -exponent)])
-    return QuantumElement.from_terms([(1 / coeff, PT, -exponent - area)])
+    return QuantumElement.from_terms([(1 / coeff, PT, -exponent - Fraction(area))])
 
 
-def is_invertible(x, area=1.0, orders=3):
+def is_invertible(x, area=1.0):
     """True iff x is nonzero.
 
     For elements with a unique maximal-exponent term the inverse in the
     formal completion is additionally constructed by Newton iteration and
-    verified through the requested number of correction orders.
+    verified through three correction orders.
     """
     if x.is_zero:
         return False
     if len(x.leading_terms()) == 1:
         y = leading_inverse(x, area)
-        two = QuantumElement.from_terms([(2, FUND, 0.0)])
-        for _ in range(orders):
+        for _ in range(3):
             xy = quantum_product(x, y, area)
-            y = quantum_product(
-                y,
-                QuantumElement.from_terms(list(two.terms) + [(-c, b, e) for c, b, e in xy.terms]),
-                area,
-            )
-        residual = QuantumElement.from_terms(
-            list(quantum_product(x, y, area).terms) + [(-1, FUND, 0.0)]
-        )
-        if not (residual.is_zero or residual.max_exponent() < 10 ** (-_EXP_DECIMALS)):
+            two_minus_xy = [(2, FUND, 0)] + [(-c, b, e) for c, b, e in xy.terms]
+            y = quantum_product(y, QuantumElement.from_terms(two_minus_xy), area)
+        residual = QuantumElement.from_terms(quantum_product(x, y, area).terms + ((-1, FUND, 0),))
+        if not (residual.is_zero or residual.max_exponent() < 0):
             raise NumericalFailure(
                 f"Newton inverse leaves a residual at exponent {residual.max_exponent()}"
             )
@@ -138,8 +120,8 @@ class PsiLeadingReport:
     exponent: float
     corrections: tuple
     area: float
-    nonzero: bool = True
-    invertible: bool = field(default=True)
+    nonzero: bool
+    invertible: bool
 
     def as_element(self):
         return _psi_element(self.sign, self.exponent, self.corrections)
@@ -159,15 +141,16 @@ def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
     """
     if orientation_sign not in (1, -1):
         raise ValueError("orientation sign must be +1 or -1")
-    l_plus = float(l_plus)
+    l_plus, area = float(l_plus), float(area)
     corrections = tuple((Fraction(c), b, float(e)) for c, b, e in corrections)
+    if not all(map(math.isfinite, [l_plus, area] + [e for _, _, e in corrections])):
+        raise ValueError("the Hofer length, the line area and every exponent must be finite")
     for coeff, basis, exponent in corrections:
-        if exponent >= l_plus - 10 ** (-_EXP_DECIMALS):
+        if exponent >= l_plus:
             raise EnergyBoundViolation(
                 f"correction ({coeff}, {basis}, {exponent}) reaches the "
                 f"leading exponent {l_plus}"
             )
-    area = float(area)
     element = _psi_element(orientation_sign, l_plus, corrections)
     return PsiLeadingReport(
         sign=orientation_sign,

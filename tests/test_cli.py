@@ -146,6 +146,9 @@ def test_verify_empty_sweep_fails(capsys):
          "/nonexistent/x.json"),
         (["verify", "--box", "100000"], "box"),
         (["index", "--system", "A10", "--xi", "1"], "supported table"),
+        (["index", "--system", "F4", "--xi", "100001,0,0,0"], "--xi"),
+        (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1,-100001"], "--eta"),
+        (["seidel-cp1", "--xi", "1" + "0" * 400], "--xi"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -157,3 +160,10 @@ def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and flag in captured.err
+
+
+def test_coordinate_bound_is_inclusive(capsys):
+    code, payload = run(capsys, "index", "--system", "A1", "--xi", "-100000")
+    assert code == 0 and payload["xi"] == [-100000]
+    code, payload = run(capsys, "seidel-cp1", "--xi", "100000")
+    assert code == 0 and payload["xi"] == [100000]

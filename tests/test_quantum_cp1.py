@@ -60,6 +60,17 @@ def test_commutativity_and_associativity():
         assert left == right
 
 
+def test_distributivity():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        x, y, z = (random_element(rng) for _ in range(3))
+        y_plus_z = QuantumElement.from_terms(y.terms + z.terms)
+        xy_plus_xz = QuantumElement.from_terms(
+            quantum_product(x, y, 0.7).terms + quantum_product(x, z, 0.7).terms
+        )
+        assert quantum_product(x, y_plus_z, 0.7) == xy_plus_xz
+
+
 def test_zero_coefficients_dropped_and_terms_merged():
     x = element((1, PT, 0.5), (-1, PT, 0.5), (2, FUND, 0.0), (3, FUND, 0.0))
     assert x.terms == ((Fraction(5), FUND, 0.0),)
@@ -70,6 +81,26 @@ def test_area_must_be_positive():
         quantum_product(unit(), unit(), 0.0)
 
 
+def test_nearby_levels_stay_distinct():
+    x = element((1, PT, 1.0), (-1, PT, 1.0 + 4e-10))
+    assert not x.is_zero
+    assert is_invertible(x)
+    y = element((1, PT, 1.0000000004999), (1, PT, 1.0000000005001))
+    assert [t[2] for t in y.terms] == [1.0000000005001, 1.0000000004999]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_value_errors(value):
+    with pytest.raises(ValueError):
+        quantum_product(unit(), unit(), value)
+    with pytest.raises(ValueError):
+        psi_leading(value, +1)
+    with pytest.raises(ValueError):
+        psi_leading(1.0, +1, area=value)
+    with pytest.raises(ValueError):
+        psi_leading(1.0, +1, corrections=[(1, FUND, value)])
+
+
 def test_invertibility():
     assert is_invertible(unit())
     assert not is_invertible(zero())
@@ -77,7 +108,7 @@ def test_invertibility():
     assert is_invertible(pt, area=1.0)
     inv = leading_inverse(pt, 1.0)
     assert inv.terms[0][1] == PT
-    assert abs(inv.terms[0][2] - (-math.sqrt(2) - 1.0)) < 1e-9
+    assert inv.terms[0][2] == -Fraction(math.sqrt(2)) - 1
     assert quantum_product(pt, inv, 1.0) == unit()
 
 
@@ -93,12 +124,17 @@ def test_psi_leading_clean():
     assert report.corrections == ()
     el = report.as_element()
     assert el.terms[0][1] == PT
-    assert abs(el.terms[0][2] - math.sqrt(2)) < 1e-9
+    assert el.terms[0][2] == math.sqrt(2)
 
 
 def test_psi_leading_accepts_low_corrections():
     report = psi_leading(math.sqrt(2), +1, corrections=[(1, FUND, 0.1)])
     assert len(report.corrections) == 1
+    assert report.nonzero and report.invertible
+
+
+def test_psi_leading_accepts_corrections_just_below():
+    report = psi_leading(1.0, +1, corrections=[(1, FUND, 1.0 - 5e-10)])
     assert report.nonzero and report.invertible
 
 
@@ -118,4 +154,4 @@ def test_psi_exponent_matches_hofer_length():
     xi = from_label("A1").coweight([2])
     length = hofer_length_circle(xi)
     report = psi_leading(length.value_float, +1)
-    assert abs(report.exponent - length.value_float) < 1e-12
+    assert report.exponent == length.value_float
