@@ -16,8 +16,6 @@ from .hofer import (
     NormReport,
     check_norm_inequality,
     hofer_length_circle,
-    max_length_measure,
-    normalization_integral_s2,
     positive_norm,
 )
 from .loop_morse import (

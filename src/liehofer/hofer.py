@@ -7,9 +7,12 @@ group acts by isometries and the maximum of <w xi, eta> sits in the closed
 dominant chamber, so it is computed in closed form as <dom(xi), dom(eta)>
 (Bourbaki, Lie VI; Humphreys, Reflection Groups 1.12), with no orbit
 enumeration.  Every quantity is an integer numerator over the system's one
-denominator ``gram_den`` until it is returned: one dominant reduction per
-coweight and one integer inner product per quantity.  All lengths are
-reported in lattice units (long roots at squared length 2, loops
+denominator ``gram_den`` until it is returned.  A coweight's dominant
+coordinates and its squared-norm numerator <x, x> are computed once, in one
+memo of the 1024 most recent coordinate tuples (enough for the largest
+exhaustive ``verify`` grid, 441 rank-2 coweights at box 10); the orbit
+maximum is then one integer inner product of two memoized tuples.  All
+lengths are reported in lattice units (long roots at squared length 2, loops
 parametrized in turns), stored as exact squares.
 """
 
@@ -18,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-import numpy as np
-
-from .errors import DegenerateOrbit, EmptyFamily
-from .root_system import dominant_coords, inner, inner_numerator
-from .root_system import orbit_array  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
+from .errors import DegenerateOrbit
+from .root_system import dominant_coords, inner_numerator
+from .root_system import inner, orbit_array  # noqa: F401  (re-exports: perfbench/tracing.py wraps them here)
 
 
 @dataclass(frozen=True)
@@ -40,16 +42,25 @@ class NormReport:
         return NormReport(sq, math.sqrt(float(sq)))
 
 
+@lru_cache(maxsize=1024)
+def _invariants(system, coords):
+    """(dominant coordinates, numerator of <x, x>) of the coweight with
+    coordinate tuple ``coords``; the norm is taken on ``coords`` as given."""
+    return dominant_coords(system, coords), inner_numerator(system, coords, coords)
+
+
 def _orbit_maximum_numerator(eta, xi):
-    """(system, M): the orbit maximum is M / gram_den, where M is the
-    integer numerator of <dom(xi), dom(eta)>."""
+    """(system, M, X, E): the orbit maximum is M / gram_den, where M is the
+    integer numerator of <dom(xi), dom(eta)>, and X and E are the
+    numerators of <xi, xi> and <eta, eta>."""
     if xi.is_zero:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
     system = xi.system
     if eta.system is not system:
         raise DegenerateOrbit("coweights belong to different root systems")
-    dom_xi = dominant_coords(system, xi.coords)
-    return system, inner_numerator(system, dom_xi, dominant_coords(system, eta.coords))
+    dom_xi, x = _invariants(system, xi.coords)
+    dom_eta, e = _invariants(system, eta.coords)
+    return system, inner_numerator(system, dom_xi, dom_eta), x, e
 
 
 def orbit_maximum(eta, xi):
@@ -58,7 +69,7 @@ def orbit_maximum(eta, xi):
     Closed form <dom(xi), dom(eta)>: the Weyl group acts by isometries and
     the maximum lies in the closed dominant chamber.
     """
-    system, m = _orbit_maximum_numerator(eta, xi)
+    system, m, _, _ = _orbit_maximum_numerator(eta, xi)
     return Fraction(m, system.gram_den)
 
 
@@ -70,10 +81,9 @@ def positive_norm(eta, xi):
     X / gram_den in integer numerators, the square is M^2 / (gram_den X),
     built as one Fraction.
     """
-    system, m = _orbit_maximum_numerator(eta, xi)
+    system, m, x, _ = _orbit_maximum_numerator(eta, xi)
     den = system.gram_den
-    sq = Fraction(m * m, den * inner_numerator(system, xi.coords, xi.coords))
-    return Fraction(m, den), NormReport.from_squared(sq)
+    return Fraction(m, den), NormReport.from_squared(Fraction(m * m, den * x))
 
 
 def check_norm_inequality(eta, xi):
@@ -84,9 +94,8 @@ def check_norm_inequality(eta, xi):
     Every term carries gram_den squared, so the test is the integer
     comparison M^2 <= X E of the numerators of m, <xi, xi> and <eta, eta>.
     """
-    system, m = _orbit_maximum_numerator(eta, xi)
-    x = inner_numerator(system, xi.coords, xi.coords)
-    return m * m <= x * inner_numerator(system, eta.coords, eta.coords)
+    _, m, x, e = _orbit_maximum_numerator(eta, xi)
+    return m * m <= x * e
 
 
 def hofer_length_circle(xi):
@@ -94,48 +103,5 @@ def hofer_length_circle(xi):
     ||xi||, returned as the exact square <xi, xi>."""
     if xi.is_zero:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
-    return NormReport.from_squared(inner(xi, xi))
-
-
-def max_length_measure(lengths):
-    """Max-length measure of a family: the maximum of the member lengths."""
-    lengths = list(lengths)
-    if not lengths:
-        raise EmptyFamily("max-length measure of an empty family")
-    return max(lengths)
-
-
-def _sphere_grid(n_polar=64, n_azimuth=64):
-    """Symmetric product quadrature on the unit 2-sphere.
-
-    Gauss-Legendre nodes in the polar cosine and a uniform azimuthal grid;
-    weights sum to the sphere area 4 pi.
-    """
-    z, wz = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2 * np.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-    s = np.sqrt(1.0 - z ** 2)
-    x = np.outer(s, np.cos(phi)).ravel()
-    y = np.outer(s, np.sin(phi)).ravel()
-    zz = np.repeat(z, n_azimuth)
-    w = np.repeat(wz, n_azimuth) * (2 * np.pi / n_azimuth)
-    return np.column_stack([x, y, zz]), w
-
-
-def normalization_integral_s2(eta, n_polar=64, n_azimuth=64):
-    """Numerical integral of H_eta(x) = <x, eta> over the unit sphere.
-
-    Invariance under the coadjoint action forces the value to vanish; the
-    symmetric grid reproduces this to machine precision.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if not np.any(eta):
-        raise DegenerateOrbit("eta must be nonzero")
-    points, w = _sphere_grid(n_polar, n_azimuth)
-    return float(w @ (points @ eta))
-
-
-def sphere_moment_max(eta, n_polar=64, n_azimuth=64):
-    """Maximum of H_eta over the quadrature grid (approximates |eta|)."""
-    eta = np.asarray(eta, dtype=float)
-    points, _ = _sphere_grid(n_polar, n_azimuth)
-    return float((points @ eta).max())
+    system = xi.system
+    return NormReport.from_squared(Fraction(_invariants(system, xi.coords)[1], system.gram_den))

@@ -35,6 +35,8 @@ class QuantumElement:
         for coeff, basis, exponent in terms:
             if basis not in (PT, FUND):
                 raise ValueError(f"unknown basis class {basis!r}")
+            if not math.isfinite(exponent):
+                raise ValueError("every energy exponent must be finite")
             k = (basis, Fraction(exponent))
             merged[k] = merged.get(k, 0) + Fraction(coeff)
         clean = [(c, basis, e) for (basis, e), c in merged.items() if c != 0]
@@ -60,11 +62,16 @@ def zero():
     return QuantumElement(())
 
 
-def quantum_product(a, b, area):
-    """Bilinear extension of the CP^1 table at the given line area."""
+def _line_area(area):
+    """The line area as an exact Fraction; it must be finite and positive."""
     if not (math.isfinite(area) and area > 0):
         raise ValueError("the line area must be finite and positive")
-    area = Fraction(area)
+    return Fraction(area)
+
+
+def quantum_product(a, b, area):
+    """Bilinear extension of the CP^1 table at the given line area."""
+    area = _line_area(area)
     out = []
     for ca, basis_a, ea in a.terms:
         for cb, basis_b, eb in b.terms:
@@ -79,13 +86,14 @@ def quantum_product(a, b, area):
 
 def leading_inverse(x, area):
     """Inverse of the unique maximal-exponent term of x."""
+    area = _line_area(area)
     lead = x.leading_terms()
     if len(lead) != 1:
         raise ValueError("element has no unique maximal-exponent term")
     coeff, basis, exponent = lead[0]
     if basis == FUND:
         return QuantumElement.from_terms([(1 / coeff, FUND, -exponent)])
-    return QuantumElement.from_terms([(1 / coeff, PT, -exponent - Fraction(area))])
+    return QuantumElement.from_terms([(1 / coeff, PT, -exponent - area)])
 
 
 def is_invertible(x, area=1.0):
@@ -95,6 +103,7 @@ def is_invertible(x, area=1.0):
     formal completion is additionally constructed by Newton iteration and
     verified through three correction orders.
     """
+    area = _line_area(area)
     if x.is_zero:
         return False
     if len(x.leading_terms()) == 1:

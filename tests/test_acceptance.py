@@ -16,7 +16,6 @@ from liehofer.errors import EnergyBoundViolation
 from liehofer.hofer import (
     check_norm_inequality,
     hofer_length_circle,
-    normalization_integral_s2,
     orbit_maximum,
     positive_norm,
 )
@@ -29,6 +28,7 @@ from liehofer.su2_loops import (
     hessian_spectrum,
     random_loop,
 )
+from sphere_oracle import normalization_integral_s2
 
 ALL_LABELS = verify.ALL_SYSTEMS
 

@@ -1,23 +1,30 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liehofer.errors import DegenerateOrbit, EmptyFamily
 from liehofer.hofer import (
+    _invariants,
     check_norm_inequality,
     hofer_length_circle,
-    max_length_measure,
-    normalization_integral_s2,
     orbit_maximum,
     positive_norm,
-    sphere_moment_max,
 )
 from liehofer.root_system import from_label, inner, weyl_orbit
 from liehofer.su2_loops import apply_tangent, discrete_lplus, energy_hessian, geodesic_loop
+from liehofer.verify import ALL_SYSTEMS
+from bourbaki_oracle import cartan_matrix, coweight_gram
+from sphere_oracle import max_length_measure, normalization_integral_s2, sphere_moment_max
 
 
 def test_positive_norm_at_generator():
@@ -194,3 +201,147 @@ def test_positive_norm_scaling_laws(label):
         m_xi, report_xi = positive_norm(eta, system.coweight([k * c for c in xi.coords]))
         assert m_xi == k * m
         assert report_xi.value_squared == report.value_squared
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# |W| from the Bourbaki plates: (n+1)! for A_n, 2^n n! for B_n and C_n
+WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
+               "C2": 8, "C3": 48, "C4": 384, "D4": 192, "G2": 12, "F4": 1152}
+
+
+@cache
+def _bourbaki_weyl(label):
+    """(W, G, den) from the Bourbaki oracle alone: every Weyl group element
+    as an integer matrix on coweight coordinates, closed under the simple
+    reflections s_j: c_i -> c_i - c_ij c_j, and the coweight Gram matrix as
+    the integer matrix G over den."""
+    cartan = [[int(x) for x in row] for row in cartan_matrix(label)]
+    rank = len(cartan)
+    gens = []
+    for j in range(rank):
+        s_j = np.eye(rank, dtype=np.int64)
+        for i in range(rank):
+            s_j[i, j] -= cartan[i][j]
+        gens.append(s_j)
+    identity = np.eye(rank, dtype=np.int64)
+    seen = {identity.tobytes(): identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for s_j in gens:
+                v = s_j @ w
+                if v.tobytes() not in seen:
+                    seen[v.tobytes()] = v
+                    fresh.append(v)
+        frontier = fresh
+    gram = coweight_gram(label)
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    gram_num = np.array([[int(x * den) for x in row] for row in gram], dtype=np.int64)
+    return np.stack(list(seen.values())), gram_num, den
+
+
+def _oracle_pair(label, eta_c, xi_c):
+    """(m, <xi, xi>, <eta, eta>): m maximizes <w xi, eta> over every Weyl
+    group element w, all from the Bourbaki oracle."""
+    group, gram, den = _bourbaki_weyl(label)
+    eta, xi = np.array(eta_c, dtype=np.int64), np.array(xi_c, dtype=np.int64)
+    m = int((group @ xi @ gram @ eta).max())
+    return Fraction(m, den), Fraction(int(xi @ gram @ xi), den), Fraction(int(eta @ gram @ eta), den)
+
+
+def _check_against_oracle(label, eta_c, xi_c):
+    system = from_label(label)
+    eta, xi = system.coweight(eta_c), system.coweight(xi_c)
+    m, xixi, etaeta = _oracle_pair(label, eta_c, xi_c)
+    assert orbit_maximum(eta, xi) == m, (label, eta_c, xi_c)
+    m_norm, report = positive_norm(eta, xi)
+    assert m_norm == m
+    assert report.value_squared == m * m / xixi
+    assert check_norm_inequality(eta, xi) is (m * m <= xixi * etaeta)
+    assert hofer_length_circle(xi).value_squared == xixi
+
+
+def _probes(rank):
+    # regular, a fundamental coweight, and one with mixed signs
+    return [(1,) * rank, (1,) + (0,) * (rank - 1), tuple((-1) ** i * (i + 1) for i in range(rank))]
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_norms_match_bourbaki_oracle_on_box_2(label):
+    # every box-2 coweight, as eta and as xi, against three fixed partners
+    group, _, _ = _bourbaki_weyl(label)
+    assert len(group) == WEYL_ORDERS[label]
+    rank = from_label(label).rank
+    for coords in itertools.product(range(-2, 3), repeat=rank):
+        for probe in _probes(rank):
+            _check_against_oracle(label, coords, probe)
+            if any(coords):
+                _check_against_oracle(label, probe, coords)
+
+
+def test_memo_keys_on_the_system():
+    # B2/C2 and A2/G2 share coordinates; interleaved calls must each get
+    # their own system's values, never the other system's memo entry
+    _invariants.cache_clear()
+    grid = list(itertools.product(range(-2, 3), repeat=2))
+    for coords in grid:
+        for pair in (("B2", "C2"), ("A2", "G2")):
+            for label in pair:
+                if any(coords):
+                    _check_against_oracle(label, (2, -1), coords)
+                _check_against_oracle(label, coords, (1, 1))
+
+
+def _norm_values(label, eta_c, xi_c):
+    system = from_label(label)
+    eta, xi = system.coweight(eta_c), system.coweight(xi_c)
+    m, report = positive_norm(eta, xi)
+    return [str(orbit_maximum(eta, xi)), str(m), str(report.value_squared),
+            check_norm_inequality(eta, xi), str(hofer_length_circle(xi).value_squared)]
+
+
+def test_memo_eviction_keeps_results():
+    _invariants.cache_clear()
+    maxsize = _invariants.cache_info().maxsize
+    f4 = [c for c in itertools.product(range(-3, 4), repeat=4) if any(c)]
+    assert len(f4) > maxsize
+    first = [_norm_values("F4", c, c) for c in f4[:50]]
+    for c in f4:
+        _norm_values("F4", c, c)
+    info = _invariants.cache_info()
+    assert info.currsize == maxsize
+    again = [_norm_values("F4", c, c) for c in f4[:50]]
+    assert _invariants.cache_info().misses == info.misses + 50  # the first ones were evicted
+    assert again == first
+    for c in f4[:50]:
+        _check_against_oracle("F4", c, c)
+
+
+def _optimized_mode_cases():
+    for label in ALL_SYSTEMS:
+        rank = from_label(label).rank
+        for coords in itertools.product(range(-1, 2), repeat=rank):
+            if any(coords):
+                for probe in _probes(rank):
+                    yield label, probe, list(coords)
+
+
+def test_python_O_gives_same_norms():
+    cases = list(_optimized_mode_cases())
+    script = (
+        "import json, sys\n"
+        "if __debug__:\n"
+        "    sys.exit('assert statements are still active')\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_hofer import _norm_values\n"
+        "cases = json.load(sys.stdin)\n"
+        "print(json.dumps([_norm_values(l, tuple(e), tuple(x)) for l, e, x in cases]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(Path(__file__).resolve().parent)],
+        input=json.dumps(cases), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [_norm_values(l, tuple(e), tuple(x)) for l, e, x in cases]

@@ -101,6 +101,26 @@ def test_non_finite_inputs_are_value_errors(value):
         psi_leading(1.0, +1, corrections=[(1, FUND, value)])
 
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_from_terms_rejects_non_finite_exponent(value):
+    with pytest.raises(ValueError, match="every energy exponent must be finite"):
+        QuantumElement.from_terms([(1, PT, value)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_is_invertible_rejects_non_finite_area(value):
+    x = element((1, PT, 1.0), (1, FUND, 0.5))
+    for arg in (x, zero()):
+        with pytest.raises(ValueError, match="the line area must be finite and positive"):
+            is_invertible(arg, area=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_leading_inverse_rejects_non_finite_area(value):
+    with pytest.raises(ValueError, match="the line area must be finite and positive"):
+        leading_inverse(element((1, PT, math.sqrt(2))), value)
+
 def test_invertibility():
     assert is_invertible(unit())
     assert not is_invertible(zero())
