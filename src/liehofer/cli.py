@@ -10,27 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
-from .errors import (
-    DegenerateOrbit,
-    DegenerateSubgroup,
-    DimensionError,
-    EmptyFamily,
-    LieHoferError,
-    NotDominant,
-    UnsupportedSystem,
-)
+from .errors import InputError, LieHoferError, UnsupportedSystem
 from .root_system import from_label
-
-# errors that only bad input can raise: usage errors, exit 2
-_INPUT_ERRORS = (
-    UnsupportedSystem, DimensionError, DegenerateSubgroup, DegenerateOrbit,
-    NotDominant, EmptyFamily, ValueError,
-)
 
 
 def _fmt(value):
@@ -90,7 +77,10 @@ MAX_COORD = 10**5
 
 
 def _parse_xi(system, text, flag):
-    coords = [int(x) for x in text.split(",")]
+    parts = text.split(",")
+    if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
+    coords = [int(p) for p in parts]
     if any(abs(c) > MAX_COORD for c in coords):
         raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
     return system.coweight(coords)
@@ -152,7 +142,7 @@ def _cmd_hofer(args):
             "length": "lattice-units",
         },
     }
-    if args.eta:
+    if args.eta is not None:
         eta = _parse_xi(system, args.eta, "--eta")
         m, norm = hofer.positive_norm(eta, xi)
         payload.update(
@@ -266,11 +256,12 @@ def _cmd_verify(args):
     )
     for label in labels:
         from_label(label)  # validate before running anything
-    names = [c.strip() for c in args.checks.split(",")] if args.checks else None
-    if names:
+    names = None
+    if args.checks is not None:
+        names = [c.strip() for c in args.checks.split(",")]
         unknown = [n for n in names if n not in verify.CHECKS]
         if unknown:
-            raise UnsupportedSystem(f"unknown checks: {', '.join(unknown)}")
+            raise UnsupportedSystem(f"unknown --checks: {', '.join(map(repr, unknown))}")
     results = verify.run_checks(labels, args.box, names)
     all_pass = all(r["pass"] for r in results.values())
     _emit(
@@ -365,7 +356,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LieHoferError as exc:

@@ -5,15 +5,19 @@ class LieHoferError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnsupportedSystem(LieHoferError):
+class InputError(LieHoferError):
+    """Only bad input raises it: the CLI reports it as a usage error (exit 2)."""
+
+
+class UnsupportedSystem(InputError):
     """Requested root-system family/rank is outside the supported table."""
 
 
-class DimensionError(LieHoferError):
+class DimensionError(InputError):
     """Vector dimensions do not match the root-system rank."""
 
 
-class DegenerateSubgroup(LieHoferError):
+class DegenerateSubgroup(InputError):
     """A zero coweight does not generate a circle subgroup."""
 
 
@@ -21,15 +25,11 @@ class InvalidWeights(LieHoferError):
     """A weight multiset contains a nonnegative entry."""
 
 
-class DegenerateOrbit(LieHoferError):
+class DegenerateOrbit(InputError):
     """The base coweight of a coadjoint orbit must be nonzero."""
 
 
-class EmptyFamily(LieHoferError):
-    """A family of loops must contain at least one member."""
-
-
-class NotDominant(LieHoferError):
+class NotDominant(InputError):
     """The operation requires a dominant coweight (all coordinates >= 0)."""
 
 

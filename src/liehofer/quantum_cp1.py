@@ -8,7 +8,8 @@ PT * PT = FUND with the exponent raised by the line area.  Only the
 exponent bookkeeping matters for the leading-term logic, so no complex
 phases are materialized.  Exponents and areas are exact Fractions of the
 floats passed in, so sums never round and no tolerance decides when two
-energy levels coincide.
+energy levels coincide.  An element a + b*PT (a its FUND part, b its PT
+part) is a unit exactly when its norm a^2 - b^2 * T^area is nonzero.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnergyBoundViolation, NumericalFailure
+from .errors import EnergyBoundViolation
 
 PT = "pt"
 FUND = "fund"
@@ -46,13 +47,6 @@ class QuantumElement:
     def is_zero(self):
         return not self.terms
 
-    def max_exponent(self):
-        return max(t[2] for t in self.terms)
-
-    def leading_terms(self):
-        top = self.max_exponent()
-        return [t for t in self.terms if t[2] == top]
-
 
 def unit():
     return QuantumElement.from_terms([(1, FUND, 0)])
@@ -62,16 +56,12 @@ def zero():
     return QuantumElement(())
 
 
-def _line_area(area):
-    """The line area as an exact Fraction; it must be finite and positive."""
+def quantum_product(a, b, area):
+    """Bilinear extension of the CP^1 table at the given line area, which
+    must be finite and positive."""
     if not (math.isfinite(area) and area > 0):
         raise ValueError("the line area must be finite and positive")
-    return Fraction(area)
-
-
-def quantum_product(a, b, area):
-    """Bilinear extension of the CP^1 table at the given line area."""
-    area = _line_area(area)
+    area = Fraction(area)
     out = []
     for ca, basis_a, ea in a.terms:
         for cb, basis_b, eb in b.terms:
@@ -84,40 +74,17 @@ def quantum_product(a, b, area):
     return QuantumElement.from_terms(out)
 
 
-def leading_inverse(x, area):
-    """Inverse of the unique maximal-exponent term of x."""
-    area = _line_area(area)
-    lead = x.leading_terms()
-    if len(lead) != 1:
-        raise ValueError("element has no unique maximal-exponent term")
-    coeff, basis, exponent = lead[0]
-    if basis == FUND:
-        return QuantumElement.from_terms([(1 / coeff, FUND, -exponent)])
-    return QuantumElement.from_terms([(1 / coeff, PT, -exponent - area)])
-
-
 def is_invertible(x, area=1.0):
-    """True iff x is nonzero.
+    """True iff x is a unit of the ring, completed downward in energy.
 
-    For elements with a unique maximal-exponent term the inverse in the
-    formal completion is additionally constructed by Newton iteration and
-    verified through three correction orders.
+    Write x = a + b*PT, with a the FUND terms and b the PT terms.  Its
+    product with the conjugate a - b*PT is the norm a^2 - b^2 * T^area, a
+    pure FUND element.  A nonzero norm is invertible in the Novikov field,
+    and then x^-1 = (a - b*PT) / norm.  A zero norm means x is 0 or a zero
+    divisor (its conjugate kills it), so it is not a unit.
     """
-    area = _line_area(area)
-    if x.is_zero:
-        return False
-    if len(x.leading_terms()) == 1:
-        y = leading_inverse(x, area)
-        for _ in range(3):
-            xy = quantum_product(x, y, area)
-            two_minus_xy = [(2, FUND, 0)] + [(-c, b, e) for c, b, e in xy.terms]
-            y = quantum_product(y, QuantumElement.from_terms(two_minus_xy), area)
-        residual = QuantumElement.from_terms(quantum_product(x, y, area).terms + ((-1, FUND, 0),))
-        if not (residual.is_zero or residual.max_exponent() < 0):
-            raise NumericalFailure(
-                f"Newton inverse leaves a residual at exponent {residual.max_exponent()}"
-            )
-    return True
+    conjugate = QuantumElement(tuple((-c if b == PT else c, b, e) for c, b, e in x.terms))
+    return not quantum_product(x, conjugate, area).is_zero
 
 
 @dataclass(frozen=True)

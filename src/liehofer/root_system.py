@@ -17,8 +17,8 @@ coordinates to the dominant chamber.  ``inner`` and
 ``dominant_representative`` wrap them; ``inner`` builds the only Fraction
 in this module.  The Hofer norms call the kernels directly, building a
 Fraction only for the value they return.  Weyl orbits are enumerated only
-for the orbit-sum check and as a test oracle; no norm computation uses
-them.
+as a test oracle (the orbit-sum identity and brute-force orbit maxima);
+no runtime path uses them.
 
 The one hand table of Lie data is ``EXPONENTS``, the Bourbaki exponents of
 each supported system.  Weyl groups are never enumerated: the exponents of

@@ -9,14 +9,14 @@ closed form.
 
 import numpy as np
 
-from liehofer.errors import DegenerateOrbit, EmptyFamily
+from liehofer.errors import DegenerateOrbit
 
 
 def max_length_measure(lengths):
     """Max-length measure of a family: the maximum of the member lengths."""
     lengths = list(lengths)
     if not lengths:
-        raise EmptyFamily("max-length measure of an empty family")
+        raise ValueError("max-length measure of an empty family")
     return max(lengths)
 
 

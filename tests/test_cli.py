@@ -149,6 +149,11 @@ def test_verify_empty_sweep_fails(capsys):
         (["index", "--system", "F4", "--xi", "100001,0,0,0"], "--xi"),
         (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1,-100001"], "--eta"),
         (["seidel-cp1", "--xi", "1" + "0" * 400], "--xi"),
+        (["hofer", "--system", "A2", "--xi", "1,1", "--eta="], "--eta"),
+        (["verify", "--checks="], "--checks"),
+        (["index", "--system", "A2", "--xi", "1.5,1"], "--xi"),
+        (["index", "--system", "A2", "--xi="], "--xi"),
+        (["index", "--system", "A2", "--xi", "1_0,1"], "--xi"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liehofer.errors import DegenerateOrbit, EmptyFamily
+from liehofer.errors import DegenerateOrbit
 from liehofer.hofer import (
     _invariants,
     check_norm_inequality,
@@ -148,7 +148,7 @@ def test_norm_report_float_consistency():
 def test_max_length_measure():
     assert max_length_measure([math.sqrt(2)]) == math.sqrt(2)
     assert max_length_measure([0.3, 1.41421, 0.9]) == 1.41421
-    with pytest.raises(EmptyFamily):
+    with pytest.raises(ValueError, match="empty family"):
         max_length_measure([])
 
 

@@ -25,11 +25,10 @@ CASES = {
         "rs.EXPONENTS[('A', 2)] = (1, 3)\n"
         "rs.build_root_system('A', 2)\n",
     ),
-    "newton-inverse-residual": (
-        "NumericalFailure",
-        "import liehofer.quantum_cp1 as q\n"
-        "q.leading_inverse = lambda x, area: q.QuantumElement.from_terms([(1, q.FUND, 1.0)])\n"
-        "q.is_invertible(q.unit())\n",
+    "correction-energy-bound": (
+        "EnergyBoundViolation",
+        "from liehofer.quantum_cp1 import FUND, psi_leading\n"
+        "psi_leading(1.0, 1, corrections=[(1, FUND, 1.0)])\n",
     ),
 }
 

@@ -11,7 +11,6 @@ from liehofer.quantum_cp1 import (
     PT,
     QuantumElement,
     is_invertible,
-    leading_inverse,
     psi_leading,
     quantum_product,
     unit,
@@ -116,20 +115,74 @@ def test_is_invertible_rejects_non_finite_area(value):
             is_invertible(arg, area=value)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_leading_inverse_rejects_non_finite_area(value):
-    with pytest.raises(ValueError, match="the line area must be finite and positive"):
-        leading_inverse(element((1, PT, math.sqrt(2))), value)
-
 def test_invertibility():
     assert is_invertible(unit())
     assert not is_invertible(zero())
     pt = element((1, PT, math.sqrt(2)))
     assert is_invertible(pt, area=1.0)
-    inv = leading_inverse(pt, 1.0)
-    assert inv.terms[0][1] == PT
-    assert inv.terms[0][2] == -Fraction(math.sqrt(2)) - 1
+    # the conjugate over the norm: (T^s p)^-1 = T^(-s-A) p
+    inv = element((1, PT, -Fraction(math.sqrt(2)) - 1))
     assert quantum_product(pt, inv, 1.0) == unit()
+
+
+def test_unit_whose_point_term_carries_the_top_energy():
+    # p hides an energy of A/2, so the point term at -0.4 outweighs FUND at 0:
+    # the norm is 1 - T^0.2, nonzero
+    assert is_invertible(element((1, FUND, 0.0), (-1, PT, -0.4)), area=1.0)
+
+
+def test_zero_divisor_is_not_invertible():
+    x = element((1, PT, 0.0), (-1, FUND, 0.5))  # p - T^(A/2)
+    assert quantum_product(x, element((1, PT, 0.0), (1, FUND, 0.5)), 1.0).is_zero
+    assert not is_invertible(x, area=1.0)
+
+
+def _evaluations(x, area):
+    """x at p = +T^(A/2) and at p = -T^(A/2), the two factors of the split
+    Lambda[p]/(p^2 - T^A) = Lambda x Lambda, each as {exponent: coefficient}
+    with zero coefficients dropped."""
+    half = Fraction(area) / 2
+    out = []
+    for sign in (1, -1):
+        values = {}
+        for coeff, basis, exponent in x.terms:
+            if basis == PT:
+                coeff, exponent = sign * coeff, exponent + half
+            values[exponent] = values.get(exponent, 0) + coeff
+        out.append({e: c for e, c in values.items() if c != 0})
+    return out
+
+
+def _unit_oracle(x, area):
+    """x is a unit iff neither evaluation vanishes in the Novikov field."""
+    return all(_evaluations(x, area))
+
+
+def _grid_element(rng):
+    # exponents on a quarter grid, so levels collide with the area halves
+    return element(
+        *[
+            (int(rng.choice([-2, -1, 1, 2])), PT if rng.random() < 0.5 else FUND,
+             int(rng.integers(-6, 7)) / 4)
+            for _ in range(rng.integers(1, 5))
+        ]
+    )
+
+
+@pytest.mark.parametrize("area", [0.5, 1.0, 1.5])
+def test_is_invertible_matches_evaluation_oracle(area):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = _grid_element(rng)
+        assert is_invertible(x, area=area) == _unit_oracle(x, area), x
+    zero_divisors = 0
+    for _ in range(40):
+        y = _grid_element(rng)
+        for sign in (1, -1):
+            z = quantum_product(y, element((1, PT, 0.0), (sign, FUND, area / 2)), area)
+            zero_divisors += not z.is_zero
+            assert not is_invertible(z, area=area) and not _unit_oracle(z, area), z
+    assert zero_divisors >= 40
 
 
 def test_invertible_with_corrections():

@@ -132,9 +132,10 @@ def test_counts_invariant_under_axis_change():
     for axis in ((0.0, 1.0, 0.0), (1.0, 1.0, 1.0)):
         base = geodesic_loop(1, 48, axis=axis)
         assert abs(discrete_energy(base) - 2.0) < 2e-3
-    evals = np.linalg.eigvalsh(energy_hessian(1, 48))
-    band = 1e-6 * np.abs(evals).max()
-    assert int(np.sum(evals < -band)) == 2
+        evals = np.linalg.eigvalsh(_fd_hessian(discrete_energy, 1, 48, 1e-4, axis=axis))
+        band = 1e-6 * np.abs(evals).max()
+        assert int(np.sum(evals < -band)) == 2
+        assert int(np.sum(np.abs(evals) <= band)) == 2
 
 
 def test_counts_invariant_under_conjugation():
@@ -152,11 +153,12 @@ def test_counts_invariant_under_conjugation():
     assert abs(discrete_lplus(conj_loop) - discrete_lplus(loop)) < 1e-9
 
 
-def _fd_hessian(func, m, n, h):
+def _fd_hessian(func, m, n, h, axis=(1.0, 0.0, 0.0)):
     """Independent oracle: dense second differences of the whole-loop
-    functional, one coordinate pair at a time (blocks of points more than
-    one apart vanish identically and are skipped)."""
-    base = geodesic_loop(m, n)
+    functional at the geodesic about axis, one coordinate pair at a time
+    (blocks of points more than one apart vanish identically and are
+    skipped)."""
+    base = geodesic_loop(m, n, axis=axis)
     dim = 3 * (n - 1)
     f0 = func(base)
 
