@@ -77,13 +77,14 @@ MAX_COORD = 10**5
 
 
 def _parse_xi(system, text, flag):
-    parts = text.split(",")
-    if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+    # each match holds the sign and the digits after any leading zeros
+    parts = [re.fullmatch(r"([+-]?)0*([0-9]+)", p) for p in text.split(",")]
+    if not all(parts):
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-    coords = [int(p) for p in parts]
-    if any(abs(c) > MAX_COORD for c in coords):
+    # the length test comes first: int() refuses more than 4300 digits
+    if any(len(m[2]) > len(str(MAX_COORD)) or int(m[2]) > MAX_COORD for m in parts):
         raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
-    return system.coweight(coords)
+    return system.coweight([int(m[1] + m[2]) for m in parts])
 
 
 def _cmd_index(args):

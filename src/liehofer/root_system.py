@@ -10,15 +10,25 @@ Every system comes from one Cartan rule (a chain or the D fork, plus the
 one multiple bond of a non-simply-laced diagram), and all of its data are
 integers.  Each system inverts its Cartan matrix once, as an adjugate over
 the determinant, and keeps the coweight Gram matrix as an integer matrix
-``gram_num`` over one denominator ``gram_den``.  Two kernels work on
-coordinate tuples: ``inner_numerator`` gives the integer numerator of an
-inner product over ``gram_den``, and ``dominant_coords`` reduces
-coordinates to the dominant chamber.  ``inner`` and
-``dominant_representative`` wrap them; ``inner`` builds the only Fraction
-in this module.  The Hofer norms call the kernels directly, building a
-Fraction only for the value they return.  Weyl orbits are enumerated only
-as a test oracle (the orbit-sum identity and brute-force orbit maxima);
-no runtime path uses them.
+``gram_num`` over one denominator ``gram_den``.  It also keeps two sparse
+tables, built once with the system.  ``root_steps`` walks the root poset:
+every positive root beta that is not simple has a simple root alpha_i with
+beta - alpha_i positive (Humphreys, Lie Algebras 10.2), so
+<beta, xi> = <beta - alpha_i, xi> + xi_i, and ``pairings`` builds a whole
+pairing row with one addition per root.  ``cartan_columns`` lists the
+nonzero entries of each Cartan column, the Dynkin neighbours a simple
+reflection touches.
+
+Three kernels work on coordinates: ``pairings`` gives the pairing row of a
+coweight, ``inner_numerator`` the integer numerator of an inner product
+over ``gram_den``, and ``dominant_coords`` reduces coordinates to the
+dominant chamber.  The per-root ``pairing`` and the dense
+``reflect_coweight`` are the test oracles of the first and the last.
+``inner`` and ``dominant_representative`` wrap the other two; ``inner``
+builds the only Fraction in this module.  The Hofer norms call the
+kernels directly, building a Fraction only for the value they return.
+Weyl orbits are enumerated only as a test oracle (the orbit-sum identity
+and brute-force orbit maxima); no runtime path uses them.
 
 The one hand table of Lie data is ``EXPONENTS``, the Bourbaki exponents of
 each supported system.  Weyl groups are never enumerated: the exponents of
@@ -124,6 +134,27 @@ def _reflect_root(cartan, coords, i):
     return tuple(out)
 
 
+def _root_steps(positive):
+    """Root-poset steps of the positive roots, in their (sorted) order: for
+    each root a pair (p, i) with root = (the root in slot p) + alpha_i,
+    where slot k > 0 holds positive root k - 1 and slot 0 the zero root, so
+    p = 0 exactly for a simple root.  Lowering a coordinate makes a tuple
+    lexicographically smaller, so every parent comes before its child and
+    one pass over the steps builds a pairing row."""
+    slot = {root: k for k, root in enumerate(positive, 1)}
+    slot[(0,) * len(positive[0])] = 0
+    steps = []
+    for root in positive:
+        for i, c in enumerate(root):
+            lower = root[:i] + (c - 1,) + root[i + 1:]
+            if lower in slot:
+                steps.append((slot[lower], i))
+                break
+        else:
+            raise ConsistencyError(f"positive root {root} has no parent in the root poset")
+    return tuple(steps)
+
+
 def _all_roots(cartan):
     rank = len(cartan)
     seen = set()
@@ -149,9 +180,11 @@ class RootSystem:
     ``cartan_adj`` and ``cartan_det`` give the inverse Cartan matrix as
     adj(C) / det(C).  ``gram_num`` / ``gram_den`` is the matrix of inner
     products of the fundamental coweights, an integer matrix over one
-    denominator: the one Gram form, which every inner product uses.  Hofer
-    norms need no Weyl orbit: the orbit maximum is the inner product of the
-    dominant representatives.
+    denominator: the one Gram form, which every inner product uses.
+    ``root_steps`` holds one (parent slot, simple index) pair per positive
+    root (see ``_root_steps``), and ``cartan_columns[i]`` the pairs
+    (j, c_ji) with c_ji nonzero.  Hofer norms need no Weyl orbit: the orbit
+    maximum is the inner product of the dominant representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
     and hashing are by identity.
@@ -165,6 +198,8 @@ class RootSystem:
     cartan_det: int
     gram_num: tuple
     gram_den: int
+    root_steps: tuple
+    cartan_columns: tuple
 
     @property
     def label(self):
@@ -237,7 +272,13 @@ def build_root_system(family, rank):
     # coweight Gram = diag(d_i / d_min) C^-1 = (d_i adj_ij) / (d_min det)
     gram_num = tuple(tuple(d * x for x in row) for d, row in zip(symm, adj))
     gram_den = min(symm) * det
-    return RootSystem(family, rank, cartan, positive, adj, det, gram_num, gram_den)
+    columns = tuple(
+        tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank)
+    )
+    return RootSystem(
+        family, rank, cartan, positive, adj, det, gram_num, gram_den,
+        _root_steps(positive), columns,
+    )
 
 
 def from_label(label):
@@ -258,10 +299,14 @@ def pairing(root, xi):
 
 def pairings(xi):
     """Pairing row of a coweight: its Python-int pairings with the positive
-    roots, in their order.  The roots have the system's rank, so unlike
-    ``pairing`` no length is checked."""
+    roots, in their order, one addition per root along ``root_steps``.
+    Slot 0 of the working row is the pairing of the zero root."""
     coords = xi.coords
-    return [sum(map(operator.mul, root, coords)) for root in xi.system.positive_roots]
+    row = [0]
+    for p, i in xi.system.root_steps:
+        row.append(row[p] + coords[i])
+    del row[0]
+    return row
 
 
 def inner_numerator(system, x, y):
@@ -337,17 +382,18 @@ def orbit_array(xi):
 def dominant_coords(system, coords):
     """Coordinates of the unique dominant coweight in the Weyl orbit of
     ``coords``: apply the simple reflection of the first negative coordinate
-    until none is left."""
+    until none is left.  A reflection s_i changes only coordinate i and its
+    Dynkin neighbours, the entries of ``cartan_columns[i]``."""
     c = list(coords)
-    cartan = system.cartan
+    columns = system.cartan_columns
     while True:
         for i, ci in enumerate(c):
             if ci < 0:
                 break
         else:
             return tuple(c)
-        for j, row in enumerate(cartan):
-            c[j] -= ci * row[i]
+        for j, cji in columns[i]:
+            c[j] -= ci * cji
 
 
 def dominant_representative(xi):

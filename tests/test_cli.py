@@ -154,6 +154,9 @@ def test_verify_empty_sweep_fails(capsys):
         (["index", "--system", "A2", "--xi", "1.5,1"], "--xi"),
         (["index", "--system", "A2", "--xi="], "--xi"),
         (["index", "--system", "A2", "--xi", "1_0,1"], "--xi"),
+        (["index", "--system", "A1", "--xi", "1" + "0" * 4399], "--xi coordinates must lie in"),
+        (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1," + "9" * 4400],
+         "--eta coordinates must lie in"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -172,3 +175,6 @@ def test_coordinate_bound_is_inclusive(capsys):
     assert code == 0 and payload["xi"] == [-100000]
     code, payload = run(capsys, "seidel-cp1", "--xi", "100000")
     assert code == 0 and payload["xi"] == [100000]
+    # leading zeros do not count toward the digit limit of int()
+    code, payload = run(capsys, "index", "--system", "A1", "--xi", "-" + "0" * 4400 + "100000")
+    assert code == 0 and payload["xi"] == [-100000]

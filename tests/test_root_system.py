@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from liehofer.circle_index import CircleSubgroup
-from liehofer.errors import DimensionError, UnsupportedSystem
+from liehofer.cli import MAX_COORD
+from liehofer.errors import ConsistencyError, DimensionError, UnsupportedSystem
 from liehofer.root_system import (
     EXPONENTS,
+    _root_steps,
     build_root_system,
     dominant_coords,
     dominant_representative,
@@ -24,7 +27,7 @@ from liehofer.root_system import (
 from liehofer.verify import box_coweights
 
 from bourbaki_oracle import cartan_matrix
-from weyl_oracle import bfs_weyl_poincare
+from weyl_oracle import bfs_orbit, bfs_weyl_poincare
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
 
@@ -265,13 +268,52 @@ def test_dominant_coords_properties(label):
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
+def test_dominant_coords_is_the_orbit_dominant_point(label):
+    system = from_label(label)
+    rng = random.Random(f"dominant-orbit-{label}")
+    points = [p.coords for p in _seeded_coweights(system, rng, box=3)]
+    points += itertools.product(range(-1, 2), repeat=system.rank)
+    for coords in points:
+        dominant = [c for c in bfs_orbit(system, coords) if min(c) >= 0]
+        assert dominant == [dominant_coords(system, coords)]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
 def test_pairings_row_matches_per_root_pairing(label):
+    # every box-3 coweight, the +-MAX_COORD corners and 40 seeded box-5
+    # coweights, against the per-root pairing and an int64 matrix product
     system = from_label(label)
     rng = random.Random(f"pairings-{label}")
-    for xi in _seeded_coweights(system, rng, box=5):
+    points = [xi.coords for xi in _seeded_coweights(system, rng, box=5)]
+    points += itertools.product(range(-3, 4), repeat=system.rank)
+    points += itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
+    products = np.array(points, dtype=np.int64) @ np.array(system.positive_roots).T
+    for coords, product in zip(points, products.tolist()):
+        xi = system.coweight(coords)
         row = pairings(xi)
         assert row == [pairing(alpha, xi) for alpha in system.positive_roots]
+        assert row == product
         assert all(type(p) is int for p in row)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_root_steps_walk_the_root_poset(label):
+    system = from_label(label)
+    rank, roots = system.rank, system.positive_roots
+    assert len(system.root_steps) == len(roots)
+    for k, (p, i) in enumerate(system.root_steps):
+        # slot p holds root p - 1, so the parent comes before root k
+        e_i = np.eye(rank, dtype=int)[i]
+        parent = roots[p - 1] if p else np.zeros(rank, dtype=int)
+        assert p <= k and tuple(parent + e_i) == roots[k]
+    simple = {tuple(row) for row in np.eye(rank, dtype=int).tolist()}
+    assert {r for r, (p, _) in zip(roots, system.root_steps) if p == 0} == simple
+
+
+def test_root_without_parent_is_rejected():
+    # neither (1, 1) nor (2, 0) lies below (2, 1)
+    with pytest.raises(ConsistencyError):
+        _root_steps(((0, 1), (2, 1)))
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

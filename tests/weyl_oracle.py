@@ -1,33 +1,46 @@
-"""Breadth-first Weyl-group oracle for the closed-form ``weyl_poincare``.
+"""Breadth-first Weyl-group oracles, built on the dense ``reflect_coweight``.
 
-It enumerates the parabolic subgroup acting on a regular coweight and
-counts elements by BFS depth, which is their length.  It reads no
-exponents and no root heights, so it shares nothing with the closed form
-it checks.
+``bfs_weyl_poincare`` checks the closed-form ``weyl_poincare``: it
+enumerates the parabolic subgroup acting on a regular coweight and counts
+elements by BFS depth, which is their length.  It reads no exponents and no
+root heights, so it shares nothing with the closed form it checks.
+``bfs_orbit`` checks ``dominant_coords``: it enumerates a whole Weyl orbit
+and reads neither the sparse ``cartan_columns`` nor the reduction order.
 """
 
 from liehofer.root_system import reflect_coweight
+
+
+def _levels(system, start, walls):
+    """Breadth-first levels of the orbit of ``start`` under the simple
+    reflections in ``walls``.  From a regular start, level l holds the
+    images of the group elements of length l."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        yield frontier
+        new = []
+        for c in frontier:
+            for i in walls:
+                r = reflect_coweight(system, c, i)
+                if r not in seen:
+                    seen.add(r)
+                    new.append(r)
+        frontier = new
 
 
 def bfs_weyl_poincare(system, walls):
     """Coefficients of sum_w t^(2 l(w)) over the subgroup generated by the
     simple reflections in ``walls``."""
     start = (1,) * system.rank
-    seen = {start}
-    frontier = [start]
-    lengths = [1]  # count of elements per length, index = length
-    while frontier:
-        new = []
-        for c in frontier:
-            for i in sorted(walls):
-                r = reflect_coweight(system, c, i)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        if new:
-            lengths.append(len(new))
-        frontier = new
+    lengths = [len(level) for level in _levels(system, start, sorted(walls))]
     coeffs = [0] * (2 * (len(lengths) - 1) + 1)
     for ell, count in enumerate(lengths):
         coeffs[2 * ell] = count
     return tuple(coeffs)
+
+
+def bfs_orbit(system, coords):
+    """Weyl orbit of coweight coordinates, as a set of tuples."""
+    levels = _levels(system, tuple(coords), range(system.rank))
+    return {c for level in levels for c in level}
