@@ -44,16 +44,6 @@ def _emit(payload, out_path=None):
     print(text)
 
 
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
 def _finite_positive_float(text):
     try:
         value = float(text)
@@ -76,15 +66,37 @@ class _Parser(argparse.ArgumentParser):
 MAX_COORD = 10**5
 
 
+# The one integer grammar of the command line: an optional sign, then ASCII
+# digits.  Leading zeros are dropped, and the significant digits are counted
+# before int(), which refuses more than 4300; no bound here needs 20.
+_INTEGER = re.compile(r"([+-]?)0*([0-9]+)")
+_MAX_DIGITS = 20
+
+
+class _TooManyDigits(argparse.ArgumentTypeError):
+    """A well-formed integer too long for every bound on the command line."""
+
+
+def _integer(text, nonnegative=False):
+    m = _INTEGER.fullmatch(text)
+    if m and len(m[2]) > _MAX_DIGITS:
+        raise _TooManyDigits(f"expected at most {_MAX_DIGITS} significant digits")
+    if not m or nonnegative and int(m[1] + m[2]) < 0:
+        expected = "expected a nonnegative integer, got" if nonnegative else "invalid int value:"
+        raise argparse.ArgumentTypeError(f"{expected} {text!r}")
+    return int(m[1] + m[2])
+
+
 def _parse_xi(system, text, flag):
-    # each match holds the sign and the digits after any leading zeros
-    parts = [re.fullmatch(r"([+-]?)0*([0-9]+)", p) for p in text.split(",")]
-    if not all(parts):
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-    # the length test comes first: int() refuses more than 4300 digits
-    if any(len(m[2]) > len(str(MAX_COORD)) or int(m[2]) > MAX_COORD for m in parts):
+    try:
+        coords = [_integer(p) for p in text.split(",")]
+    except _TooManyDigits:
+        coords = [math.inf]  # past every bound
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+    if any(abs(c) > MAX_COORD for c in coords):
         raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
-    return system.coweight([int(m[1] + m[2]) for m in parts])
+    return system.coweight(coords)
 
 
 def _cmd_index(args):
@@ -309,7 +321,7 @@ def _build_parser():
     p = add("omega-series", _cmd_omega_series, help="loop-group Poincare series vs oracle")
     p.add_argument("--system", required=True)
     p.add_argument(
-        "--cutoff", type=int, default=12,
+        "--cutoff", type=_integer, default=12,
         help=f"even series degree, 0..{loop_morse.MAX_CUTOFF}",
     )
 
@@ -318,9 +330,9 @@ def _build_parser():
         help="Hessian spectrum on SU(2) from one step block (energy) and "
         "L+ second differences along its unstable directions",
     )
-    p.add_argument("--m", type=int, required=True, help="winding number, 4m <= n")
+    p.add_argument("--m", type=_integer, required=True, help="winding number, 4m <= n")
     p.add_argument(
-        "--n", type=int, default=64,
+        "--n", type=_integer, default=64,
         help=f"loop resolution, 32..{su2_loops.MAX_N}",
     )
     p.add_argument("--functional", choices=("energy", "lplus"), default="energy")
@@ -339,11 +351,11 @@ def _build_parser():
         "--area", type=_finite_positive_float, default=1.0,
         help="symplectic area of the line",
     )
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    p.add_argument("--sign", type=_integer, choices=(1, -1), default=1)
 
     p = add("verify", _cmd_verify, help="run the cross-module verification suite")
     p.add_argument(
-        "--box", type=_nonnegative_int, default=4,
+        "--box", type=lambda text: _integer(text, nonnegative=True), default=4,
         help=f"coordinate bound for sweeps, 0..{verify.MAX_BOX}",
     )
     p.add_argument("--systems", default="all")

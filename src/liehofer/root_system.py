@@ -11,9 +11,10 @@ one multiple bond of a non-simply-laced diagram), and all of its data are
 integers.  Each system inverts its Cartan matrix once, as an adjugate over
 the determinant, and keeps the coweight Gram matrix as an integer matrix
 ``gram_num`` over one denominator ``gram_den``.  It also keeps two sparse
-tables, built once with the system.  ``root_steps`` walks the root poset:
-every positive root beta that is not simple has a simple root alpha_i with
-beta - alpha_i positive (Humphreys, Lie Algebras 10.2), so
+tables, built once with the system.  The positive roots are grown in one
+upward pass from the simple roots along alpha-strings (Humphreys, Lie
+Algebras 9.4), and ``root_steps`` records the step that made each root
+beta: a simple alpha_i with beta - alpha_i a positive root or zero, so
 <beta, xi> = <beta - alpha_i, xi> + xi_i, and ``pairings`` builds a whole
 pairing row with one addition per root.  ``cartan_columns`` lists the
 nonzero entries of each Cartan column, the Dynkin neighbours a simple
@@ -125,51 +126,36 @@ def _adjugate(mat):
     return adj, det
 
 
-def _reflect_root(cartan, coords, i):
-    """Simple reflection s_i on a root in simple-root coordinates."""
-    rank = len(coords)
-    pair = sum(coords[j] * cartan[j][i] for j in range(rank))
-    out = list(coords)
-    out[i] -= pair
-    return tuple(out)
+def _positive_roots(cartan):
+    """Positive roots in sorted order, with the step that made each one.
 
+    Grown upward from the simple roots: if <beta, alpha_i^vee> = -q < 0, the
+    alpha_i-string through beta runs unbroken up to s_i beta = beta + q alpha_i
+    (Humphreys, Lie Algebras 9.4).  Every root is reached: a root gamma that
+    is not simple has some gamma - alpha_i positive (10.2), so its
+    alpha_i-string starts at a lower positive root.
 
-def _root_steps(positive):
-    """Root-poset steps of the positive roots, in their (sorted) order: for
-    each root a pair (p, i) with root = (the root in slot p) + alpha_i,
-    where slot k > 0 holds positive root k - 1 and slot 0 the zero root, so
-    p = 0 exactly for a simple root.  Lowering a coordinate makes a tuple
-    lexicographically smaller, so every parent comes before its child and
-    one pass over the steps builds a pairing row."""
-    slot = {root: k for k, root in enumerate(positive, 1)}
-    slot[(0,) * len(positive[0])] = 0
-    steps = []
-    for root in positive:
-        for i, c in enumerate(root):
-            lower = root[:i] + (c - 1,) + root[i + 1:]
-            if lower in slot:
-                steps.append((slot[lower], i))
-                break
-        else:
-            raise ConsistencyError(f"positive root {root} has no parent in the root poset")
-    return tuple(steps)
-
-
-def _all_roots(cartan):
+    ``steps[k] = (p, i)`` says root k = (the root in slot p) + alpha_i, where
+    slot k > 0 holds root k - 1 and slot 0 the zero root.  A parent is
+    lexicographically smaller than its child, so it comes first and one
+    pass over the steps builds a pairing row.
+    """
     rank = len(cartan)
-    seen = set()
-    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    seen.update(frontier)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(rank):
-                r = _reflect_root(cartan, beta, i)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        frontier = new
-    return seen
+    zero = (0,) * rank
+    step = {zero[:i] + (1,) + zero[i + 1:]: (zero, i) for i in range(rank)}
+    todo = list(step)
+    for beta in todo:  # the list grows as roots are found
+        for i in range(rank):
+            up = beta
+            for _ in range(-sum(b * row[i] for b, row in zip(beta, cartan))):
+                parent, up = up, up[:i] + (up[i] + 1,) + up[i + 1:]
+                if up not in step:
+                    step[up] = (parent, i)
+                    todo.append(up)
+    roots = tuple(sorted(step))
+    slot = {root: k for k, root in enumerate(roots, 1)}
+    slot[zero] = 0
+    return roots, tuple((slot[step[root][0]], step[root][1]) for root in roots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +168,7 @@ class RootSystem:
     products of the fundamental coweights, an integer matrix over one
     denominator: the one Gram form, which every inner product uses.
     ``root_steps`` holds one (parent slot, simple index) pair per positive
-    root (see ``_root_steps``), and ``cartan_columns[i]`` the pairs
+    root, and ``cartan_columns[i]`` the pairs
     (j, c_ji) with c_ji nonzero.  Hofer norms need no Weyl orbit: the orbit
     maximum is the inner product of the dominant representatives.
 
@@ -260,8 +246,7 @@ def build_root_system(family, rank):
         raise UnsupportedSystem(f"no root system {family}{rank} in the supported table")
     cartan = _cartan_matrix(family, rank)
     symm = _symmetrizer(cartan)
-    roots = _all_roots(cartan)
-    positive = tuple(sorted(r for r in roots if all(c >= 0 for c in r)))
+    positive, steps = _positive_roots(cartan)
     expected = sum(EXPONENTS[key])
     if len(positive) != expected:
         raise ConsistencyError(
@@ -277,13 +262,13 @@ def build_root_system(family, rank):
     )
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        _root_steps(positive), columns,
+        steps, columns,
     )
 
 
 def from_label(label):
     """Parse a label like "B3" into a root system."""
-    if len(label) < 2 or not label[1:].isdecimal():
+    if not (label[1:].isascii() and label[1:].isdecimal()):
         raise UnsupportedSystem(f"malformed system label {label!r}")
     return build_root_system(label[0].upper(), int(label[1:]))
 

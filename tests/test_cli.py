@@ -157,6 +157,14 @@ def test_verify_empty_sweep_fails(capsys):
         (["index", "--system", "A1", "--xi", "1" + "0" * 4399], "--xi coordinates must lie in"),
         (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1," + "9" * 4400],
          "--eta coordinates must lie in"),
+        (["verify", "--box", "9" * 4400], "--box"),
+        (["omega-series", "--system", "A2", "--cutoff", "9" * 4400], "--cutoff"),
+        (["hessian-su2", "--m", "9" * 4400], "--m"),
+        (["hessian-su2", "--m", "1", "--n", "9" * 4400], "--n"),
+        (["seidel-cp1", "--xi", "2", "--sign", "9" * 4400], "--sign"),
+        (["verify", "--box", "1_0"], "--box"),
+        (["hessian-su2", "--m", "1", "--n", "6_4"], "--n"),
+        (["index", "--system", "A\u0662", "--xi", "1"], "malformed system label"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -168,6 +176,7 @@ def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and flag in captured.err
+    assert len(captured.err) < 200
 
 
 def test_coordinate_bound_is_inclusive(capsys):
@@ -178,3 +187,8 @@ def test_coordinate_bound_is_inclusive(capsys):
     # leading zeros do not count toward the digit limit of int()
     code, payload = run(capsys, "index", "--system", "A1", "--xi", "-" + "0" * 4400 + "100000")
     assert code == 0 and payload["xi"] == [-100000]
+    code, payload = run(
+        capsys, "verify", "--box", "0" * 4400 + "1", "--systems", "A1",
+        "--checks", "index-equality",
+    )
+    assert code == 0 and payload["coordinate_box"] == 1

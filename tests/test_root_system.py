@@ -8,10 +8,9 @@ import pytest
 
 from liehofer.circle_index import CircleSubgroup
 from liehofer.cli import MAX_COORD
-from liehofer.errors import ConsistencyError, DimensionError, UnsupportedSystem
+from liehofer.errors import DimensionError, UnsupportedSystem
 from liehofer.root_system import (
     EXPONENTS,
-    _root_steps,
     build_root_system,
     dominant_coords,
     dominant_representative,
@@ -300,6 +299,8 @@ def test_pairings_row_matches_per_root_pairing(label):
 def test_root_steps_walk_the_root_poset(label):
     system = from_label(label)
     rank, roots = system.rank, system.positive_roots
+    # slots and the pairing row follow the sorted order of the roots
+    assert roots == tuple(sorted(roots))
     assert len(system.root_steps) == len(roots)
     for k, (p, i) in enumerate(system.root_steps):
         # slot p holds root p - 1, so the parent comes before root k
@@ -308,12 +309,6 @@ def test_root_steps_walk_the_root_poset(label):
         assert p <= k and tuple(parent + e_i) == roots[k]
     simple = {tuple(row) for row in np.eye(rank, dtype=int).tolist()}
     assert {r for r, (p, _) in zip(roots, system.root_steps) if p == 0} == simple
-
-
-def test_root_without_parent_is_rejected():
-    # neither (1, 1) nor (2, 0) lies below (2, 1)
-    with pytest.raises(ConsistencyError):
-        _root_steps(((0, 1), (2, 1)))
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
