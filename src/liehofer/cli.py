@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
-from .errors import InputError, LieHoferError, UnsupportedSystem
+from .errors import InputError, LieHoferError, UnsupportedSystem, clipped_repr
 from .root_system import from_label
 
 
@@ -50,7 +50,9 @@ def _finite_positive_float(text):
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {clipped_repr(text)}"
+        )
     return value
 
 
@@ -83,7 +85,7 @@ def _integer(text, nonnegative=False):
         raise _TooManyDigits(f"expected at most {_MAX_DIGITS} significant digits")
     if not m or nonnegative and int(m[1] + m[2]) < 0:
         expected = "expected a nonnegative integer, got" if nonnegative else "invalid int value:"
-        raise argparse.ArgumentTypeError(f"{expected} {text!r}")
+        raise argparse.ArgumentTypeError(f"{expected} {clipped_repr(text)}")
     return int(m[1] + m[2])
 
 
@@ -93,7 +95,9 @@ def _parse_xi(system, text, flag):
     except _TooManyDigits:
         coords = [math.inf]  # past every bound
     except argparse.ArgumentTypeError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise ValueError(
+            f"{flag} expects comma-separated integers, got {clipped_repr(text)}"
+        ) from None
     if any(abs(c) > MAX_COORD for c in coords):
         raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
     return system.coweight(coords)

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all liehofer modules."""
 
+# Longest repr of bad input that an error message repeats whole.
+_SHOWN = 60
+
+
+def clipped_repr(text):
+    """repr of bad input text for a one-line error message, cut after
+    ``_SHOWN`` characters, with the length of the text said after the cut."""
+    shown = repr(text)
+    if len(shown) <= _SHOWN:
+        return shown
+    return f"{shown[:_SHOWN]}... ({len(text)} characters)"
+
 
 class LieHoferError(Exception):
     """Base class for all errors raised by this package."""

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, UnsupportedSystem
+from .errors import ConsistencyError, DimensionError, UnsupportedSystem, clipped_repr
 
 # Exponents m_i of every supported system (Bourbaki, Lie IV-VI, Planches),
 # in the order the sweeps visit the systems.  The one hand table of Lie
@@ -268,9 +268,13 @@ def build_root_system(family, rank):
 
 def from_label(label):
     """Parse a label like "B3" into a root system."""
-    if not (label[1:].isascii() and label[1:].isdecimal()):
-        raise UnsupportedSystem(f"malformed system label {label!r}")
-    return build_root_system(label[0].upper(), int(label[1:]))
+    rank = label[1:]
+    if not (rank.isascii() and rank.isdecimal()):
+        raise UnsupportedSystem(f"malformed system label {clipped_repr(label)}")
+    # no supported rank has 3 digits, and int() refuses more than 4300
+    if len(rank.lstrip("0")) > 2:
+        raise UnsupportedSystem(f"no root system {clipped_repr(label)} in the supported table")
+    return build_root_system(label[0].upper(), int(rank))
 
 
 def pairing(root, xi):

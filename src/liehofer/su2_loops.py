@@ -9,9 +9,11 @@ block and the matrix is block-tridiagonal with constant blocks.  Its
 diagonal block S and off-diagonal block B commute and B is normal, so the
 energy spectrum has a closed form (``energy_spectrum``): one 3x3 joint
 eigenbasis gives S v_k = a_k v_k and B v_k = mu_k v_k, and the eigenvalues
-are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ lane probes along the
-energy-negative eigenvectors, which it takes from a dense symmetric
-eigensolve of the assembled matrix (``energy_hessian``).
+are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The same basis gives the
+eigenvectors in closed form (``_unstable_directions``), and the L+ lane
+takes the exact second derivative of L+ along each energy-negative one
+(``_lplus_second_derivative``).  Both lanes are O(m n) and neither
+assembles the Hessian; the dense ``energy_hessian`` is the tests' oracle.
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -161,12 +163,11 @@ class SpectralReport:
     step: float
 
 
-# Largest loop resolution.  The energy lane is O(n), so this is no longer
-# a memory cap there: it is the relative zero band tol * max|eigenvalue|.
-# The low eigenvalues shrink like 1/n while the largest grows like n, so
-# past n = 1024 the band starts to swallow unstable modes (at tol 1e-6,
-# h 1e-4: m = 3, n = 2048 counts 3 zero modes where 2 are due).  The L+
-# lane still runs the dense eigensolve, which peaks near 350 MB at 1024.
+# Largest loop resolution.  Both lanes run in O(m n) memory, so the one
+# cap is the relative zero band tol * max|eigenvalue|: the low eigenvalues
+# shrink like 1/n while the largest grows like n, so past n = 1024 the
+# band starts to swallow unstable modes (at tol 1e-6, h 1e-4: m = 3,
+# n = 2048 counts 3 zero modes where 2 are due).
 MAX_N = 1024
 
 # Generic weights of the Hermitian pencil whose eigenvectors form the
@@ -202,8 +203,9 @@ def energy_hessian(m, n, h=1e-4):
     for every j.  Its 6x6 Hessian [[A, B], [B^T, D]] (72 evaluations of f
     with step h) gives every diagonal block A + D and every off-diagonal
     block B or B^T; the end steps supply one half each at the first and
-    last interior points.  Assembly is O(n), the matrix O(n^2): only the
-    L+ lane, which needs eigenvectors, and the tests build it.
+    last interior points.  Assembly is O(n), the matrix O(n^2): it is the
+    tests' dense oracle for ``energy_spectrum`` and ``_unstable_directions``,
+    and no lane of ``hessian_spectrum`` builds it.
 
     Raises ValueError when n > MAX_N or 4m > n: beyond the latter the step
     angle is too coarse for the eigenvalue counts to resolve the index,
@@ -236,16 +238,22 @@ def energy_spectrum(m, n, h=1e-4):
     no joint eigenbasis of S and B is found.
     """
     _check_resolution(m, n)
-    a, mu = _joint_spectrum(*_step_blocks(m, n, h))
+    a, mu, _ = _joint_spectrum(*_step_blocks(m, n, h))
+    return np.sort(_mode_eigenvalues(a, mu, n).ravel())
+
+
+def _mode_eigenvalues(a, mu, n):
+    """Eigenvalue a_k + 2|mu_k| cos(pi j / n) of mode (k, j) at [k, j - 1]."""
     cosines = np.cos(np.pi * np.arange(1, n) / n)
-    return np.sort((a[:, None] + 2.0 * np.abs(mu)[:, None] * cosines).ravel())
+    return a[:, None] + 2.0 * np.abs(mu)[:, None] * cosines
 
 
 def _joint_spectrum(s, b):
-    """Eigenvalues a_k of the symmetric s and mu_k of the normal b on one
-    joint eigenbasis, taken from the eigenvectors of the Hermitian pencil
-    s + t1 (b + b^T) + i t2 (b - b^T) with fixed generic t1, t2 (``eig(b)``
-    alone fails where b repeats an eigenvalue that s splits).
+    """Eigenvalues a_k of the symmetric s and mu_k of the normal b, and the
+    unitary joint eigenbasis (column k is v_k), taken from the eigenvectors
+    of the Hermitian pencil s + t1 (b + b^T) + i t2 (b - b^T) with fixed
+    generic t1, t2 (``eig(b)`` alone fails where b repeats an eigenvalue
+    that s splits).
 
     Raises NumericalFailure unless that basis diagonalizes both s and b
     to ``_JOINT_RESIDUAL`` of the block scale, which fails when s and b
@@ -267,7 +275,66 @@ def _joint_spectrum(s, b):
             f"step blocks have no joint eigenbasis: off-diagonal residual "
             f"{residual:.3g} at block scale {scale:.3g}"
         )
-    return np.diagonal(s_k).real, np.diagonal(b_k)
+    return np.diagonal(s_k).real, np.diagonal(b_k), basis
+
+
+def _unstable_directions(s, b, n, tol):
+    """Real orthonormal eigenvectors, each of shape (n - 1, 3), spanning the
+    eigenspaces of the block-tridiagonal Hessian (diagonal block s,
+    off-diagonal b above, b^T below) whose eigenvalues lie below the zero
+    band -tol * max|eigenvalue|.
+
+    Mode (k, j) has the complex eigenvector x_l = e^{-i arg(mu_k) l}
+    sin(pi j l / n) v_k, l = 1..n-1 (see ``energy_spectrum``).  The Hessian
+    is real, so Re x and Im x lie in the same eigenspace.  For non-real
+    mu_k the conjugate joint eigenvector conj(v_k) carries conj(mu_k) and
+    v_k . v_k = 0, so Re x and Im x are orthogonal and span x and its
+    conjugate: the mode with Im mu_k > 0 gives both, its partner none.  For
+    real mu_k (to ``_JOINT_RESIDUAL`` of |mu_k|) the profile is real, and
+    v_k is turned to a real vector by the phase of its largest entry.
+    """
+    a, mu, basis = _joint_spectrum(s, b)
+    values = _mode_eigenvalues(a, mu, n)
+    band = tol * float(np.max(np.abs(values)))
+    real = np.abs(mu.imag) <= _JOINT_RESIDUAL * np.abs(mu)
+    points = np.arange(1, n)
+    for k, j in zip(*np.nonzero(values < -band)):
+        if mu[k].imag < 0 and not real[k]:
+            continue
+        v = basis[:, k]
+        if real[k]:
+            top = v[np.argmax(np.abs(v))]
+            v = v * (np.conj(top) / np.abs(top))
+        profile = np.exp(-1j * np.angle(mu[k]) * points) * np.sin(np.pi * (j + 1) * points / n)
+        x = profile[:, None] * v
+        for part in (x.real,) if real[k] else (x.real, x.imag):
+            yield part / np.sqrt(np.sum(part * part))
+
+
+def _lplus_second_derivative(g, w):
+    """Exact d^2/dt^2 at t = 0 of the discrete L+ of the homogeneous loop
+    with step g, its interior points pushed to q_l exp(t w_l) as in
+    ``apply_tangent``; w has shape (n - 1, 3).
+
+    Step i contributes (sqrt 2 / 2 pi) theta_i with theta_i = arccos r_i,
+    r_i = Re g_i(t) and g_i(t) = exp(-t w_i) g exp(t w_{i+1}), w_0 = w_n = 0.
+    With pure w, Re(w q) = -w . Im q, so at t = 0 r = Re g,
+    r' = Re(g w_{i+1} - w_i g) = Im g . (w_i - w_{i+1}) and
+    r'' = Re(w_i^2 g - 2 w_i g w_{i+1} + g w_{i+1}^2)
+        = -Re g |w_i - w_{i+1}|^2 + 2 (w_i x Im g) . w_{i+1},
+    and theta'' = -r''/s - r r'^2 / s^3 with s = |Im g| = sin theta.
+    Sums are numpy's own, not BLAS, so the value is the same for every
+    BLAS thread count.
+    """
+    w = np.concatenate([np.zeros((1, 3)), w, np.zeros((1, 3))])
+    wa, wb = w[:-1], w[1:]
+    r, im = g[0], g[1:]
+    s = np.sqrt(np.sum(im * im))
+    diff = wa - wb
+    r1 = np.sum(diff * im, axis=1)
+    r2 = -r * np.sum(diff * diff, axis=1) + 2.0 * np.sum(np.cross(wa, im) * wb, axis=1)
+    theta2 = -r2 / s - r * r1 * r1 / s**3
+    return float(_SQRT2 * np.sum(theta2) / (2 * np.pi))
 
 
 def _step_hessian(g, n, h):
@@ -303,11 +370,12 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
     eigenvalues scale like 1/n against a largest one like n, which is why
     n stops at MAX_N.
 
-    'lplus': second differences of the full-loop L+ along the
-    energy-unstable eigendirections only; negativity off that subspace is
-    exactly what the conjecture leaves open, so it is not asserted here.
-    The directions are the eigenvectors of a dense symmetric eigensolve of
-    ``energy_hessian``, O(n^2) memory and O(n^3) time.
+    'lplus': exact second derivatives of the full-loop L+
+    (``_lplus_second_derivative``) along a real orthonormal basis of the
+    energy-unstable eigenspaces only (``_unstable_directions``), O(m n);
+    negativity off that subspace is exactly what the conjecture leaves
+    open, so it is not asserted here.  The step h enters only through the
+    energy blocks that give the directions.
 
     Raises ValueError unless 32 <= n <= MAX_N, 4m <= n, h lies in
     [1e-5, 1e-2] and tol lies in (0, 1).
@@ -330,28 +398,12 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
             float(evals[0]), float(evals[-1]), tol, h,
         )
 
-    # lplus: probe along the energy-negative eigendirections
-    ehess = energy_hessian(m, n, h)
-    try:
-        evals, evecs = np.linalg.eigh(ehess)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"eigensolver failed for energy Hessian (m={m}, n={n}): {exc}"
-        ) from exc
-    band = tol * float(np.max(np.abs(evals)))
-    directions = evecs[:, evals < -band]
-    base = geodesic_loop(m, n)
-    l0 = discrete_lplus(base)
+    # lplus: exact second derivatives along the energy-negative directions
+    _check_resolution(m, n)
+    s, b = _step_blocks(m, n, h)
+    g = geodesic_loop(m, n).points[1]
     second = np.array(
-        [
-            (
-                discrete_lplus(apply_tangent(base, h * v))
-                - 2.0 * l0
-                + discrete_lplus(apply_tangent(base, -h * v))
-            )
-            / (h * h)
-            for v in directions.T
-        ]
+        [_lplus_second_derivative(g, w) for w in _unstable_directions(s, b, n, tol)]
     )
     neg, zero, pos = _classify(second, tol)
     return SpectralReport(

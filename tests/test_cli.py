@@ -165,6 +165,11 @@ def test_verify_empty_sweep_fails(capsys):
         (["verify", "--box", "1_0"], "--box"),
         (["hessian-su2", "--m", "1", "--n", "6_4"], "--n"),
         (["index", "--system", "A\u0662", "--xi", "1"], "malformed system label"),
+        (["verify", "--box", "x" * 4400], "--box"),
+        (["index", "--system", "A1", "--xi", "x" * 4400], "--xi"),
+        (["hessian-su2", "--m", "1", "--tol", "x" * 4400], "--tol"),
+        (["index", "--system", "x" * 4400, "--xi", "1"], "malformed system label"),
+        (["index", "--system", "A" + "1" * 4400, "--xi", "1"], "supported table"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

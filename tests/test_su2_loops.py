@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,11 @@ from liehofer.su2_loops import (
     hessian_spectrum,
     random_loop,
     _joint_spectrum,
+    _lplus_second_derivative,
     _qexp,
     _qmul,
+    _step_blocks,
+    _unstable_directions,
 )
 
 
@@ -95,8 +102,12 @@ def test_energy_spectrum_m2():
 
 
 def test_lplus_second_differences_m1():
-    report = hessian_spectrum("lplus", 1, 64)
-    assert report.negative_count >= 2
+    for n in (64, 256, 1024):
+        report = hessian_spectrum("lplus", 1, n)
+        counts = (report.negative_count, report.zero_count, report.positive_count)
+        assert counts == (2, 0, 0), n
+        # the circle symmetry rotates the 2-dim unstable eigenspace into itself
+        assert math.isclose(report.min_eigenvalue, report.max_eigenvalue, rel_tol=1e-12), n
 
 
 def test_spectrum_preconditions():
@@ -239,3 +250,122 @@ def test_energy_counts_sweep(n):
         counts = (report.negative_count, report.zero_count, report.positive_count)
         assert counts == (negative, 2, 3 * (n - 1) - negative - 2), (m, n)
 
+
+
+def _dense_block_tridiagonal(s, b, n):
+    k = n - 1
+    return np.kron(np.eye(k), s) + np.kron(np.eye(k, k=1), b) + np.kron(np.eye(k, k=-1), b.T)
+
+
+def _check_eigenbasis(directions, hess, count):
+    """The directions are orthonormal eigenvectors of hess below its zero
+    band, as many as hess has eigenvalues there."""
+    d = np.array([w.ravel() for w in directions])
+    evals = np.linalg.eigvalsh(hess)
+    scale = np.max(np.abs(evals))
+    assert len(d) == count == int(np.sum(evals < -1e-6 * scale))
+    assert np.max(np.abs(d @ d.T - np.eye(len(d)))) < 1e-12
+    rayleigh = np.sum((d @ hess) * d, axis=1)
+    assert np.max(np.abs(d @ hess - rayleigh[:, None] * d)) <= 1e-10 * scale
+    assert np.all(rayleigh < -1e-6 * scale)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_unstable_directions_are_dense_eigenvectors(m, n):
+    directions = list(_unstable_directions(*_step_blocks(m, n, 1e-4), n, 1e-6))
+    assert all(w.shape == (n - 1, 3) for w in directions)
+    _check_eigenbasis(directions, energy_hessian(m, n), 2 * (2 * m - 1))
+
+
+def test_unstable_directions_with_real_and_complex_modes():
+    # commuting blocks in a random frame: one mode with real mu < 0 and a
+    # conjugate pair, both partly below zero
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    s = q @ np.diag([-0.5, 0.2, 0.2]) @ q.T
+    b = q @ np.array([[-0.3, 0.0, 0.0], [0.0, 0.5, -0.4], [0.0, 0.4, 0.5]]) @ q.T
+    n = 40
+    hess = _dense_block_tridiagonal(s, b, n)
+    evals = np.linalg.eigvalsh(hess)
+    count = int(np.sum(evals < -1e-6 * np.max(np.abs(evals))))
+    _check_eigenbasis(list(_unstable_directions(s, b, n, 1e-6)), hess, count)
+
+
+def _lplus_longdouble(m, n, w, t):
+    """Discrete L+ of the winding-m geodesic about the first axis with its
+    interior points pushed to q_l exp(t w_l), in extended precision."""
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    angle = 2 * pi * m * np.arange(n + 1, dtype=ld) / n
+    q = np.zeros((n + 1, 4), dtype=ld)
+    q[:, 0], q[:, 1] = np.cos(angle), np.sin(angle)
+    q[0] = q[-1] = (1, 0, 0, 0)
+    tw = ld(t) * np.asarray(w, dtype=ld)
+    theta = np.sqrt(np.sum(tw * tw, axis=1))
+    safe = np.where(theta > 0, theta, 1)
+    e = np.concatenate([np.cos(theta)[:, None], tw * (np.sin(safe) / safe)[:, None]], axis=1)
+    a, b = q[1:-1], e
+    q[1:-1] = np.stack(
+        [
+            a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3],
+            a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2],
+            a[:, 0] * b[:, 2] - a[:, 1] * b[:, 3] + a[:, 2] * b[:, 0] + a[:, 3] * b[:, 1],
+            a[:, 0] * b[:, 3] + a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1] + a[:, 3] * b[:, 0],
+        ],
+        axis=1,
+    )
+    dots = np.clip(np.sum(q[:-1] * q[1:], axis=1), -1, 1)
+    return np.sqrt(ld(2)) * np.sum(np.arccos(dots)) / (2 * pi)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lplus_second_derivative_matches_longdouble_difference(m, n):
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended-precision long double")
+    g = geodesic_loop(m, n).points[1]
+    h = np.longdouble(1e-3)
+    for w in _unstable_directions(*_step_blocks(m, n, 1e-4), n, 1e-6):
+        exact = _lplus_second_derivative(g, w)
+        fd = (
+            _lplus_longdouble(m, n, w, h)
+            - 2 * _lplus_longdouble(m, n, w, 0)
+            + _lplus_longdouble(m, n, w, -h)
+        ) / (h * h)
+        assert math.isclose(exact, float(fd), rel_tol=1e-7), (exact, float(fd))
+
+
+def test_lplus_lane_builds_no_dense_hessian(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("L+ lane built the dense Hessian")
+
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        assert np.shape(a) == (3, 3), np.shape(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(su2_loops, "energy_hessian", dense)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    report = hessian_spectrum("lplus", 2, 128)
+    assert (report.negative_count, report.zero_count, report.positive_count) == (6, 0, 0)
+
+
+def test_lplus_output_is_the_same_for_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=src,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "liehofer.cli", "hessian-su2",
+             "--functional", "lplus", "--m", "1", "--n", "256"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
