@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
-from .errors import InputError, LieHoferError, UnsupportedSystem, clipped_repr
+from .errors import InputError, LieHoferError, UnsupportedSystem, clipped, clipped_repr
 from .root_system import from_label
 
 
@@ -57,10 +58,23 @@ def _finite_positive_float(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 2 with a one-line message (no usage dump)."""
+    """Usage errors exit 2 with a one-line message (no usage dump).  A
+    flag must be spelled out: no prefix of it is taken, so a removed flag
+    is refused rather than read as another one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _check_value(self, action, value):
+        # argparse's own check repeats a bad choice whole
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {clipped_repr(value)} (choose from {choices})"
+            )
 
 
 # Largest |coweight coordinate| on the command line: the conjugate-point oracle
@@ -203,9 +217,7 @@ def _cmd_omega_series(args):
 
 
 def _cmd_hessian(args):
-    report = su2_loops.hessian_spectrum(
-        args.functional, args.m, args.n, h=args.h, tol=args.tol
-    )
+    report = su2_loops.hessian_spectrum(args.functional, args.m, args.n, tol=args.tol)
     _emit(
         {
             "command": "hessian-su2",
@@ -218,7 +230,6 @@ def _cmd_hessian(args):
             "min_eigenvalue": report.min_eigenvalue,
             "max_eigenvalue": report.max_eigenvalue,
             "tolerance": report.tolerance,
-            "step": report.step,
             "units": {
                 "negative_count": "dimensionless",
                 "zero_count": "dimensionless",
@@ -278,7 +289,8 @@ def _cmd_verify(args):
         names = [c.strip() for c in args.checks.split(",")]
         unknown = [n for n in names if n not in verify.CHECKS]
         if unknown:
-            raise UnsupportedSystem(f"unknown --checks: {', '.join(map(repr, unknown))}")
+            shown = clipped(", ".join(map(repr, unknown)), args.checks)
+            raise UnsupportedSystem(f"unknown --checks: {shown}")
     results = verify.run_checks(labels, args.box, names)
     all_pass = all(r["pass"] for r in results.values())
     _emit(
@@ -331,8 +343,8 @@ def _build_parser():
 
     p = add(
         "hessian-su2", _cmd_hessian,
-        help="Hessian spectrum on SU(2) from one step block (energy) and "
-        "L+ second differences along its unstable directions",
+        help="Hessian spectrum on SU(2) from one exact step block (energy) "
+        "and exact L+ second derivatives along its unstable modes",
     )
     p.add_argument("--m", type=_integer, required=True, help="winding number, 4m <= n")
     p.add_argument(
@@ -343,10 +355,6 @@ def _build_parser():
     p.add_argument(
         "--tol", type=_finite_positive_float, default=1e-6,
         help="zero band relative to max |eigenvalue|, in (0, 1)",
-    )
-    p.add_argument(
-        "--h", type=_finite_positive_float, default=1e-4,
-        help="finite-difference step, in [1e-5, 1e-2]",
     )
 
     p = add("seidel-cp1", _cmd_seidel, help="leading quantum term for an A1 circle")
@@ -373,6 +381,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader of stdout went away: send what is left to devnull so
+        # that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,13 +4,17 @@
 _SHOWN = 60
 
 
-def clipped_repr(text):
-    """repr of bad input text for a one-line error message, cut after
+def clipped(shown, text):
+    """Bad input text as ``shown`` in a one-line error message, cut after
     ``_SHOWN`` characters, with the length of the text said after the cut."""
-    shown = repr(text)
     if len(shown) <= _SHOWN:
         return shown
     return f"{shown[:_SHOWN]}... ({len(text)} characters)"
+
+
+def clipped_repr(text):
+    """repr of bad input text, clipped for a one-line error message."""
+    return clipped(repr(text), text)
 
 
 class LieHoferError(Exception):

@@ -2,18 +2,18 @@
 length of based loops of unit quaternions, and Hessian spectra at the
 circle subgroups.
 
-The energy Hessian at a circle subgroup is assembled from one step term:
-the geodesic is homogeneous and the quaternion dot product is
-left-invariant, so every step contributes the same 6x6 second-difference
-block and the matrix is block-tridiagonal with constant blocks.  Its
-diagonal block S and off-diagonal block B commute and B is normal, so the
-energy spectrum has a closed form (``energy_spectrum``): one 3x3 joint
-eigenbasis gives S v_k = a_k v_k and B v_k = mu_k v_k, and the eigenvalues
-are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The same basis gives the
-eigenvectors in closed form (``_unstable_directions``), and the L+ lane
-takes the exact second derivative of L+ along each energy-negative one
-(``_lplus_second_derivative``).  Both lanes are O(m n) and neither
-assembles the Hessian; the dense ``energy_hessian`` is the tests' oracle.
+Both Hessians at a circle subgroup are assembled from one step term: the
+geodesic is homogeneous and the quaternion dot product is left-invariant,
+so every step contributes the same 6x6 block, which ``_step_blocks``
+gives in closed form, and each matrix is block-tridiagonal with constant
+blocks.  The diagonal block S and off-diagonal block B commute and B is
+normal, so the spectrum has a closed form (``energy_spectrum``): one 3x3
+joint eigenbasis gives S v_k = a_k v_k and B v_k = mu_k v_k, and the
+eigenvalues are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ blocks
+are diagonal in the same basis, so the L+ lane reads its exact second
+derivatives along the energy-unstable modes off the same formula.  Both
+lanes are O(n) and neither assembles the Hessian; the dense
+``energy_hessian`` is the tests' oracle.
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -160,14 +160,13 @@ class SpectralReport:
     min_eigenvalue: float
     max_eigenvalue: float
     tolerance: float
-    step: float
 
 
-# Largest loop resolution.  Both lanes run in O(m n) memory, so the one
-# cap is the relative zero band tol * max|eigenvalue|: the low eigenvalues
+# Largest loop resolution.  Both lanes run in O(n) memory, so the one cap
+# is the relative zero band tol * max|eigenvalue|: the low eigenvalues
 # shrink like 1/n while the largest grows like n, so past n = 1024 the
-# band starts to swallow unstable modes (at tol 1e-6, h 1e-4: m = 3,
-# n = 2048 counts 3 zero modes where 2 are due).
+# band starts to swallow low modes (at tol 1e-6: m = 3, n = 2048 counts 3
+# zero modes where 2 are due, and m = 1, n = 10,000 no negative one).
 MAX_N = 1024
 
 # Generic weights of the Hermitian pencil whose eigenvectors form the
@@ -186,26 +185,47 @@ def _check_resolution(m, n):
         raise ValueError(f"winding m={m} needs n >= 4m = {4 * m} points, got n={n}")
 
 
-def _step_blocks(m, n, h):
+def _step_blocks(m, n, functional):
     """Diagonal block S = A + D and upper off-diagonal block B of the
-    energy Hessian, from the step block [[A, B], [B^T, D]]."""
-    step = _step_hessian(geodesic_loop(m, n).points[1], n, h)
-    return step[:3, :3] + step[3:, 3:], step[:3, 3:]
+    Hessian of the discrete energy or L+ at the winding-m geodesic, from
+    the exact Hessian [[A, B], [B^T, D]] of one step term.
+
+    Step j goes from q_j to q_{j+1} = q_j g with one fixed g, and the dot
+    product is left-invariant, so in the coordinates (w_a, w_b) of
+    ``apply_tangent`` at its two ends the step term is a function of
+    theta = arccos r, r = Re(exp(-w_a) g exp(w_b)).  With pure w,
+    Re(w q) = -w . Im q, so at 0, with t = 2 pi m / n, r = cos t,
+    u = Im g = (sin t, 0, 0), s = sin t and K w = u x w:
+    grad r = (u, -u), Hess r = -r [[I, -I], [-I, I]] + [[0, K], [K^T, 0]]
+    and Hess theta = -Hess r / s - r grad r grad r^T / s^3.  The energy
+    step term n d^2 = (n / 2 pi^2) theta^2 has the block
+    (n / 2 pi^2)(2 t Hess theta + 2 grad r grad r^T / s^2); the L+ step
+    term d = (sqrt 2 / 2 pi) theta has (sqrt 2 / 2 pi) Hess theta.
+    """
+    t = 2 * np.pi * m / n
+    r, s = np.cos(t), np.sin(t)
+    u = np.array([s, 0.0, 0.0])
+    k = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -s], [0.0, s, 0.0]])
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    grad = np.concatenate([u, -u])
+    hess_r = -r * np.block([[eye, -eye], [-eye, eye]]) + np.block([[zero, k], [k.T, zero]])
+    hess_theta = -hess_r / s - r * np.outer(grad, grad) / s**3
+    if functional == "energy":
+        hess = n / (2 * np.pi**2) * (2 * t * hess_theta + 2 * np.outer(grad, grad) / s**2)
+    else:
+        hess = _SQRT2 / (2 * np.pi) * hess_theta
+    return hess[:3, :3] + hess[3:, 3:], hess[:3, 3:]
 
 
-def energy_hessian(m, n, h=1e-4):
-    """Second-difference Hessian of the discrete energy at the winding-m
-    geodesic, in the body-frame coordinates of ``apply_tangent``.
+def energy_hessian(m, n):
+    """Dense Hessian of the discrete energy at the winding-m geodesic, in
+    the body-frame coordinates of ``apply_tangent``.
 
-    Step j of the geodesic goes from q_j to q_{j+1} = q_j g with one fixed
-    g, and the dot product is left-invariant, so the step term in the
-    coordinates (w_j, w_{j+1}) is f(w_a, w_b) = n d(exp w_a, g exp w_b)^2
-    for every j.  Its 6x6 Hessian [[A, B], [B^T, D]] (72 evaluations of f
-    with step h) gives every diagonal block A + D and every off-diagonal
-    block B or B^T; the end steps supply one half each at the first and
-    last interior points.  Assembly is O(n), the matrix O(n^2): it is the
-    tests' dense oracle for ``energy_spectrum`` and ``_unstable_directions``,
-    and no lane of ``hessian_spectrum`` builds it.
+    Every diagonal block is S and every off-diagonal block B above, B^T
+    below (``_step_blocks``); the end steps supply one half of S each at
+    the first and last interior points.  Assembly is O(n), the matrix
+    O(n^2): it is the tests' dense oracle for ``energy_spectrum``, and no
+    lane of ``hessian_spectrum`` builds it.
 
     Raises ValueError when n > MAX_N or 4m > n: beyond the latter the step
     angle is too coarse for the eigenvalue counts to resolve the index,
@@ -213,7 +233,7 @@ def energy_hessian(m, n, h=1e-4):
     breaks down (see ``MAX_N``).
     """
     _check_resolution(m, n)
-    s, b = _step_blocks(m, n, h)
+    s, b = _step_blocks(m, n, "energy")
     k = n - 1
     hess = np.zeros((k, 3, k, 3))
     points = np.arange(k)
@@ -223,8 +243,8 @@ def energy_hessian(m, n, h=1e-4):
     return hess.reshape(3 * k, 3 * k)
 
 
-def energy_spectrum(m, n, h=1e-4):
-    """Sorted eigenvalues of ``energy_hessian(m, n, h)`` in O(n) time and
+def energy_spectrum(m, n):
+    """Sorted eigenvalues of ``energy_hessian(m, n)`` in O(n) time and
     memory, without building the matrix.
 
     The Hessian is block-tridiagonal Toeplitz with diagonal block S and
@@ -238,7 +258,7 @@ def energy_spectrum(m, n, h=1e-4):
     no joint eigenbasis of S and B is found.
     """
     _check_resolution(m, n)
-    a, mu, _ = _joint_spectrum(*_step_blocks(m, n, h))
+    [(a, mu)] = _joint_spectrum([_step_blocks(m, n, "energy")])
     return np.sort(_mode_eigenvalues(a, mu, n).ravel())
 
 
@@ -248,108 +268,38 @@ def _mode_eigenvalues(a, mu, n):
     return a[:, None] + 2.0 * np.abs(mu)[:, None] * cosines
 
 
-def _joint_spectrum(s, b):
-    """Eigenvalues a_k of the symmetric s and mu_k of the normal b, and the
-    unitary joint eigenbasis (column k is v_k), taken from the eigenvectors
-    of the Hermitian pencil s + t1 (b + b^T) + i t2 (b - b^T) with fixed
-    generic t1, t2 (``eig(b)`` alone fails where b repeats an eigenvalue
-    that s splits).
+def _joint_spectrum(pairs):
+    """Diagonals (a_k, mu_k) of each block pair (s, b) in one unitary joint
+    eigenbasis: the eigenvectors of the Hermitian pencil
+    s + t1 (b + b^T) + i t2 (b - b^T) of the first pair, with fixed generic
+    t1, t2 (``eig(b)`` alone fails where b repeats an eigenvalue that s
+    splits).
 
-    Raises NumericalFailure unless that basis diagonalizes both s and b
-    to ``_JOINT_RESIDUAL`` of the block scale, which fails when s and b
-    do not commute or b is not normal.
+    Raises NumericalFailure unless that basis diagonalizes every s and b
+    to ``_JOINT_RESIDUAL`` of the scale of its pair, which fails when the
+    blocks do not all commute or a b is not normal.
     """
+    s, b = pairs[0]
     pencil = s + _PENCIL_T1 * (b + b.T) + 1j * _PENCIL_T2 * (b - b.T)
     try:
         _, basis = np.linalg.eigh(pencil)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed for the step blocks: {exc}") from exc
-    s_k = basis.conj().T @ s @ basis
-    b_k = basis.conj().T @ b @ basis
     off = ~np.eye(3, dtype=bool)
-    residual = max(np.max(np.abs(s_k[off])), np.max(np.abs(b_k[off])))
-    scale = max(np.max(np.abs(s)), np.max(np.abs(b)))
-    # written so that a NaN anywhere fails the check
-    if not residual <= _JOINT_RESIDUAL * scale:
-        raise NumericalFailure(
-            f"step blocks have no joint eigenbasis: off-diagonal residual "
-            f"{residual:.3g} at block scale {scale:.3g}"
-        )
-    return np.diagonal(s_k).real, np.diagonal(b_k), basis
-
-
-def _unstable_directions(s, b, n, tol):
-    """Real orthonormal eigenvectors, each of shape (n - 1, 3), spanning the
-    eigenspaces of the block-tridiagonal Hessian (diagonal block s,
-    off-diagonal b above, b^T below) whose eigenvalues lie below the zero
-    band -tol * max|eigenvalue|.
-
-    Mode (k, j) has the complex eigenvector x_l = e^{-i arg(mu_k) l}
-    sin(pi j l / n) v_k, l = 1..n-1 (see ``energy_spectrum``).  The Hessian
-    is real, so Re x and Im x lie in the same eigenspace.  For non-real
-    mu_k the conjugate joint eigenvector conj(v_k) carries conj(mu_k) and
-    v_k . v_k = 0, so Re x and Im x are orthogonal and span x and its
-    conjugate: the mode with Im mu_k > 0 gives both, its partner none.  For
-    real mu_k (to ``_JOINT_RESIDUAL`` of |mu_k|) the profile is real, and
-    v_k is turned to a real vector by the phase of its largest entry.
-    """
-    a, mu, basis = _joint_spectrum(s, b)
-    values = _mode_eigenvalues(a, mu, n)
-    band = tol * float(np.max(np.abs(values)))
-    real = np.abs(mu.imag) <= _JOINT_RESIDUAL * np.abs(mu)
-    points = np.arange(1, n)
-    for k, j in zip(*np.nonzero(values < -band)):
-        if mu[k].imag < 0 and not real[k]:
-            continue
-        v = basis[:, k]
-        if real[k]:
-            top = v[np.argmax(np.abs(v))]
-            v = v * (np.conj(top) / np.abs(top))
-        profile = np.exp(-1j * np.angle(mu[k]) * points) * np.sin(np.pi * (j + 1) * points / n)
-        x = profile[:, None] * v
-        for part in (x.real,) if real[k] else (x.real, x.imag):
-            yield part / np.sqrt(np.sum(part * part))
-
-
-def _lplus_second_derivative(g, w):
-    """Exact d^2/dt^2 at t = 0 of the discrete L+ of the homogeneous loop
-    with step g, its interior points pushed to q_l exp(t w_l) as in
-    ``apply_tangent``; w has shape (n - 1, 3).
-
-    Step i contributes (sqrt 2 / 2 pi) theta_i with theta_i = arccos r_i,
-    r_i = Re g_i(t) and g_i(t) = exp(-t w_i) g exp(t w_{i+1}), w_0 = w_n = 0.
-    With pure w, Re(w q) = -w . Im q, so at t = 0 r = Re g,
-    r' = Re(g w_{i+1} - w_i g) = Im g . (w_i - w_{i+1}) and
-    r'' = Re(w_i^2 g - 2 w_i g w_{i+1} + g w_{i+1}^2)
-        = -Re g |w_i - w_{i+1}|^2 + 2 (w_i x Im g) . w_{i+1},
-    and theta'' = -r''/s - r r'^2 / s^3 with s = |Im g| = sin theta.
-    Sums are numpy's own, not BLAS, so the value is the same for every
-    BLAS thread count.
-    """
-    w = np.concatenate([np.zeros((1, 3)), w, np.zeros((1, 3))])
-    wa, wb = w[:-1], w[1:]
-    r, im = g[0], g[1:]
-    s = np.sqrt(np.sum(im * im))
-    diff = wa - wb
-    r1 = np.sum(diff * im, axis=1)
-    r2 = -r * np.sum(diff * diff, axis=1) + 2.0 * np.sum(np.cross(wa, im) * wb, axis=1)
-    theta2 = -r2 / s - r * r1 * r1 / s**3
-    return float(_SQRT2 * np.sum(theta2) / (2 * np.pi))
-
-
-def _step_hessian(g, n, h):
-    """Central second differences of f(w_a, w_b) = n d(exp w_a, g exp w_b)^2
-    at 0, all probes evaluated in one vectorized call."""
-    e = h * np.eye(6)
-    i, j = np.triu_indices(6, k=1)
-    pair, anti = e[i] + e[j], e[i] - e[j]
-    probes = np.concatenate([e, -e, pair, anti, -anti, -pair, np.zeros((1, 6))])
-    dots = np.sum(_qexp(probes[:, :3]) * _qmul(g, _qexp(probes[:, 3:])), axis=1)
-    f = n * _distances(dots) ** 2
-    plus, minus, fpp, fpm, fmp, fmm, f0 = np.split(f, [6, 12, 27, 42, 57, 72])
-    hess = np.diag((plus - 2.0 * f0 + minus) / (h * h))
-    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return hess
+    diagonals = []
+    for s, b in pairs:
+        s_k = basis.conj().T @ s @ basis
+        b_k = basis.conj().T @ b @ basis
+        residual = max(np.max(np.abs(s_k[off])), np.max(np.abs(b_k[off])))
+        scale = max(np.max(np.abs(s)), np.max(np.abs(b)))
+        # written so that a NaN anywhere fails the check
+        if not residual <= _JOINT_RESIDUAL * scale:
+            raise NumericalFailure(
+                f"step blocks have no joint eigenbasis: off-diagonal residual "
+                f"{residual:.3g} at block scale {scale:.3g}"
+            )
+        diagonals.append((np.diagonal(s_k).real, np.diagonal(b_k)))
+    return diagonals
 
 
 def _classify(values, tol):
@@ -360,7 +310,7 @@ def _classify(values, tol):
     return neg, zero, len(values) - neg - zero
 
 
-def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
+def hessian_spectrum(functional, m, n, tol=1e-6):
     """Eigenvalue counts of the chosen functional at the winding-m geodesic.
 
     'energy': the closed-form spectrum of the block-tridiagonal energy
@@ -370,20 +320,22 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
     eigenvalues scale like 1/n against a largest one like n, which is why
     n stops at MAX_N.
 
-    'lplus': exact second derivatives of the full-loop L+
-    (``_lplus_second_derivative``) along a real orthonormal basis of the
-    energy-unstable eigenspaces only (``_unstable_directions``), O(m n);
-    negativity off that subspace is exactly what the conjecture leaves
-    open, so it is not asserted here.  The step h enters only through the
-    energy blocks that give the directions.
+    'lplus': exact second derivatives of the full-loop L+ along the
+    energy modes below that zero band, O(n).  The L+ blocks are diagonal
+    in the joint eigenbasis of the energy blocks (``_step_blocks``): on
+    the transverse modes (u . v_k = 0) the grad r grad r^T term of the
+    energy blocks vanishes, so mu^L_k is a nonnegative multiple of mu_k,
+    and on the axial mode Hess theta vanishes, so a^L_k = mu^L_k = 0.
+    Either way energy mode (k, j) is an eigenvector of the L+ Hessian too,
+    with eigenvalue a^L_k + 2|mu^L_k| cos(pi j / n).  Negativity off the
+    energy-unstable subspace is exactly what the conjecture leaves open,
+    so it is not asserted here.
 
-    Raises ValueError unless 32 <= n <= MAX_N, 4m <= n, h lies in
-    [1e-5, 1e-2] and tol lies in (0, 1).
+    Raises ValueError unless 32 <= n <= MAX_N, 4m <= n and tol lies in
+    (0, 1).
     """
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
-    if not 1e-5 <= h <= 1e-2:
-        raise ValueError("step h must lie in [1e-5, 1e-2]")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     if functional not in ("energy", "lplus"):
@@ -391,24 +343,19 @@ def hessian_spectrum(functional, m, n, h=1e-4, tol=1e-6):
             f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
         )
     if functional == "energy":
-        evals = energy_spectrum(m, n, h)
-        neg, zero, pos = _classify(evals, tol)
-        return SpectralReport(
-            functional, m, n, neg, zero, pos,
-            float(evals[0]), float(evals[-1]), tol, h,
+        values = energy_spectrum(m, n)
+    else:
+        _check_resolution(m, n)
+        (a, mu), (a_l, mu_l) = _joint_spectrum(
+            [_step_blocks(m, n, "energy"), _step_blocks(m, n, "lplus")]
         )
-
-    # lplus: exact second derivatives along the energy-negative directions
-    _check_resolution(m, n)
-    s, b = _step_blocks(m, n, h)
-    g = geodesic_loop(m, n).points[1]
-    second = np.array(
-        [_lplus_second_derivative(g, w) for w in _unstable_directions(s, b, n, tol)]
-    )
-    neg, zero, pos = _classify(second, tol)
+        energy = _mode_eigenvalues(a, mu, n)
+        unstable = energy < -tol * np.max(np.abs(energy))
+        values = _mode_eigenvalues(a_l, mu_l, n)[unstable]
+    neg, zero, pos = _classify(values, tol)
     return SpectralReport(
         functional, m, n, neg, zero, pos,
-        float(second.min()) if len(second) else 0.0,
-        float(second.max()) if len(second) else 0.0,
-        tol, h,
+        float(values.min()) if len(values) else 0.0,
+        float(values.max()) if len(values) else 0.0,
+        tol,
     )

@@ -144,7 +144,7 @@ def check_hessian():
         }
     lp = su2_loops.hessian_spectrum("lplus", 1, n)
     if lp.negative_count < 2:
-        return False, "lplus second differences off", {
+        return False, "lplus second derivatives off", {
             "m": 1, "n": n, "negative_count": lp.negative_count,
         }
     return True, f"energy counts (2, 2) and lplus >= 2 negatives at n={n}", None

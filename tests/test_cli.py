@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,7 @@ def test_verify_empty_sweep_fails(capsys):
         (["hessian-su2", "--m", "1", "--tol", "-1"], "--tol"),
         (["hessian-su2", "--m", "1", "--tol", "nan"], "--tol"),
         (["hessian-su2", "--m", "1", "--tol", "1.5"], "tolerance"),
+        # the finite-difference step flag is gone: refused, not read as --help
         (["hessian-su2", "--m", "1", "--h", "nan"], "--h"),
         (["hessian-su2", "--m", "1", "--h", "inf"], "--h"),
         (["seidel-cp1", "--xi", "2", "--area", "nan"], "--area"),
@@ -170,6 +175,8 @@ def test_verify_empty_sweep_fails(capsys):
         (["hessian-su2", "--m", "1", "--tol", "x" * 4400], "--tol"),
         (["index", "--system", "x" * 4400, "--xi", "1"], "malformed system label"),
         (["index", "--system", "A" + "1" * 4400, "--xi", "1"], "supported table"),
+        (["hessian-su2", "--m", "1", "--functional", "x" * 4400], "--functional"),
+        (["verify", "--checks", "x" * 4400], "--checks"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -197,3 +204,37 @@ def test_coordinate_bound_is_inclusive(capsys):
         "--checks", "index-equality",
     )
     assert code == 0 and payload["coordinate_box"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hessian-su2", "--m", "1", "--functional", "curvature"],
+         "liehofer hessian-su2: error: argument --functional: invalid choice: "
+         "'curvature' (choose from 'energy', 'lplus')\n"),
+        (["verify", "--checks", "foo,hessian,bar"], "error: unknown --checks: 'foo', 'bar'\n"),
+        (["seidel-cp1", "--xi", "2", "--sign", "5"],
+         "liehofer seidel-cp1: error: argument --sign: invalid choice: 5 (choose from 1, -1)\n"),
+    ],
+)
+def test_short_bad_text_is_echoed_whole(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liehofer.cli", "hessian-su2", "--m", "2", "--n", "128"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the child has imported anything, let alone written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""

@@ -29,9 +29,9 @@ HESSIAN_CASES = {
     "hessian_su2_lplus_m1_n64.json": ["hessian-su2", "--functional", "lplus", "--m", "1", "--n", "64"],
 }
 
-# The extremes come from finite-difference second derivatives, so a
-# rewrite of the spectrum path may move their last digits; the counts and
-# every other field must not move at all.
+# The extremes come from a closed-form spectrum in floating point, so a
+# rewrite of the spectrum path may move their last digits by rounding;
+# the counts and every other field must not move at all.
 EIGENVALUE_REL_TOL = 1e-6
 EIGENVALUE_KEYS = ("min_eigenvalue", "max_eigenvalue")
 

@@ -22,12 +22,18 @@ from liehofer.su2_loops import (
     hessian_spectrum,
     random_loop,
     _joint_spectrum,
-    _lplus_second_derivative,
     _qexp,
     _qmul,
     _step_blocks,
-    _unstable_directions,
 )
+from su2_oracle import lplus_second_derivative, unstable_directions
+
+
+def _case_id(functional, *rest):
+    """pytest id of a case: the energy functional is the default and goes
+    unnamed."""
+    parts = [str(v) for v in rest]
+    return "-".join(parts if functional == "energy" else [functional, *parts])
 
 
 def test_geodesic_loop_shape_and_basing():
@@ -114,11 +120,7 @@ def test_spectrum_preconditions():
     with pytest.raises(ValueError):
         hessian_spectrum("energy", 1, 16)
     with pytest.raises(ValueError):
-        hessian_spectrum("energy", 1, 64, h=1.0)
-    with pytest.raises(ValueError):
         hessian_spectrum("curvature", 1, 64)
-    with pytest.raises(ValueError):
-        hessian_spectrum("energy", 1, 64, h=math.nan)
     with pytest.raises(ValueError, match="4m"):
         hessian_spectrum("energy", 16, 32)
     with pytest.raises(ValueError, match="4m"):
@@ -194,11 +196,26 @@ def _fd_hessian(func, m, n, h, axis=(1.0, 0.0, 0.0)):
     return 0.5 * (hess + hess.T)
 
 
-@pytest.mark.parametrize("n", [48, 64])
-@pytest.mark.parametrize("m", [1, 2])
-def test_energy_hessian_matches_full_loop_oracle(m, n):
-    block = energy_hessian(m, n)
-    oracle = _fd_hessian(discrete_energy, m, n, 1e-4)
+@pytest.mark.parametrize(
+    "functional, m, n",
+    [
+        pytest.param(functional, m, n, id=_case_id(functional, m, n))
+        for functional in ("energy", "lplus")
+        for n in (48, 64)
+        for m in (1, 2)
+    ],
+)
+def test_energy_hessian_matches_full_loop_oracle(functional, m, n):
+    # the exact step blocks, assembled block-tridiagonally, against whole-loop
+    # central differences of the functional
+    block = _dense_block_tridiagonal(*_step_blocks(m, n, functional), n)
+    if functional == "energy":
+        assert np.array_equal(energy_hessian(m, n), block)
+    # the energy step term theta^2 is smooth through theta = 0, but the L+
+    # term theta has fourth derivatives of order 1/theta^3 at the small step
+    # angle, so its central differences want the smaller step
+    func, h = (discrete_energy, 1e-4) if functional == "energy" else (discrete_lplus, 5e-5)
+    oracle = _fd_hessian(func, m, n, h)
     assert block.shape == oracle.shape == (3 * (n - 1), 3 * (n - 1))
     assert np.max(np.abs(block - oracle)) < 1e-5
     evals = np.linalg.eigvalsh(block)
@@ -212,12 +229,11 @@ def test_energy_hessian_is_symmetric():
     assert np.array_equal(hess, hess.T)
 
 
-@pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-2])
 @pytest.mark.parametrize("n", [64, 128, 257])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_energy_spectrum_matches_dense_eigensolve(m, n, h):
-    closed = energy_spectrum(m, n, h)
-    dense = np.linalg.eigvalsh(energy_hessian(m, n, h))
+def test_energy_spectrum_matches_dense_eigensolve(m, n):
+    closed = energy_spectrum(m, n)
+    dense = np.linalg.eigvalsh(energy_hessian(m, n))
     assert closed.shape == dense.shape == (3 * (n - 1),)
     assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -228,9 +244,14 @@ def test_joint_spectrum_rejects_non_commuting_blocks():
     s = s + s.T
     b = rng.normal(size=(3, 3))
     with pytest.raises(NumericalFailure, match="joint eigenbasis"):
-        _joint_spectrum(s, b)
+        _joint_spectrum([(s, b)])
     with pytest.raises(NumericalFailure):
-        _joint_spectrum(np.full((3, 3), np.nan), np.eye(3))
+        _joint_spectrum([(np.full((3, 3), np.nan), np.eye(3))])
+    # the one check guards every pair, not only the pair that sets the basis
+    energy = _step_blocks(2, 64, "energy")
+    _joint_spectrum([energy, _step_blocks(2, 64, "lplus")])
+    with pytest.raises(NumericalFailure, match="joint eigenbasis"):
+        _joint_spectrum([energy, (s, b)])
 
 
 def test_energy_lane_builds_no_dense_hessian(monkeypatch):
@@ -242,13 +263,24 @@ def test_energy_lane_builds_no_dense_hessian(monkeypatch):
     assert (report.negative_count, report.zero_count) == (6, 2)
 
 
-@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
-def test_energy_counts_sweep(n):
+@pytest.mark.parametrize(
+    "functional, n",
+    [
+        pytest.param(functional, n, id=_case_id(functional, n))
+        for functional in ("energy", "lplus")
+        for n in (32, 64, 128, 256, 512, 1024)
+    ],
+)
+def test_energy_counts_sweep(functional, n):
     for m in range(1, n // 4 + 1):
-        report = hessian_spectrum("energy", m, n)
+        report = hessian_spectrum(functional, m, n)
         negative = 2 * (2 * m - 1)
         counts = (report.negative_count, report.zero_count, report.positive_count)
-        assert counts == (negative, 2, 3 * (n - 1) - negative - 2), (m, n)
+        if functional == "energy":
+            assert counts == (negative, 2, 3 * (n - 1) - negative - 2), (m, n)
+        else:
+            # L+ is taken only along the energy-unstable modes
+            assert counts == (negative, 0, 0), (m, n)
 
 
 
@@ -273,7 +305,7 @@ def _check_eigenbasis(directions, hess, count):
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_unstable_directions_are_dense_eigenvectors(m, n):
-    directions = list(_unstable_directions(*_step_blocks(m, n, 1e-4), n, 1e-6))
+    directions = list(unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6))
     assert all(w.shape == (n - 1, 3) for w in directions)
     _check_eigenbasis(directions, energy_hessian(m, n), 2 * (2 * m - 1))
 
@@ -289,7 +321,7 @@ def test_unstable_directions_with_real_and_complex_modes():
     hess = _dense_block_tridiagonal(s, b, n)
     evals = np.linalg.eigvalsh(hess)
     count = int(np.sum(evals < -1e-6 * np.max(np.abs(evals))))
-    _check_eigenbasis(list(_unstable_directions(s, b, n, 1e-6)), hess, count)
+    _check_eigenbasis(list(unstable_directions(s, b, n, 1e-6)), hess, count)
 
 
 def _lplus_longdouble(m, n, w, t):
@@ -326,14 +358,29 @@ def test_lplus_second_derivative_matches_longdouble_difference(m, n):
         pytest.skip("needs an extended-precision long double")
     g = geodesic_loop(m, n).points[1]
     h = np.longdouble(1e-3)
-    for w in _unstable_directions(*_step_blocks(m, n, 1e-4), n, 1e-6):
-        exact = _lplus_second_derivative(g, w)
+    for w in unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6):
+        exact = lplus_second_derivative(g, w)
         fd = (
             _lplus_longdouble(m, n, w, h)
             - 2 * _lplus_longdouble(m, n, w, 0)
             + _lplus_longdouble(m, n, w, -h)
         ) / (h * h)
         assert math.isclose(exact, float(fd), rel_tol=1e-7), (exact, float(fd))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_lplus_lane_matches_probe_along_unstable_directions(n):
+    # the lane reads the L+ eigenvalues of the energy-unstable modes off the
+    # joint spectrum; the probe sums the L+ second derivative step by step
+    # along dense-checked eigenvectors
+    for m in sorted({1, 2, 3, 8, n // 4}):
+        g = geodesic_loop(m, n).points[1]
+        directions = unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6)
+        probe = [lplus_second_derivative(g, w) for w in directions]
+        report = hessian_spectrum("lplus", m, n)
+        assert report.negative_count == len(probe) == 2 * (2 * m - 1), (m, n)
+        assert math.isclose(report.min_eigenvalue, min(probe), rel_tol=1e-10), (m, n)
+        assert math.isclose(report.max_eigenvalue, max(probe), rel_tol=1e-10), (m, n)
 
 
 def test_lplus_lane_builds_no_dense_hessian(monkeypatch):
