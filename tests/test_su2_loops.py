@@ -21,7 +21,9 @@ from liehofer.su2_loops import (
     geodesic_loop,
     hessian_spectrum,
     random_loop,
+    _distances,
     _joint_spectrum,
+    _mode_eigenvalues,
     _qexp,
     _qmul,
     _step_blocks,
@@ -229,12 +231,38 @@ def test_energy_hessian_is_symmetric():
     assert np.array_equal(hess, hess.T)
 
 
+def _fd_step_blocks(m, n, h):
+    """Blocks S = A + D and B of the central second differences, at step
+    h, of one energy step term f(w_a, w_b) = n d(exp w_a, g exp w_b)^2 at
+    the winding-m geodesic: blocks that are not exact but keep the
+    symmetry that gives them a joint eigenbasis."""
+    g = geodesic_loop(m, n).points[1]
+    e = h * np.eye(6)
+    i, j = np.triu_indices(6, k=1)
+    pair, anti = e[i] + e[j], e[i] - e[j]
+    probes = np.concatenate([e, -e, pair, anti, -anti, -pair, np.zeros((1, 6))])
+    dots = np.sum(_qexp(probes[:, :3]) * _qmul(g, _qexp(probes[:, 3:])), axis=1)
+    f = n * _distances(dots) ** 2
+    plus, minus, fpp, fpm, fmp, fmm, f0 = np.split(f, [6, 12, 27, 42, 57, 72])
+    hess = np.diag((plus - 2.0 * f0 + minus) / (h * h))
+    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    return hess[:3, :3] + hess[3:, 3:], hess[:3, 3:]
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-2])
 @pytest.mark.parametrize("n", [64, 128, 257])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_energy_spectrum_matches_dense_eigensolve(m, n):
+def test_energy_spectrum_matches_dense_eigensolve(m, n, h):
     closed = energy_spectrum(m, n)
     dense = np.linalg.eigvalsh(energy_hessian(m, n))
     assert closed.shape == dense.shape == (3 * (n - 1),)
+    assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # the closed form needs only commuting Toeplitz blocks, not exact ones:
+    # it also matches the dense eigensolve of the step-h difference blocks
+    blocks = _fd_step_blocks(m, n, h)
+    [(a, mu)] = _joint_spectrum([blocks])
+    closed = np.sort(_mode_eigenvalues(a, mu, n).ravel())
+    dense = np.linalg.eigvalsh(_dense_block_tridiagonal(*blocks, n))
     assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
