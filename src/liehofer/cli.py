@@ -380,7 +380,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flush here, not at exit, so that a closed pipe is caught below
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader of stdout went away: send what is left to devnull so
         # that the flush at exit fails no more

@@ -230,7 +230,10 @@ def test_closed_stdout_exits_1_without_traceback():
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "liehofer.cli", "hessian-su2", "--m", "2", "--n", "128"],
-        env=dict(os.environ, PYTHONPATH=src),
+        # default buffering: the report stays buffered until a flush
+        env=dict(
+            {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, PYTHONPATH=src
+        ),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     proc.stdout.close()  # before the child has imported anything, let alone written
