@@ -282,8 +282,14 @@ def _cmd_verify(args):
         if args.systems == "all"
         else [s.strip() for s in args.systems.split(",")]
     )
+    seen = set()
     for label in labels:
-        from_label(label)  # validate before running anything
+        system = from_label(label)  # validate before running anything
+        if system in seen:
+            raise InputError(
+                f"--systems names {system.label} twice: {clipped_repr(args.systems)}"
+            )
+        seen.add(system)
     names = None
     if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",")]

@@ -26,7 +26,7 @@ ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 # Largest coordinate bound of the two box sweeps.  The box holds
 # (2 box + 1)^rank coweights; at the cap the slowest system takes about 7 s
 # (`verify --box 10 --systems F4 --checks index-equality`), and the norm
-# sweep over every system about 2.8 s (`verify --box 10 --systems all
+# sweep over every system about 1.7 s (`verify --box 10 --systems all
 # --checks norm-inequality`); 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
 MAX_BOX = 10
 

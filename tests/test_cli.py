@@ -177,6 +177,8 @@ def test_verify_empty_sweep_fails(capsys):
         (["index", "--system", "A" + "1" * 4400, "--xi", "1"], "supported table"),
         (["hessian-su2", "--m", "1", "--functional", "x" * 4400], "--functional"),
         (["verify", "--checks", "x" * 4400], "--checks"),
+        (["verify", "--systems", "A1,A1"], "--systems names A1 twice"),
+        (["verify", "--systems", "A1,a1"], "--systems names A1 twice"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -213,6 +215,7 @@ def test_coordinate_bound_is_inclusive(capsys):
          "liehofer hessian-su2: error: argument --functional: invalid choice: "
          "'curvature' (choose from 'energy', 'lplus')\n"),
         (["verify", "--checks", "foo,hessian,bar"], "error: unknown --checks: 'foo', 'bar'\n"),
+        (["verify", "--systems", "B2, b2"], "error: --systems names B2 twice: 'B2, b2'\n"),
         (["seidel-cp1", "--xi", "2", "--sign", "5"],
          "liehofer seidel-cp1: error: argument --sign: invalid choice: 5 (choose from 1, -1)\n"),
     ],

@@ -318,6 +318,55 @@ def test_memo_eviction_keeps_results():
         _check_against_oracle("F4", c, c)
 
 
+def test_memo_builds_one_record_per_coweight():
+    # every coweight of two grids, as eta and as xi: each distinct
+    # (system, coordinates) key is built once, and the oracle checks that
+    # follow only read records that are already there
+    _invariants.cache_clear()
+    grids = {"B3": list(itertools.product(range(-2, 3), repeat=3)),
+             "G2": list(itertools.product(range(-3, 4), repeat=2))}
+    distinct = sum(map(len, grids.values()))
+    assert distinct < _invariants.cache_info().maxsize
+    for label, grid in grids.items():
+        system = from_label(label)
+        for xi_c in grid:
+            if not any(xi_c):
+                continue
+            xi = system.coweight(xi_c)
+            hofer_length_circle(xi)
+            for eta_c in grid:
+                eta = system.coweight(eta_c)
+                positive_norm(eta, xi)
+                check_norm_inequality(eta, xi)
+    assert _invariants.cache_info().misses == distinct
+    for label, grid in grids.items():
+        for xi_c in grid[1::7]:
+            if any(xi_c):
+                for eta_c in grid[::5]:
+                    _check_against_oracle(label, eta_c, xi_c)
+    assert _invariants.cache_info().misses == distinct
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_value_float_is_the_sqrt_of_the_rounded_square(label):
+    # bit for bit: the float of every report is math.sqrt of the double
+    # nearest to its exact square, on every nonzero box-2 coweight and every
+    # corner of the coordinate bound
+    system = from_label(label)
+    box = [system.coweight(c) for c in itertools.product(range(-2, 3), repeat=system.rank)]
+    corners = [system.coweight(c) for c in itertools.product((-100000, 100000), repeat=system.rank)]
+    partners = [system.coweight(p) for p in _probes(system.rank)] + corners
+    for w in box + corners:
+        if w.is_zero:
+            continue
+        report = hofer_length_circle(w)
+        assert report.value_float == math.sqrt(float(report.value_squared)), w
+        for p in partners:
+            for eta, xi in ((w, p), (p, w)):
+                _, report = positive_norm(eta, xi)
+                assert report.value_float == math.sqrt(float(report.value_squared)), (eta, xi)
+
+
 def _optimized_mode_cases():
     for label in ALL_SYSTEMS:
         rank = from_label(label).rank
