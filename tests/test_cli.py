@@ -215,9 +215,9 @@ def test_coordinate_bound_is_inclusive(capsys):
          "liehofer hessian-su2: error: argument --functional: invalid choice: "
          "'curvature' (choose from 'energy', 'lplus')\n"),
         (["verify", "--checks", "foo,hessian,bar"], "error: unknown --checks: 'foo', 'bar'\n"),
-        (["verify", "--systems", "B2, b2"], "error: --systems names B2 twice: 'B2, b2'\n"),
         (["seidel-cp1", "--xi", "2", "--sign", "5"],
          "liehofer seidel-cp1: error: argument --sign: invalid choice: 5 (choose from 1, -1)\n"),
+        (["verify", "--systems", "B2, b2"], "error: --systems names B2 twice: 'B2, b2'\n"),
     ],
 )
 def test_short_bad_text_is_echoed_whole(capsys, argv, message):
