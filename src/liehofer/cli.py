@@ -352,7 +352,7 @@ def _build_parser():
         help="Hessian spectrum on SU(2) from one exact step block (energy) "
         "and exact L+ second derivatives along its unstable modes",
     )
-    p.add_argument("--m", type=_integer, required=True, help="winding number, 4m <= n")
+    p.add_argument("--m", type=_integer, required=True, help="winding number, m >= 1, 4m <= n")
     p.add_argument(
         "--n", type=_integer, default=64,
         help=f"loop resolution, 32..{su2_loops.MAX_N}",

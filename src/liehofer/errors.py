@@ -53,10 +53,6 @@ class EnergyBoundViolation(LieHoferError):
     """A correction term reaches or exceeds the leading energy exponent."""
 
 
-class NumericalFailure(LieHoferError):
-    """A numerical routine (eigensolver, quadrature) failed to converge."""
-
-
 class ConsistencyError(LieHoferError):
     """Internally derived data disagree with an independent check (a bug in
     the package, never a bad input)."""

@@ -6,14 +6,13 @@ Both Hessians at a circle subgroup are assembled from one step term: the
 geodesic is homogeneous and the quaternion dot product is left-invariant,
 so every step contributes the same 6x6 block, which ``_step_blocks``
 gives in closed form, and each matrix is block-tridiagonal with constant
-blocks.  The diagonal block S and off-diagonal block B commute and B is
-normal, so the spectrum has a closed form (``energy_spectrum``): one 3x3
-joint eigenbasis gives S v_k = a_k v_k and B v_k = mu_k v_k, and the
-eigenvalues are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ blocks
-are diagonal in the same basis, so the L+ lane reads its exact second
-derivatives along the energy-unstable modes off the same formula.  Both
-lanes are O(n) and neither assembles the Hessian; the dense
-``energy_hessian`` is the tests' oracle.
+blocks.  The fixed unitary basis e_x, (0, 1, -/+i)/sqrt 2 (the axial
+mode and the transverse pair) diagonalizes those blocks exactly, so the
+spectrum is a closed-form table (``_mode_eigenvalues``): three rows of
+a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ lane reads its exact
+second derivatives along the energy-unstable modes off the same table.
+Both lanes are O(n) and run no eigensolver; the dense ``energy_hessian``
+is the tests' oracle.
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -25,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericalFailure
 
 _SQRT2 = np.sqrt(2.0)
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -169,16 +166,10 @@ class SpectralReport:
 # zero modes where 2 are due, and m = 1, n = 10,000 no negative one).
 MAX_N = 1024
 
-# Generic weights of the Hermitian pencil whose eigenvectors form the
-# joint eigenbasis of S and B (see ``_joint_spectrum``).
-_PENCIL_T1, _PENCIL_T2 = 0.7548776662, 0.5698402910
-
-# Off-diagonal residual, relative to the block scale, above which the
-# pencil basis is not taken as a joint eigenbasis of S and B.
-_JOINT_RESIDUAL = 1e-10
-
 
 def _check_resolution(m, n):
+    if m < 1:
+        raise ValueError(f"winding m={m} must be >= 1")
     if n > MAX_N:
         raise ValueError(f"resolution n={n} exceeds the maximum {MAX_N}")
     if 4 * m > n:
@@ -227,9 +218,9 @@ def energy_hessian(m, n):
     O(n^2): it is the tests' dense oracle for ``energy_spectrum``, and no
     lane of ``hessian_spectrum`` builds it.
 
-    Raises ValueError when n > MAX_N or 4m > n: beyond the latter the step
-    angle is too coarse for the eigenvalue counts to resolve the index,
-    beyond the former the relative zero band of ``hessian_spectrum``
+    Raises ValueError when m < 1, n > MAX_N or 4m > n: beyond the last the
+    step angle is too coarse for the eigenvalue counts to resolve the
+    index, beyond MAX_N the relative zero band of ``hessian_spectrum``
     breaks down (see ``MAX_N``).
     """
     _check_resolution(m, n)
@@ -245,61 +236,42 @@ def energy_hessian(m, n):
 
 def energy_spectrum(m, n):
     """Sorted eigenvalues of ``energy_hessian(m, n)`` in O(n) time and
-    memory, without building the matrix.
+    memory, without building the matrix (``_mode_eigenvalues``).
 
-    The Hessian is block-tridiagonal Toeplitz with diagonal block S and
-    off-diagonal blocks B above, B^T below.  With S v_k = a_k v_k and
-    B v_k = mu_k v_k in a joint eigenbasis (B is normal, so also
-    B^T v_k = conj(mu_k) v_k), the Hessian splits into three scalar
-    Dirichlet tridiagonal matrices with diagonal a_k and off-diagonal
-    mu_k, whose eigenvalues are a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.
-
-    Raises ValueError when n > MAX_N or 4m > n, and NumericalFailure when
-    no joint eigenbasis of S and B is found.
+    Raises ValueError when m < 1, n > MAX_N or 4m > n.
     """
     _check_resolution(m, n)
-    [(a, mu)] = _joint_spectrum([_step_blocks(m, n, "energy")])
-    return np.sort(_mode_eigenvalues(a, mu, n).ravel())
+    return np.sort(_mode_eigenvalues(m, n, "energy").ravel())
 
 
-def _mode_eigenvalues(a, mu, n):
-    """Eigenvalue a_k + 2|mu_k| cos(pi j / n) of mode (k, j) at [k, j - 1]."""
-    cosines = np.cos(np.pi * np.arange(1, n) / n)
-    return a[:, None] + 2.0 * np.abs(mu)[:, None] * cosines
+def _mode_eigenvalues(m, n, functional):
+    """Hessian eigenvalues of the energy or L+ at the winding-m geodesic:
+    mode (k, j) at [k, j - 1], rows k axial, transverse, transverse.
 
-
-def _joint_spectrum(pairs):
-    """Diagonals (a_k, mu_k) of each block pair (s, b) in one unitary joint
-    eigenbasis: the eigenvectors of the Hermitian pencil
-    s + t1 (b + b^T) + i t2 (b - b^T) of the first pair, with fixed generic
-    t1, t2 (``eig(b)`` alone fails where b repeats an eigenvalue that s
-    splits).
-
-    Raises NumericalFailure unless that basis diagonalizes every s and b
-    to ``_JOINT_RESIDUAL`` of the scale of its pair, which fails when the
-    blocks do not all commute or a b is not normal.
+    The Hessian is block-tridiagonal Toeplitz with diagonal block S and
+    off-diagonal blocks B above, B^T below (``_step_blocks``).  Both are
+    diagonal in the fixed unitary basis e_x (axial) and
+    v = (0, 1, -/+i)/sqrt 2 (transverse): in the notation of
+    ``_step_blocks``, u x e_x = 0 and u x v = +/-i s v, while u . v = 0.
+    With S v_k = a_k v_k and B v_k = mu_k v_k the Hessian splits into
+    scalar Dirichlet tridiagonal matrices with diagonal a_k and
+    off-diagonal mu_k, whose eigenvalues are a_k + 2|mu_k| cos_j,
+    cos_j = cos(pi j / n), j = 1..n-1.  On the axial mode Hess theta
+    vanishes and grad r grad r^T / s^2 has a = 2, mu = -1; on the
+    transverse pair that term vanishes and Hess theta has a = 2r / s,
+    |mu| = 1 / s.  So, with t = 2 pi m / n and c = n / 2 pi^2, the energy
+    rows are 4c (1 + cos_j) and (4c t / sin t)(cos t + cos_j), twice, and
+    the L+ rows 0 and (sqrt 2 / (pi sin t))(cos t + cos_j), twice.
     """
-    s, b = pairs[0]
-    pencil = s + _PENCIL_T1 * (b + b.T) + 1j * _PENCIL_T2 * (b - b.T)
-    try:
-        _, basis = np.linalg.eigh(pencil)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver failed for the step blocks: {exc}") from exc
-    off = ~np.eye(3, dtype=bool)
-    diagonals = []
-    for s, b in pairs:
-        s_k = basis.conj().T @ s @ basis
-        b_k = basis.conj().T @ b @ basis
-        residual = max(np.max(np.abs(s_k[off])), np.max(np.abs(b_k[off])))
-        scale = max(np.max(np.abs(s)), np.max(np.abs(b)))
-        # written so that a NaN anywhere fails the check
-        if not residual <= _JOINT_RESIDUAL * scale:
-            raise NumericalFailure(
-                f"step blocks have no joint eigenbasis: off-diagonal residual "
-                f"{residual:.3g} at block scale {scale:.3g}"
-            )
-        diagonals.append((np.diagonal(s_k).real, np.diagonal(b_k)))
-    return diagonals
+    t = 2 * np.pi * m / n
+    cosines = np.cos(np.pi * np.arange(1, n) / n)
+    transverse = (np.cos(t) + cosines) / np.sin(t)
+    if functional == "energy":
+        c = n / (2 * np.pi**2)
+        axial, transverse = 4 * c * (1.0 + cosines), 4 * c * t * transverse
+    else:
+        axial, transverse = np.zeros(n - 1), _SQRT2 / np.pi * transverse
+    return np.stack([axial, transverse, transverse])
 
 
 def _classify(values, tol):
@@ -322,16 +294,14 @@ def hessian_spectrum(functional, m, n, tol=1e-6):
 
     'lplus': exact second derivatives of the full-loop L+ along the
     energy modes below that zero band, O(n).  The L+ blocks are diagonal
-    in the joint eigenbasis of the energy blocks (``_step_blocks``): on
-    the transverse modes (u . v_k = 0) the grad r grad r^T term of the
-    energy blocks vanishes, so mu^L_k is a nonnegative multiple of mu_k,
-    and on the axial mode Hess theta vanishes, so a^L_k = mu^L_k = 0.
-    Either way energy mode (k, j) is an eigenvector of the L+ Hessian too,
-    with eigenvalue a^L_k + 2|mu^L_k| cos(pi j / n).  Negativity off the
-    energy-unstable subspace is exactly what the conjecture leaves open,
-    so it is not asserted here.
+    in the same fixed basis as the energy blocks, so energy mode (k, j) is
+    an eigenvector of the L+ Hessian too, and its L+ eigenvalue is entry
+    [k, j - 1] of the L+ table of ``_mode_eigenvalues``.  Negativity off
+    the energy-unstable subspace is exactly what the conjecture leaves
+    open, so it is not asserted here.
 
-    Raises ValueError unless 32 <= n <= MAX_N, 4m <= n and tol lies in
+    Neither lane builds a matrix or runs an eigensolver.  Raises
+    ValueError unless 32 <= n <= MAX_N, 1 <= m, 4m <= n and tol lies in
     (0, 1).
     """
     if n < 32:
@@ -346,12 +316,9 @@ def hessian_spectrum(functional, m, n, tol=1e-6):
         values = energy_spectrum(m, n)
     else:
         _check_resolution(m, n)
-        (a, mu), (a_l, mu_l) = _joint_spectrum(
-            [_step_blocks(m, n, "energy"), _step_blocks(m, n, "lplus")]
-        )
-        energy = _mode_eigenvalues(a, mu, n)
+        energy = _mode_eigenvalues(m, n, "energy")
         unstable = energy < -tol * np.max(np.abs(energy))
-        values = _mode_eigenvalues(a_l, mu_l, n)[unstable]
+        values = _mode_eigenvalues(m, n, "lplus")[unstable]
     neg, zero, pos = _classify(values, tol)
     return SpectralReport(
         functional, m, n, neg, zero, pos,

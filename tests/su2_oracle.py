@@ -1,9 +1,9 @@
 """Test oracle for the L+ lane of the SU(2) Hessian spectra.
 
 The library reads the L+ second derivatives along the energy-unstable
-modes off the joint spectrum of the energy and L+ step blocks.  This
-oracle takes the long way: real orthonormal eigenvectors of the energy
-Hessian, built mode by mode from a joint eigenbasis of its own, and the
+modes off its closed-form table of mode eigenvalues.  This oracle takes
+the long way: real orthonormal eigenvectors of the energy Hessian, built
+mode by mode from a numeric joint eigenbasis of its own, and the
 exact second derivative of the whole-loop L+ along each of them, summed
 step by step.  Only the tests use it.
 """

@@ -179,6 +179,8 @@ def test_verify_empty_sweep_fails(capsys):
         (["verify", "--checks", "x" * 4400], "--checks"),
         (["verify", "--systems", "A1,A1"], "--systems names A1 twice"),
         (["verify", "--systems", "A1,a1"], "--systems names A1 twice"),
+        (["hessian-su2", "--m", "0"], "winding m=0"),
+        (["hessian-su2", "--functional", "lplus", "--m", "-1"], "winding m=-1"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

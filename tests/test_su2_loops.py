@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import liehofer.su2_loops as su2_loops
-from liehofer.errors import NumericalFailure
 from liehofer.su2_loops import (
     MAX_N,
     DiscreteLoop,
@@ -22,7 +21,6 @@ from liehofer.su2_loops import (
     hessian_spectrum,
     random_loop,
     _distances,
-    _joint_spectrum,
     _mode_eigenvalues,
     _qexp,
     _qmul,
@@ -136,6 +134,14 @@ def test_spectrum_preconditions():
         energy_spectrum(1, 100000)
     with pytest.raises(ValueError, match="4m"):
         energy_spectrum(9, 32)
+    # m < 1 is no circle subgroup: sin t = 0 at m = 0, and L+ flips sign below
+    for functional in ("energy", "lplus"):
+        with pytest.raises(ValueError, match="winding"):
+            hessian_spectrum(functional, 0, 64)
+    with pytest.raises(ValueError, match="winding"):
+        energy_spectrum(0, 64)
+    with pytest.raises(ValueError, match="winding"):
+        energy_hessian(0, 64)
     for tol in (-1.0, 0.0, 1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             hessian_spectrum("energy", 1, 32, tol=tol)
@@ -234,8 +240,8 @@ def test_energy_hessian_is_symmetric():
 def _fd_step_blocks(m, n, h):
     """Blocks S = A + D and B of the central second differences, at step
     h, of one energy step term f(w_a, w_b) = n d(exp w_a, g exp w_b)^2 at
-    the winding-m geodesic: blocks that are not exact but keep the
-    symmetry that gives them a joint eigenbasis."""
+    the winding-m geodesic: differences of the distance itself, which
+    share no code with ``_step_blocks``."""
     g = geodesic_loop(m, n).points[1]
     e = h * np.eye(6)
     i, j = np.triu_indices(6, k=1)
@@ -262,36 +268,85 @@ def test_exact_energy_spectrum_matches_dense_eigensolve(m, n):
 @pytest.mark.parametrize("n", [64, 128, 257])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_energy_spectrum_matches_dense_eigensolve(m, n, h):
-    # the closed form needs only commuting Toeplitz blocks, not exact ones:
-    # it also matches the dense eigensolve of the step-h difference blocks
-    blocks = _fd_step_blocks(m, n, h)
-    [(a, mu)] = _joint_spectrum([blocks])
-    closed = np.sort(_mode_eigenvalues(a, mu, n).ravel())
-    dense = np.linalg.eigvalsh(_dense_block_tridiagonal(*blocks, n))
-    assert np.max(np.abs(closed - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # the closed form against the dense eigensolve of the step-h difference
+    # blocks of the distance: the difference error is O(h^2) and the
+    # rounding error O(eps / h^2), a gap of at most 6.1e-7 (h = 1e-5),
+    # 8.4e-9 (1e-4) and 4.9e-7 (1e-2) of the scale
+    dense = np.linalg.eigvalsh(_dense_block_tridiagonal(*_fd_step_blocks(m, n, h), n))
+    closed = energy_spectrum(m, n)
+    assert closed.shape == dense.shape == (3 * (n - 1),)
+    assert np.max(np.abs(closed - dense)) <= 2e-6 * np.max(np.abs(dense))
 
 
-def test_joint_spectrum_rejects_non_commuting_blocks():
-    rng = np.random.default_rng(11)
-    s = rng.normal(size=(3, 3))
-    s = s + s.T
-    b = rng.normal(size=(3, 3))
-    with pytest.raises(NumericalFailure, match="joint eigenbasis"):
-        _joint_spectrum([(s, b)])
-    with pytest.raises(NumericalFailure):
-        _joint_spectrum([(np.full((3, 3), np.nan), np.eye(3))])
-    # the one check guards every pair, not only the pair that sets the basis
-    energy = _step_blocks(2, 64, "energy")
-    _joint_spectrum([energy, _step_blocks(2, 64, "lplus")])
-    with pytest.raises(NumericalFailure, match="joint eigenbasis"):
-        _joint_spectrum([energy, (s, b)])
+# The fixed joint eigenbasis of the step blocks: the axial mode e_x and the
+# transverse pair (0, 1, -i)/sqrt 2, (0, 1, i)/sqrt 2.
+_MODE_BASIS = np.array(
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, -1j, 1j]]
+) / np.array([1.0, np.sqrt(2.0), np.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("n", [32, 64, 257, 1024])
+def test_fixed_basis_diagonalizes_step_blocks(n):
+    # in the basis, each block pair (S, B) is diagonal, and mode k's
+    # Dirichlet tridiagonal spectrum a_k + 2|mu_k| cos(pi j / n) is row k
+    # of the closed-form table
+    cosines = np.cos(np.pi * np.arange(1, n) / n)
+    off = ~np.eye(3, dtype=bool)
+    for m in range(1, n // 4 + 1):
+        for functional in ("energy", "lplus"):
+            s, b = _step_blocks(m, n, functional)
+            s_k = _MODE_BASIS.conj().T @ s @ _MODE_BASIS
+            b_k = _MODE_BASIS.conj().T @ b @ _MODE_BASIS
+            scale = max(np.max(np.abs(s)), np.max(np.abs(b)))
+            residual = max(np.max(np.abs(s_k[off])), np.max(np.abs(b_k[off])))
+            assert residual <= 1e-15 * scale, (functional, m, n)
+            rows = (
+                np.diagonal(s_k).real[:, None]
+                + 2.0 * np.abs(np.diagonal(b_k))[:, None] * cosines
+            )
+            table = _mode_eigenvalues(m, n, functional)
+            assert table.shape == (3, n - 1)
+            assert np.max(np.abs(rows - table)) <= 2e-15 * np.max(np.abs(table)), (
+                functional, m, n,
+            )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_low_spectrum_tends_to_the_continuum_limit(m):
+    # with v = 2m the root pairing, n * lambda tends to j^2 - v^2 (twice,
+    # transverse) and j^2 (axial) for the energy, and to (j^2 - v^2) /
+    # (sqrt 2 v) on the transverse modes for L+.  The first correction is
+    # relative, -pi^2 (j^2 - v^2) / 12 n^2 on the transverse modes and
+    # -pi^2 j^2 / 12 n^2 on the axial ones, so on the modes kept (energy
+    # limits up to v^2, the negative L+ ones) it is at most
+    # pi^2 v^2 / 12 n^2 of the limit; 1% covers the next order
+    n = 1024
+    v = 2 * m
+    first = 1.01 * np.pi**2 * v**2 / (12 * n**2)
+    j = np.arange(1, 2 * v)
+    limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2, j**2]))
+    limit = limit[limit <= v**2]
+    low = n * energy_spectrum(m, n)[: len(limit)]
+    assert np.max(np.abs(low - limit)) <= first * v**2, m
+    j = np.arange(1, v)
+    limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2])) / (math.sqrt(2) * v)
+    low = n * np.sort(_mode_eigenvalues(m, n, "lplus").ravel())[: len(limit)]
+    assert np.max(np.abs(low - limit)) <= first * v / math.sqrt(2), m
+    report = hessian_spectrum("lplus", m, n)
+    assert report.negative_count == len(limit), m
+    assert abs(n * report.min_eigenvalue - limit[0]) <= first * v / math.sqrt(2), m
+    assert abs(n * report.max_eigenvalue - limit[-1]) <= first * v / math.sqrt(2), m
 
 
 def test_energy_lane_builds_no_dense_hessian(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("energy lane built the dense Hessian")
 
+    def eigh(*args, **kwargs):
+        raise AssertionError("energy lane ran an eigensolver")
+
     monkeypatch.setattr(su2_loops, "energy_hessian", dense)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     report = hessian_spectrum("energy", 2, 128)
     assert (report.negative_count, report.zero_count) == (6, 2)
 
@@ -404,7 +459,7 @@ def test_lplus_second_derivative_matches_longdouble_difference(m, n):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_lplus_lane_matches_probe_along_unstable_directions(n):
     # the lane reads the L+ eigenvalues of the energy-unstable modes off the
-    # joint spectrum; the probe sums the L+ second derivative step by step
+    # closed-form table; the probe sums the L+ second derivative step by step
     # along dense-checked eigenvectors
     for m in sorted({1, 2, 3, 8, n // 4}):
         g = geodesic_loop(m, n).points[1]
@@ -420,14 +475,11 @@ def test_lplus_lane_builds_no_dense_hessian(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("L+ lane built the dense Hessian")
 
-    eigh = np.linalg.eigh
-
-    def small_eigh(a, *args, **kwargs):
-        assert np.shape(a) == (3, 3), np.shape(a)
-        return eigh(a, *args, **kwargs)
+    def eigh(*args, **kwargs):
+        raise AssertionError("L+ lane ran an eigensolver")
 
     monkeypatch.setattr(su2_loops, "energy_hessian", dense)
-    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     report = hessian_spectrum("lplus", 2, 128)
     assert (report.negative_count, report.zero_count, report.positive_count) == (6, 0, 0)
 
