@@ -66,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
+        # argparse repeats every unrecognized argument whole
+        head, sep, extra = message.partition("unrecognized arguments: ")
+        if sep and not head:
+            message = sep + clipped(extra, extra)
         self.exit(2, f"{self.prog}: error: {message}\n")
 
     def _check_value(self, action, value):
@@ -217,7 +221,7 @@ def _cmd_omega_series(args):
 
 
 def _cmd_hessian(args):
-    report = su2_loops.hessian_spectrum(args.functional, args.m, args.n, tol=args.tol)
+    report = su2_loops.hessian_spectrum(args.functional, args.m, args.n)
     _emit(
         {
             "command": "hessian-su2",
@@ -229,7 +233,6 @@ def _cmd_hessian(args):
             "positive_count": report.positive_count,
             "min_eigenvalue": report.min_eigenvalue,
             "max_eigenvalue": report.max_eigenvalue,
-            "tolerance": report.tolerance,
             "units": {
                 "negative_count": "dimensionless",
                 "zero_count": "dimensionless",
@@ -355,13 +358,9 @@ def _build_parser():
     p.add_argument("--m", type=_integer, required=True, help="winding number, m >= 1, 4m <= n")
     p.add_argument(
         "--n", type=_integer, default=64,
-        help=f"loop resolution, 32..{su2_loops.MAX_N}",
+        help=f"loop resolution, max(32, 4m)..{su2_loops.MAX_N} (a memory bound)",
     )
     p.add_argument("--functional", choices=("energy", "lplus"), default="energy")
-    p.add_argument(
-        "--tol", type=_finite_positive_float, default=1e-6,
-        help="zero band relative to max |eigenvalue|, in (0, 1)",
-    )
 
     p = add("seidel-cp1", _cmd_seidel, help="leading quantum term for an A1 circle")
     p.add_argument("--xi", required=True, help="A1 coweight coordinate")

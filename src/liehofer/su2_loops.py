@@ -9,10 +9,11 @@ gives in closed form, and each matrix is block-tridiagonal with constant
 blocks.  The fixed unitary basis e_x, (0, 1, -/+i)/sqrt 2 (the axial
 mode and the transverse pair) diagonalizes those blocks exactly, so the
 spectrum is a closed-form table (``_mode_eigenvalues``): three rows of
-a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  The L+ lane reads its exact
-second derivatives along the energy-unstable modes off the same table.
-Both lanes are O(n) and run no eigensolver; the dense ``energy_hessian``
-is the tests' oracle.
+a_k + 2|mu_k| cos(pi j / n), j = 1..n-1, each entry of exact sign, so
+the counts need no zero band.  The L+ lane reads its exact second
+derivatives along the energy-unstable modes off the same table.  Both
+lanes are O(n) and run no eigensolver; the dense ``energy_hessian`` is
+the tests' oracle.
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -156,15 +157,15 @@ class SpectralReport:
     positive_count: int
     min_eigenvalue: float
     max_eigenvalue: float
-    tolerance: float
 
 
-# Largest loop resolution.  Both lanes run in O(n) memory, so the one cap
-# is the relative zero band tol * max|eigenvalue|: the low eigenvalues
-# shrink like 1/n while the largest grows like n, so past n = 1024 the
-# band starts to swallow low modes (at tol 1e-6: m = 3, n = 2048 counts 3
-# zero modes where 2 are due, and m = 1, n = 10,000 no negative one).
-MAX_N = 1024
+# Largest loop resolution, a plain memory bound: each lane builds tables of
+# 3 (n - 1) doubles and no matrix.
+MAX_N = 65536
+
+# Largest resolution of the dense oracle ``energy_hessian``: its matrix is
+# 3 (n - 1) on a side, 75 MB at n = 1024.
+_DENSE_MAX_N = 1024
 
 
 def _check_resolution(m, n):
@@ -215,15 +216,16 @@ def energy_hessian(m, n):
     Every diagonal block is S and every off-diagonal block B above, B^T
     below (``_step_blocks``); the end steps supply one half of S each at
     the first and last interior points.  Assembly is O(n), the matrix
-    O(n^2): it is the tests' dense oracle for ``energy_spectrum``, and no
-    lane of ``hessian_spectrum`` builds it.
+    O(n^2): it is the tests' dense oracle for ``_mode_eigenvalues``, and
+    no lane of ``hessian_spectrum`` builds it.
 
-    Raises ValueError when m < 1, n > MAX_N or 4m > n: beyond the last the
+    Raises ValueError when m < 1, n > 1024 or 4m > n: beyond the last the
     step angle is too coarse for the eigenvalue counts to resolve the
-    index, beyond MAX_N the relative zero band of ``hessian_spectrum``
-    breaks down (see ``MAX_N``).
+    index.
     """
     _check_resolution(m, n)
+    if n > _DENSE_MAX_N:
+        raise ValueError(f"dense resolution n={n} exceeds the maximum {_DENSE_MAX_N}")
     s, b = _step_blocks(m, n, "energy")
     k = n - 1
     hess = np.zeros((k, 3, k, 3))
@@ -232,16 +234,6 @@ def energy_hessian(m, n):
     hess[points[:-1], :, points[1:], :] = b
     hess[points[1:], :, points[:-1], :] = b.T
     return hess.reshape(3 * k, 3 * k)
-
-
-def energy_spectrum(m, n):
-    """Sorted eigenvalues of ``energy_hessian(m, n)`` in O(n) time and
-    memory, without building the matrix (``_mode_eigenvalues``).
-
-    Raises ValueError when m < 1, n > MAX_N or 4m > n.
-    """
-    _check_resolution(m, n)
-    return np.sort(_mode_eigenvalues(m, n, "energy").ravel())
 
 
 def _mode_eigenvalues(m, n, functional):
@@ -262,67 +254,66 @@ def _mode_eigenvalues(m, n, functional):
     |mu| = 1 / s.  So, with t = 2 pi m / n and c = n / 2 pi^2, the energy
     rows are 4c (1 + cos_j) and (4c t / sin t)(cos t + cos_j), twice, and
     the L+ rows 0 and (sqrt 2 / (pi sin t))(cos t + cos_j), twice.
+
+    Both sums of cosines are taken as products of sines, with no
+    cancellation where they are small:
+    1 + cos_j = 2 sin^2(pi (n - j) / 2n) and
+    cos t + cos_j = 2 sin(pi (n - j + 2m) / 2n) sin(pi (n - j - 2m) / 2n).
+    For 4m <= n every sine but the last is positive, so the axial rows are
+    positive, and each transverse entry is exactly 0.0 at j = n - 2m and
+    otherwise has the sign of the integer n - j - 2m.
     """
     t = 2 * np.pi * m / n
-    cosines = np.cos(np.pi * np.arange(1, n) / n)
-    transverse = (np.cos(t) + cosines) / np.sin(t)
+    nj = n - np.arange(1, n)  # n - j
+    transverse = (
+        2.0 * np.sin(np.pi * (nj + 2 * m) / (2 * n))
+        * np.sin(np.pi * (nj - 2 * m) / (2 * n)) / np.sin(t)
+    )
     if functional == "energy":
         c = n / (2 * np.pi**2)
-        axial, transverse = 4 * c * (1.0 + cosines), 4 * c * t * transverse
+        axial = 8 * c * np.sin(np.pi * nj / (2 * n)) ** 2
+        transverse = 4 * c * t * transverse
     else:
         axial, transverse = np.zeros(n - 1), _SQRT2 / np.pi * transverse
     return np.stack([axial, transverse, transverse])
 
 
-def _classify(values, tol):
-    scale = float(np.max(np.abs(values))) if len(values) else 0.0
-    band = tol * scale
-    neg = int(np.sum(values < -band))
-    zero = int(np.sum(np.abs(values) <= band))
-    return neg, zero, len(values) - neg - zero
+def _classify(values):
+    neg = int(np.count_nonzero(values < 0))
+    zero = int(np.count_nonzero(values == 0))
+    return neg, zero, values.size - neg - zero
 
 
-def hessian_spectrum(functional, m, n, tol=1e-6):
+def hessian_spectrum(functional, m, n):
     """Eigenvalue counts of the chosen functional at the winding-m geodesic.
 
     'energy': the closed-form spectrum of the block-tridiagonal energy
-    Hessian (``energy_spectrum``, O(n), no matrix is built); the zero band
-    tol * max|eigenvalue| absorbs the two critical-stratum directions (the
-    adjoint-orbit 2-sphere).  The band is relative, and the low
-    eigenvalues scale like 1/n against a largest one like n, which is why
-    n stops at MAX_N.
+    Hessian (``_mode_eigenvalues``, O(n), no matrix is built).  Every
+    entry has its exact sign, so the two critical-stratum directions (the
+    adjoint-orbit 2-sphere) count as zero with no band.
 
     'lplus': exact second derivatives of the full-loop L+ along the
-    energy modes below that zero band, O(n).  The L+ blocks are diagonal
-    in the same fixed basis as the energy blocks, so energy mode (k, j) is
-    an eigenvector of the L+ Hessian too, and its L+ eigenvalue is entry
+    negative energy modes, O(n).  The L+ blocks are diagonal in the same
+    fixed basis as the energy blocks, so energy mode (k, j) is an
+    eigenvector of the L+ Hessian too, and its L+ eigenvalue is entry
     [k, j - 1] of the L+ table of ``_mode_eigenvalues``.  Negativity off
     the energy-unstable subspace is exactly what the conjecture leaves
     open, so it is not asserted here.
 
-    Neither lane builds a matrix or runs an eigensolver.  Raises
-    ValueError unless 32 <= n <= MAX_N, 1 <= m, 4m <= n and tol lies in
-    (0, 1).
+    Neither lane builds a matrix, runs an eigensolver or sorts.  Raises
+    ValueError unless 32 <= n <= MAX_N, 1 <= m and 4m <= n.
     """
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     if functional not in ("energy", "lplus"):
         raise ValueError(
             f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
         )
-    if functional == "energy":
-        values = energy_spectrum(m, n)
-    else:
-        _check_resolution(m, n)
-        energy = _mode_eigenvalues(m, n, "energy")
-        unstable = energy < -tol * np.max(np.abs(energy))
-        values = _mode_eigenvalues(m, n, "lplus")[unstable]
-    neg, zero, pos = _classify(values, tol)
+    _check_resolution(m, n)
+    values = _mode_eigenvalues(m, n, "energy")
+    if functional == "lplus":
+        values = _mode_eigenvalues(m, n, "lplus")[values < 0]
+    neg, zero, pos = _classify(values)
     return SpectralReport(
-        functional, m, n, neg, zero, pos,
-        float(values.min()) if len(values) else 0.0,
-        float(values.max()) if len(values) else 0.0,
-        tol,
+        functional, m, n, neg, zero, pos, float(values.min()), float(values.max())
     )

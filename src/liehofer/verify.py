@@ -132,8 +132,7 @@ def check_omega_series(labels):
 
 
 def check_hessian():
-    """Spectral counts at the once-around SU(2) geodesic, n = 48 points,
-    default zero band."""
+    """Spectral counts at the once-around SU(2) geodesic, n = 48 points."""
     n = 48
     report = su2_loops.hessian_spectrum("energy", 1, n)
     if (report.negative_count, report.zero_count) != (2, 2):
@@ -143,11 +142,14 @@ def check_hessian():
             "zero_count": report.zero_count,
         }
     lp = su2_loops.hessian_spectrum("lplus", 1, n)
-    if lp.negative_count < 2:
+    if (lp.negative_count, lp.zero_count, lp.positive_count) != (2, 0, 0):
         return False, "lplus second derivatives off", {
-            "m": 1, "n": n, "negative_count": lp.negative_count,
+            "m": 1, "n": n,
+            "negative_count": lp.negative_count,
+            "zero_count": lp.zero_count,
+            "positive_count": lp.positive_count,
         }
-    return True, f"energy counts (2, 2) and lplus >= 2 negatives at n={n}", None
+    return True, f"energy counts (2, 2) and lplus counts (2, 0, 0) at n={n}", None
 
 
 def check_seidel():

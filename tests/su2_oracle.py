@@ -1,20 +1,33 @@
-"""Test oracle for the L+ lane of the SU(2) Hessian spectra.
+"""Test oracles for the SU(2) Hessian spectra.
 
 The library reads the L+ second derivatives along the energy-unstable
 modes off its closed-form table of mode eigenvalues.  This oracle takes
 the long way: real orthonormal eigenvectors of the energy Hessian, built
 mode by mode from a numeric joint eigenbasis of its own, and the
 exact second derivative of the whole-loop L+ along each of them, summed
-step by step.  Only the tests use it.
+step by step.  ``energy_spectrum`` sorts the library's energy table, for
+comparison with a dense eigensolve.  Only the tests use them.
 """
 
 import numpy as np
+
+from liehofer.su2_loops import _check_resolution, _mode_eigenvalues
 
 # Generic weights of the Hermitian combination whose eigenvectors form the
 # joint eigenbasis, and the relative size below which an imaginary part
 # counts as zero.
 _WEIGHTS = (0.6180339887, 0.3819660113)
 _REAL = 1e-10
+
+
+def energy_spectrum(m, n):
+    """Sorted eigenvalues of ``energy_hessian(m, n)`` from the closed-form
+    table, without building the matrix.
+
+    Raises ValueError when m < 1, n > MAX_N or 4m > n.
+    """
+    _check_resolution(m, n)
+    return np.sort(_mode_eigenvalues(m, n, "energy").ravel())
 
 
 def unstable_directions(s, b, n, tol):

@@ -135,9 +135,10 @@ def test_verify_empty_sweep_fails(capsys):
     [
         (["hessian-su2", "--m", "16", "--n", "32"], "4m"),
         (["hessian-su2", "--m", "1", "--n", "100000"], "maximum"),
+        # the zero-band flag is gone: refused like --h
         (["hessian-su2", "--m", "1", "--tol", "-1"], "--tol"),
         (["hessian-su2", "--m", "1", "--tol", "nan"], "--tol"),
-        (["hessian-su2", "--m", "1", "--tol", "1.5"], "tolerance"),
+        (["hessian-su2", "--m", "1", "--tol", "1.5"], "--tol"),
         # the finite-difference step flag is gone: refused, not read as --help
         (["hessian-su2", "--m", "1", "--h", "nan"], "--h"),
         (["hessian-su2", "--m", "1", "--h", "inf"], "--h"),
@@ -181,6 +182,7 @@ def test_verify_empty_sweep_fails(capsys):
         (["verify", "--systems", "A1,a1"], "--systems names A1 twice"),
         (["hessian-su2", "--m", "0"], "winding m=0"),
         (["hessian-su2", "--functional", "lplus", "--m", "-1"], "winding m=-1"),
+        (["index", "--system", "A1", "--xi", "2", "y" * 4400], "unrecognized arguments"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):
@@ -220,6 +222,8 @@ def test_coordinate_bound_is_inclusive(capsys):
         (["seidel-cp1", "--xi", "2", "--sign", "5"],
          "liehofer seidel-cp1: error: argument --sign: invalid choice: 5 (choose from 1, -1)\n"),
         (["verify", "--systems", "B2, b2"], "error: --systems names B2 twice: 'B2, b2'\n"),
+        (["hessian-su2", "--m", "1", "--tol", "1e-6"],
+         "liehofer: error: unrecognized arguments: --tol 1e-6\n"),
     ],
 )
 def test_short_bad_text_is_echoed_whole(capsys, argv, message):

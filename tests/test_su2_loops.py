@@ -16,7 +16,6 @@ from liehofer.su2_loops import (
     discrete_energy,
     discrete_lplus,
     energy_hessian,
-    energy_spectrum,
     geodesic_loop,
     hessian_spectrum,
     random_loop,
@@ -26,7 +25,7 @@ from liehofer.su2_loops import (
     _qmul,
     _step_blocks,
 )
-from su2_oracle import lplus_second_derivative, unstable_directions
+from su2_oracle import energy_spectrum, lplus_second_derivative, unstable_directions
 
 
 def _case_id(functional, *rest):
@@ -130,6 +129,9 @@ def test_spectrum_preconditions():
         hessian_spectrum("energy", 1, MAX_N + 1)
     with pytest.raises(ValueError, match="maximum"):
         energy_hessian(1, 100000)
+    # the dense oracle stops far below the lanes' MAX_N
+    with pytest.raises(ValueError, match="maximum 1024"):
+        energy_hessian(1, 1025)
     with pytest.raises(ValueError, match="maximum"):
         energy_spectrum(1, 100000)
     with pytest.raises(ValueError, match="4m"):
@@ -142,9 +144,6 @@ def test_spectrum_preconditions():
         energy_spectrum(0, 64)
     with pytest.raises(ValueError, match="winding"):
         energy_hessian(0, 64)
-    for tol in (-1.0, 0.0, 1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tolerance"):
-            hessian_spectrum("energy", 1, 32, tol=tol)
 
 
 def test_counts_invariant_under_axis_change():
@@ -319,23 +318,58 @@ def test_low_spectrum_tends_to_the_continuum_limit(m):
     # relative, -pi^2 (j^2 - v^2) / 12 n^2 on the transverse modes and
     # -pi^2 j^2 / 12 n^2 on the axial ones, so on the modes kept (energy
     # limits up to v^2, the negative L+ ones) it is at most
-    # pi^2 v^2 / 12 n^2 of the limit; 1% covers the next order
-    n = 1024
+    # pi^2 v^2 / 12 n^2 of the limit; 1% covers the next order.  At n = MAX_N
+    # that is below 5e-8 of the limit, so n * lambda_min = 1 - v^2 holds to
+    # 5 digits and more
     v = 2 * m
-    first = 1.01 * np.pi**2 * v**2 / (12 * n**2)
-    j = np.arange(1, 2 * v)
-    limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2, j**2]))
-    limit = limit[limit <= v**2]
-    low = n * energy_spectrum(m, n)[: len(limit)]
-    assert np.max(np.abs(low - limit)) <= first * v**2, m
-    j = np.arange(1, v)
-    limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2])) / (math.sqrt(2) * v)
-    low = n * np.sort(_mode_eigenvalues(m, n, "lplus").ravel())[: len(limit)]
-    assert np.max(np.abs(low - limit)) <= first * v / math.sqrt(2), m
-    report = hessian_spectrum("lplus", m, n)
-    assert report.negative_count == len(limit), m
-    assert abs(n * report.min_eigenvalue - limit[0]) <= first * v / math.sqrt(2), m
-    assert abs(n * report.max_eigenvalue - limit[-1]) <= first * v / math.sqrt(2), m
+    for n in (1024, MAX_N):
+        first = 1.01 * np.pi**2 * v**2 / (12 * n**2)
+        j = np.arange(1, 2 * v)
+        limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2, j**2]))
+        limit = limit[limit <= v**2]
+        low = n * energy_spectrum(m, n)[: len(limit)]
+        assert np.max(np.abs(low - limit)) <= first * v**2, (m, n)
+        j = np.arange(1, v)
+        limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2])) / (math.sqrt(2) * v)
+        low = n * np.sort(_mode_eigenvalues(m, n, "lplus").ravel())[: len(limit)]
+        assert np.max(np.abs(low - limit)) <= first * v / math.sqrt(2), (m, n)
+        report = hessian_spectrum("lplus", m, n)
+        assert report.negative_count == len(limit), (m, n)
+        assert abs(n * report.min_eigenvalue - limit[0]) <= first * v / math.sqrt(2), (m, n)
+        assert abs(n * report.max_eigenvalue - limit[-1]) <= first * v / math.sqrt(2), (m, n)
+
+
+@pytest.mark.parametrize("n", [32, 1024, MAX_N])
+def test_energy_zero_modes_are_exactly_zero(n):
+    # the transverse pair at j = n - 2m, the directions of the adjoint-orbit
+    # 2-sphere, and no other entry
+    for m in sorted({1, 3, n // 4}):
+        table = _mode_eigenvalues(m, n, "energy")
+        assert table[1, n - 2 * m - 1] == table[2, n - 2 * m - 1] == 0.0, (m, n)
+        assert np.count_nonzero(table == 0.0) == 2, (m, n)
+
+
+def test_transverse_rows_match_longdouble_sum():
+    # the table forms cos t + cos_j as a product of sines; the oracle sums
+    # the two cosines in extended precision, where the cancellation costs
+    # about 5e-16 of the smallest sums at this resolution
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended-precision long double")
+    m, n = 1, 1024
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    t = 2 * pi * m / n
+    factor = np.cos(t) + np.cos(pi * np.arange(1, n, dtype=ld) / n)
+    c = n / (2 * pi**2)
+    rows = {
+        "energy": 4 * c * t / np.sin(t) * factor,
+        "lplus": np.sqrt(ld(2)) / (pi * np.sin(t)) * factor,
+    }
+    keep = np.arange(1, n) != n - 2 * m
+    for functional, want in rows.items():
+        got = _mode_eigenvalues(m, n, functional)[1]
+        error = np.abs(got[keep] - want[keep]) / np.abs(want[keep])
+        assert float(np.max(error)) <= 1e-15, functional
 
 
 def test_energy_lane_builds_no_dense_hessian(monkeypatch):
@@ -356,11 +390,13 @@ def test_energy_lane_builds_no_dense_hessian(monkeypatch):
     [
         pytest.param(functional, n, id=_case_id(functional, n))
         for functional in ("energy", "lplus")
-        for n in (32, 64, 128, 256, 512, 1024)
+        for n in (32, 64, 128, 256, 512, 1024, 2048, MAX_N)
     ],
 )
 def test_energy_counts_sweep(functional, n):
-    for m in range(1, n // 4 + 1):
+    # every winding up to n = 1024, and a few up to 4m = n beyond
+    windings = range(1, n // 4 + 1) if n <= 1024 else sorted({1, 2, 3, 8, n // 4})
+    for m in windings:
         report = hessian_spectrum(functional, m, n)
         negative = 2 * (2 * m - 1)
         counts = (report.negative_count, report.zero_count, report.positive_count)
