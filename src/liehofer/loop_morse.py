@@ -91,10 +91,12 @@ class CriticalStratum:
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:
     sum of 2(p - 1) over the positive entries p of its own pairing row
-    ``pairings(xi)``, built from the dominant coweight itself."""
+    ``pairings(xi)``, built from the dominant coweight itself, as
+    2 (sum p - #p)."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    return sum(2 * (p - 1) for p in pairings(xi) if p > 0)
+    positive = [p for p in pairings(xi) if p > 0]
+    return 2 * (sum(positive) - len(positive))
 
 
 def stratum_poincare(xi):

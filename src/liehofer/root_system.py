@@ -225,7 +225,7 @@ class Coweight:
 
     @property
     def is_dominant(self):
-        return all(c >= 0 for c in self.coords)
+        return min(self.coords) >= 0
 
     def __neg__(self):
         return Coweight(self.system, tuple(-c for c in self.coords))
@@ -371,18 +371,22 @@ def orbit_array(xi):
 def dominant_coords(system, coords):
     """Coordinates of the unique dominant coweight in the Weyl orbit of
     ``coords``: apply the simple reflection of the first negative coordinate
-    until none is left.  A reflection s_i changes only coordinate i and its
-    Dynkin neighbours, the entries of ``cartan_columns[i]``."""
+    until none is left, in one flat index scan that restarts at 0 after each
+    reflection.  A reflection s_i changes only coordinate i and its Dynkin
+    neighbours, the entries of ``cartan_columns[i]``."""
     c = list(coords)
     columns = system.cartan_columns
-    while True:
-        for i, ci in enumerate(c):
-            if ci < 0:
-                break
+    rank = len(c)
+    i = 0
+    while i < rank:
+        ci = c[i]
+        if ci < 0:
+            for j, cji in columns[i]:
+                c[j] -= ci * cji
+            i = 0
         else:
-            return tuple(c)
-        for j, cji in columns[i]:
-            c[j] -= ci * cji
+            i += 1
+    return tuple(c)
 
 
 def dominant_representative(xi):

@@ -24,9 +24,9 @@ from .root_system import EXPONENTS, build_root_system, dominant_representative, 
 ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 
 # Largest coordinate bound of the two box sweeps.  The box holds
-# (2 box + 1)^rank coweights; at the cap the slowest system takes about 7 s
+# (2 box + 1)^rank coweights; at the cap the slowest system takes about 4 s
 # (`verify --box 10 --systems F4 --checks index-equality`), and the norm
-# sweep over every system about 1.7 s (`verify --box 10 --systems all
+# sweep over every system about 1.8 s (`verify --box 10 --systems all
 # --checks norm-inequality`); 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
 MAX_BOX = 10
 

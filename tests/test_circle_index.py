@@ -1,7 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from conjugate_oracle import conjugate_times, riemannian_index_oracle
 from liehofer.circle_index import (
     CircleSubgroup,
     WeightMultiset,
@@ -10,8 +12,11 @@ from liehofer.circle_index import (
     virtual_index,
     weights_at_max,
 )
+from liehofer.cli import MAX_COORD
 from liehofer.errors import DegenerateSubgroup, InvalidWeights
-from liehofer.root_system import from_label, weyl_orbit
+from liehofer.loop_morse import bott_index
+from liehofer.root_system import dominant_representative, from_label, pairing, weyl_orbit
+from liehofer.verify import ALL_SYSTEMS
 
 
 def gamma(label, coords):
@@ -62,6 +67,66 @@ def test_invalid_weights_rejected():
         WeightMultiset((-1, 0))
     with pytest.raises(InvalidWeights):
         WeightMultiset((2,))
+
+
+def test_empty_weight_multiset_accepted():
+    w = WeightMultiset(())
+    assert len(w) == 0 and virtual_index(w) == 0
+
+
+def test_invalid_weights_message_lists_exactly_the_bad_entries():
+    with pytest.raises(InvalidWeights) as info:
+        WeightMultiset((-3, 0, -1, 2))
+    assert str(info.value) == "nonnegative weights present: [0, 2]"
+
+
+def box(system, side):
+    points = itertools.product(range(-side, side + 1), repeat=system.rank)
+    return [system.coweight(c) for c in points]
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_is_dominant_matches_coordinatewise_test(label):
+    for xi in box(from_label(label), 2):
+        assert xi.is_dominant == all(c >= 0 for c in xi.coords), xi
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_index_sums_match_generator_forms(label):
+    system = from_label(label)
+    for xi in box(system, 3):
+        dom = dominant_representative(xi)
+        row = [pairing(root, dom) for root in system.positive_roots]
+        assert bott_index(dom) == sum(2 * (p - 1) for p in row if p > 0), xi
+        if not xi.is_zero:
+            w = weights_at_max(CircleSubgroup(xi))
+            assert virtual_index(w) == sum(2 * (-k - 1) for k in w.weights), xi
+
+
+def test_conjugate_times_listed():
+    assert conjugate_times(from_label("A1").coweight([-4])) == [
+        [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    ]
+    # the A2 roots alpha_2, alpha_1, alpha_1 + alpha_2 pair to -2, 2, 0
+    half = [Fraction(1, 2)]
+    assert conjugate_times(from_label("A2").coweight([2, -2])) == [half, half, []]
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_riemannian_index_matches_conjugate_oracle(label):
+    # every nonzero box-3 coweight, singular ones included
+    for xi in box(from_label(label), 3):
+        if not xi.is_zero:
+            count = riemannian_index_conjugate(CircleSubgroup(xi))
+            assert count == riemannian_index_oracle(xi), xi
+
+
+def test_riemannian_index_at_the_coordinate_bound():
+    a1 = from_label("A1")
+    for c in (-MAX_COORD, MAX_COORD):
+        xi = a1.coweight([c])
+        assert riemannian_index_conjugate(CircleSubgroup(xi)) == 2 * (10**5 - 1)
+        assert riemannian_index_oracle(xi) == 2 * (10**5 - 1)
 
 
 def test_riemannian_examples():

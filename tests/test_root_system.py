@@ -278,6 +278,15 @@ def test_dominant_coords_is_the_orbit_dominant_point(label):
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
+def test_dominant_coords_at_the_antidominant_corner(label):
+    # w0 = -sigma for a diagram automorphism sigma, so the antidominant corner
+    # -MAX_COORD (1, ..., 1) reduces to the dominant one in l(w0) reflections
+    system = from_label(label)
+    corner = (MAX_COORD,) * system.rank
+    assert dominant_coords(system, tuple(-c for c in corner)) == corner
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
 def test_pairings_row_matches_per_root_pairing(label):
     # every box-3 coweight, the +-MAX_COORD corners and 40 seeded box-5
     # coweights, against the per-root pairing and an int64 matrix product
