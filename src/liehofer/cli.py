@@ -303,6 +303,9 @@ def _cmd_verify(args):
         if unknown:
             shown = clipped(", ".join(map(repr, unknown)), args.checks)
             raise UnsupportedSystem(f"unknown --checks: {shown}")
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise InputError(f"--checks names {twice[0]} twice: {clipped_repr(args.checks)}")
     results = verify.run_checks(labels, args.box, names)
     all_pass = all(r["pass"] for r in results.values())
     _emit(

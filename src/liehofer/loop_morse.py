@@ -83,10 +83,6 @@ class CriticalStratum:
     stratum_poly: tuple
     in_coroot_lattice: bool
 
-    @property
-    def unstable_dim(self):
-        return self.bott_index
-
 
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:

@@ -99,13 +99,6 @@ class PsiLeadingReport:
     nonzero: bool
     invertible: bool
 
-    def as_element(self):
-        return _psi_element(self.sign, self.exponent, self.corrections)
-
-
-def _psi_element(sign, exponent, corrections):
-    return QuantumElement.from_terms([(sign, PT, exponent)] + list(corrections))
-
 
 def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
     """Assemble the leading-term report for a loop of positive Hofer
@@ -127,7 +120,7 @@ def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
                 f"correction ({coeff}, {basis}, {exponent}) reaches the "
                 f"leading exponent {l_plus}"
             )
-    element = _psi_element(orientation_sign, l_plus, corrections)
+    element = QuantumElement.from_terms([(orientation_sign, PT, l_plus)] + list(corrections))
     return PsiLeadingReport(
         sign=orientation_sign,
         exponent=l_plus,

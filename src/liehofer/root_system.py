@@ -23,13 +23,17 @@ reflection touches.
 Three kernels work on coordinates: ``pairings`` gives the pairing row of a
 coweight, ``inner_numerator`` the integer numerator of an inner product
 over ``gram_den``, and ``dominant_coords`` reduces coordinates to the
-dominant chamber.  The per-root ``pairing`` and the dense
-``reflect_coweight`` are the test oracles of the first and the last.
-``inner`` and ``dominant_representative`` wrap the other two; ``inner``
-builds the only Fraction in this module.  The Hofer norms call the
-kernels directly, building a Fraction only for the value they return.
-Weyl orbits are enumerated only as a test oracle (the orbit-sum identity
-and brute-force orbit maxima); no runtime path uses them.
+dominant chamber.  The per-root ``pairing`` is the test oracle of the
+first.  ``inner`` and ``dominant_representative`` wrap the other two;
+``inner`` builds the only Fraction in this module.  The Hofer norms call
+the kernels directly, building a Fraction only for the value they return.
+
+The module needs only the standard library.  No runtime path enumerates a
+Weyl orbit: the tests' oracle (``tests/weyl_oracle.py``) does, with its
+own simple reflections.  ``_orbit_coords`` and ``orbit_array``, a numpy
+orbit BFS, stay only because the benchmark names them (it reads the cache
+statistics of the first and wraps the second); each imports numpy when
+called.
 
 The one hand table of Lie data is ``EXPONENTS``, the Bourbaki exponents of
 each supported system.  Weyl groups are never enumerated: the exponents of
@@ -45,8 +49,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConsistencyError, DimensionError, UnsupportedSystem, clipped_repr
 
@@ -191,15 +193,8 @@ class RootSystem:
     def label(self):
         return f"{self.family}{self.rank}"
 
-    @property
-    def weyl_order(self):
-        return sum(weyl_poincare(self))
-
     def coweight(self, coords):
         return Coweight(self, tuple(map(int, coords)))
-
-    def zero(self):
-        return self.coweight((0,) * self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.label})"
@@ -226,9 +221,6 @@ class Coweight:
     @property
     def is_dominant(self):
         return min(self.coords) >= 0
-
-    def __neg__(self):
-        return Coweight(self.system, tuple(-c for c in self.coords))
 
     def __repr__(self):
         return f"Coweight({self.system.label}, {list(self.coords)})"
@@ -322,15 +314,6 @@ def inner(xi1, xi2):
     return Fraction(inner_numerator(system, xi1.coords, xi2.coords), system.gram_den)
 
 
-def reflect_coweight(system, coords, i):
-    """Simple reflection s_i on coweight coordinates."""
-    c = list(coords)
-    ci = coords[i]
-    for j in range(system.rank):
-        c[j] -= ci * system.cartan[j][i]
-    return tuple(c)
-
-
 @lru_cache(maxsize=4096)
 def _orbit_coords(system, coords):
     """Weyl orbit of coweight coordinates as a sorted tuple of tuples.
@@ -338,6 +321,8 @@ def _orbit_coords(system, coords):
     Breadth-first closure under the simple reflections, vectorized per
     level; all arithmetic stays in int64 (coordinates remain small).
     """
+    import numpy as np
+
     cartan = np.array(system.cartan, dtype=np.int64)
     frontier = np.array([coords], dtype=np.int64)
     seen = {tuple(coords)}
@@ -356,15 +341,10 @@ def _orbit_coords(system, coords):
     return tuple(sorted(seen))
 
 
-def weyl_orbit(xi):
-    """Full Weyl orbit of a coweight as a frozenset of coweights."""
-    return frozenset(
-        Coweight(xi.system, c) for c in _orbit_coords(xi.system, xi.coords)
-    )
-
-
 def orbit_array(xi):
     """Weyl orbit as an int64 array of coordinate rows."""
+    import numpy as np
+
     return np.array(_orbit_coords(xi.system, xi.coords), dtype=np.int64)
 
 

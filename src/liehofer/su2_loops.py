@@ -11,9 +11,15 @@ mode and the transverse pair) diagonalizes those blocks exactly, so the
 spectrum is a closed-form table (``_mode_eigenvalues``): three rows of
 a_k + 2|mu_k| cos(pi j / n), j = 1..n-1, each entry of exact sign, so
 the counts need no zero band.  The L+ lane reads its exact second
-derivatives along the energy-unstable modes off the same table.  Both
-lanes are O(n) and run no eigensolver; the dense ``energy_hessian`` is
-the tests' oracle.
+derivatives along the energy-unstable modes, the transverse modes with
+j > n - 2m, off the L+ table.  Both lanes are O(n) and run no
+eigensolver.
+
+No CLI command runs anything here but ``hessian_spectrum``.  The
+quaternion code (``DiscreteLoop``, ``geodesic_loop``, ``discrete_energy``,
+``discrete_lplus``, ``apply_tangent``) and the dense ``energy_hessian``
+are the tests' oracles; they stay in the package only because the
+benchmark names them (it wraps each to time it).
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -94,20 +100,6 @@ def geodesic_loop(m, n, axis=(1.0, 0.0, 0.0)):
     points = _qexp(w)
     points[0] = _IDENTITY
     points[-1] = _IDENTITY
-    return DiscreteLoop(points)
-
-
-def constant_loop(n):
-    """The constant loop at the identity (energy and length zero)."""
-    return DiscreteLoop(np.tile(_IDENTITY, (n + 1, 1)))
-
-
-def random_loop(n, rng, amplitude=1.0):
-    """Random based loop: the constant loop pushed by independent
-    tangent vectors of the given amplitude at the interior points."""
-    w = rng.uniform(-amplitude, amplitude, size=(n - 1, 3))
-    points = np.tile(_IDENTITY, (n + 1, 1))
-    points[1:-1] = _qexp(w)
     return DiscreteLoop(points)
 
 
@@ -296,7 +288,10 @@ def hessian_spectrum(functional, m, n):
     negative energy modes, O(n).  The L+ blocks are diagonal in the same
     fixed basis as the energy blocks, so energy mode (k, j) is an
     eigenvector of the L+ Hessian too, and its L+ eigenvalue is entry
-    [k, j - 1] of the L+ table of ``_mode_eigenvalues``.  Negativity off
+    [k, j - 1] of the L+ table of ``_mode_eigenvalues``.  The negative
+    energy modes are exactly the transverse ones with n - j - 2m < 0, so
+    the lane reads the slice [1:, n - 2m:] of the L+ table and builds no
+    energy table.  Negativity off
     the energy-unstable subspace is exactly what the conjecture leaves
     open, so it is not asserted here.
 
@@ -310,9 +305,9 @@ def hessian_spectrum(functional, m, n):
             f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
         )
     _check_resolution(m, n)
-    values = _mode_eigenvalues(m, n, "energy")
+    values = _mode_eigenvalues(m, n, functional)
     if functional == "lplus":
-        values = _mode_eigenvalues(m, n, "lplus")[values < 0]
+        values = values[1:, n - 2 * m:]
     neg, zero, pos = _classify(values)
     return SpectralReport(
         functional, m, n, neg, zero, pos, float(values.min()), float(values.max())

@@ -6,18 +6,36 @@ the long way: real orthonormal eigenvectors of the energy Hessian, built
 mode by mode from a numeric joint eigenbasis of its own, and the
 exact second derivative of the whole-loop L+ along each of them, summed
 step by step.  ``energy_spectrum`` sorts the library's energy table, for
-comparison with a dense eigensolve.  Only the tests use them.
+comparison with a dense eigensolve.  ``constant_loop`` and ``random_loop``
+are the test loops of the discrete functionals.  Only the tests use them.
 """
 
 import numpy as np
 
-from liehofer.su2_loops import _check_resolution, _mode_eigenvalues
+from liehofer.su2_loops import DiscreteLoop, _check_resolution, _mode_eigenvalues, _qexp
 
 # Generic weights of the Hermitian combination whose eigenvectors form the
-# joint eigenbasis, and the relative size below which an imaginary part
-# counts as zero.
+# joint eigenbasis; the relative size below which an imaginary part counts
+# as zero; and the zero band of a mode, relative to the size |a_k| + 2|mu_k|
+# of the terms its eigenvalues are summed from.
 _WEIGHTS = (0.6180339887, 0.3819660113)
 _REAL = 1e-10
+_BAND = 1e-12
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
+
+def constant_loop(n):
+    """The constant loop at the identity (energy and length zero)."""
+    return DiscreteLoop(np.tile(_IDENTITY, (n + 1, 1)))
+
+
+def random_loop(n, rng, amplitude=1.0):
+    """Random based loop: the constant loop pushed by independent
+    tangent vectors of the given amplitude at the interior points."""
+    w = rng.uniform(-amplitude, amplitude, size=(n - 1, 3))
+    points = np.tile(_IDENTITY, (n + 1, 1))
+    points[1:-1] = _qexp(w)
+    return DiscreteLoop(points)
 
 
 def energy_spectrum(m, n):
@@ -30,11 +48,10 @@ def energy_spectrum(m, n):
     return np.sort(_mode_eigenvalues(m, n, "energy").ravel())
 
 
-def unstable_directions(s, b, n, tol):
+def unstable_directions(s, b, n):
     """Real orthonormal eigenvectors, each of shape (n - 1, 3), spanning the
     eigenspaces of the block-tridiagonal Hessian (diagonal block s,
-    off-diagonal b above, b^T below) whose eigenvalues lie below the zero
-    band -tol * max|eigenvalue|.
+    off-diagonal b above, b^T below) whose eigenvalues are negative.
 
     With s v_k = a_k v_k and b v_k = mu_k v_k, mode (k, j) has eigenvalue
     a_k + 2|mu_k| cos(pi j / n) and the complex eigenvector
@@ -45,16 +62,21 @@ def unstable_directions(s, b, n, tol):
     conjugate: the mode with Im mu_k > 0 gives both, its partner none.  For
     real mu_k the profile is real, and v_k is turned to a real vector by
     the phase of its largest entry.
+
+    Each mode is classified against its own zero band,
+    -1e-12 (|a_k| + 2|mu_k|): a bound on the rounding of its eigenvalues
+    that does not grow with the other modes, so the shallow unstable modes
+    of large n (2 of them at m = 1, n = 10,000) stay below it.
     """
     t1, t2 = _WEIGHTS
     _, basis = np.linalg.eigh(s + t1 * (b + b.T) + 1j * t2 * (b - b.T))
     a = np.diagonal(basis.conj().T @ s @ basis).real
     mu = np.diagonal(basis.conj().T @ b @ basis)
     values = a[:, None] + 2.0 * np.abs(mu)[:, None] * np.cos(np.pi * np.arange(1, n) / n)
-    band = tol * float(np.max(np.abs(values)))
+    band = _BAND * (np.abs(a) + 2.0 * np.abs(mu))
     real = np.abs(mu.imag) <= _REAL * np.abs(mu)
     points = np.arange(1, n)
-    for k, j in zip(*np.nonzero(values < -band)):
+    for k, j in zip(*np.nonzero(values < -band[:, None])):
         if mu[k].imag < 0 and not real[k]:
             continue
         v = basis[:, k]

@@ -21,14 +21,15 @@ from liehofer.hofer import (
 )
 from liehofer.loop_morse import bott_index, omega_g_series, transgression_series
 from liehofer.quantum_cp1 import PT, psi_leading
-from liehofer.root_system import dominant_representative, from_label, inner, weyl_orbit
+from liehofer.root_system import dominant_representative, from_label, inner
 from liehofer.su2_loops import (
     discrete_energy,
     discrete_lplus,
     hessian_spectrum,
-    random_loop,
 )
 from sphere_oracle import normalization_integral_s2
+from su2_oracle import random_loop
+from weyl_oracle import weyl_orbit
 
 ALL_LABELS = verify.ALL_SYSTEMS
 

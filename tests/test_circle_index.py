@@ -15,8 +15,9 @@ from liehofer.circle_index import (
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DegenerateSubgroup, InvalidWeights
 from liehofer.loop_morse import bott_index
-from liehofer.root_system import dominant_representative, from_label, pairing, weyl_orbit
+from liehofer.root_system import dominant_representative, from_label, pairing
 from liehofer.verify import ALL_SYSTEMS
+from weyl_oracle import weyl_orbit
 
 
 def gamma(label, coords):

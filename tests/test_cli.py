@@ -183,6 +183,8 @@ def test_verify_empty_sweep_fails(capsys):
         (["hessian-su2", "--m", "0"], "winding m=0"),
         (["hessian-su2", "--functional", "lplus", "--m", "-1"], "winding m=-1"),
         (["index", "--system", "A1", "--xi", "2", "y" * 4400], "unrecognized arguments"),
+        (["verify", "--systems", "A1", "--checks", "hessian,hessian"],
+         "--checks names hessian twice"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

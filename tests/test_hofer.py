@@ -20,11 +20,12 @@ from liehofer.hofer import (
     orbit_maximum,
     positive_norm,
 )
-from liehofer.root_system import from_label, inner, weyl_orbit
+from liehofer.root_system import from_label, inner
 from liehofer.su2_loops import apply_tangent, discrete_lplus, energy_hessian, geodesic_loop
 from liehofer.verify import ALL_SYSTEMS
 from bourbaki_oracle import cartan_matrix, coweight_gram
 from sphere_oracle import max_length_measure, normalization_integral_s2, sphere_moment_max
+from weyl_oracle import weyl_orbit
 
 
 def test_positive_norm_at_generator():

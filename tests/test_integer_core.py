@@ -10,8 +10,12 @@ orbit with the oracle Gram, not ``inner``.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +32,10 @@ from liehofer.root_system import (
     build_root_system,
     from_label,
     inner,
-    weyl_orbit,
 )
 
 from bourbaki_oracle import coweight_gram, invert
+from weyl_oracle import weyl_orbit
 
 ALL_LABELS = verify.ALL_SYSTEMS
 
@@ -111,7 +115,7 @@ def _wide_pairs(system):
         xi = tuple(rng.randint(-8, 8) for _ in range(system.rank))
         if any(xi):
             pairs.append((system.coweight(eta), system.coweight(xi)))
-    zero = system.zero()
+    zero = system.coweight((0,) * system.rank)
     pairs += [(zero, xi) for _, xi in pairs[:3]]
     return pairs
 
@@ -145,6 +149,20 @@ def test_norm_path_enumerates_no_weyl_orbit():
     verify.check_norm_inequality(["A2", "F4"], 2)
     info = _orbit_coords.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+def test_exact_core_imports_no_numpy():
+    # the exact modules need only the standard library
+    script = (
+        "import sys\n"
+        "import liehofer.root_system, liehofer.circle_index, liehofer.hofer\n"
+        "import liehofer.loop_morse, liehofer.quantum_cp1\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
 
 def test_root_systems_are_canonical_and_compare_by_identity():

@@ -195,7 +195,7 @@ def test_psi_leading_clean():
     assert report.sign == 1
     assert report.nonzero and report.invertible
     assert report.corrections == ()
-    el = report.as_element()
+    el = QuantumElement.from_terms([(report.sign, PT, report.exponent)] + list(report.corrections))
     assert el.terms[0][1] == PT
     assert el.terms[0][2] == math.sqrt(2)
 

@@ -12,20 +12,24 @@ from liehofer.su2_loops import (
     MAX_N,
     DiscreteLoop,
     apply_tangent,
-    constant_loop,
     discrete_energy,
     discrete_lplus,
     energy_hessian,
     geodesic_loop,
     hessian_spectrum,
-    random_loop,
     _distances,
     _mode_eigenvalues,
     _qexp,
     _qmul,
     _step_blocks,
 )
-from su2_oracle import energy_spectrum, lplus_second_derivative, unstable_directions
+from su2_oracle import (
+    constant_loop,
+    energy_spectrum,
+    lplus_second_derivative,
+    random_loop,
+    unstable_directions,
+)
 
 
 def _case_id(functional, *rest):
@@ -429,7 +433,7 @@ def _check_eigenbasis(directions, hess, count):
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_unstable_directions_are_dense_eigenvectors(m, n):
-    directions = list(unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6))
+    directions = list(unstable_directions(*_step_blocks(m, n, "energy"), n))
     assert all(w.shape == (n - 1, 3) for w in directions)
     _check_eigenbasis(directions, energy_hessian(m, n), 2 * (2 * m - 1))
 
@@ -445,7 +449,7 @@ def test_unstable_directions_with_real_and_complex_modes():
     hess = _dense_block_tridiagonal(s, b, n)
     evals = np.linalg.eigvalsh(hess)
     count = int(np.sum(evals < -1e-6 * np.max(np.abs(evals))))
-    _check_eigenbasis(list(unstable_directions(s, b, n, 1e-6)), hess, count)
+    _check_eigenbasis(list(unstable_directions(s, b, n)), hess, count)
 
 
 def _lplus_longdouble(m, n, w, t):
@@ -482,7 +486,7 @@ def test_lplus_second_derivative_matches_longdouble_difference(m, n):
         pytest.skip("needs an extended-precision long double")
     g = geodesic_loop(m, n).points[1]
     h = np.longdouble(1e-3)
-    for w in unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6):
+    for w in unstable_directions(*_step_blocks(m, n, "energy"), n):
         exact = lplus_second_derivative(g, w)
         fd = (
             _lplus_longdouble(m, n, w, h)
@@ -492,19 +496,36 @@ def test_lplus_second_derivative_matches_longdouble_difference(m, n):
         assert math.isclose(exact, float(fd), rel_tol=1e-7), (exact, float(fd))
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("n", [64, 256, 1024, 10_000, MAX_N])
 def test_lplus_lane_matches_probe_along_unstable_directions(n):
     # the lane reads the L+ eigenvalues of the energy-unstable modes off the
     # closed-form table; the probe sums the L+ second derivative step by step
-    # along dense-checked eigenvectors
-    for m in sorted({1, 2, 3, 8, n // 4}):
+    # along dense-checked eigenvectors.  Past n = 1024 the probe stays at
+    # small windings: 4m = n would ask for about n directions of 3(n - 1)
+    # doubles each.
+    for m in sorted({1, 2, 3, 8, n // 4}) if n <= 1024 else (1, 2, 3, 8):
         g = geodesic_loop(m, n).points[1]
-        directions = unstable_directions(*_step_blocks(m, n, "energy"), n, 1e-6)
+        directions = unstable_directions(*_step_blocks(m, n, "energy"), n)
         probe = [lplus_second_derivative(g, w) for w in directions]
         report = hessian_spectrum("lplus", m, n)
         assert report.negative_count == len(probe) == 2 * (2 * m - 1), (m, n)
         assert math.isclose(report.min_eigenvalue, min(probe), rel_tol=1e-10), (m, n)
         assert math.isclose(report.max_eigenvalue, max(probe), rel_tol=1e-10), (m, n)
+
+
+@pytest.mark.parametrize("n", [32, 33, 100, 1024, 4099, MAX_N])
+def test_lplus_lane_slice_is_the_energy_sign_mask(n):
+    # the lane slices the L+ table at the transverse modes with
+    # n - j - 2m < 0; mask it instead with the signs of the energy table
+    for m in sorted({1, 2, 3, n // 8, n // 4 - 1, n // 4}):
+        energy = _mode_eigenvalues(m, n, "energy")
+        masked = _mode_eigenvalues(m, n, "lplus")[energy < 0]
+        report = hessian_spectrum("lplus", m, n)
+        counts = (report.negative_count, report.zero_count, report.positive_count)
+        expected = tuple(int(np.count_nonzero(c)) for c in (masked < 0, masked == 0, masked > 0))
+        assert counts == expected, (m, n)
+        assert report.min_eigenvalue == float(masked.min()), (m, n)
+        assert report.max_eigenvalue == float(masked.max()), (m, n)
 
 
 def test_lplus_lane_builds_no_dense_hessian(monkeypatch):

@@ -6,9 +6,19 @@ elements by BFS depth, which is their length.  It reads no exponents and no
 root heights, so it shares nothing with the closed form it checks.
 ``bfs_orbit`` checks ``dominant_coords``: it enumerates a whole Weyl orbit
 and reads neither the sparse ``cartan_columns`` nor the reduction order.
+``weyl_orbit`` wraps it for the brute-force orbit maxima and orbit sizes.
+The reflection reads only the Cartan matrix, so no oracle here shares the
+package's reflection code.
 """
 
-from liehofer.root_system import reflect_coweight
+
+def reflect_coweight(system, coords, i):
+    """Simple reflection s_i on coweight coordinates."""
+    c = list(coords)
+    ci = coords[i]
+    for j in range(system.rank):
+        c[j] -= ci * system.cartan[j][i]
+    return tuple(c)
 
 
 def _levels(system, start, walls):
@@ -44,3 +54,8 @@ def bfs_orbit(system, coords):
     """Weyl orbit of coweight coordinates, as a set of tuples."""
     levels = _levels(system, tuple(coords), range(system.rank))
     return {c for level in levels for c in level}
+
+
+def weyl_orbit(xi):
+    """Weyl orbit of a coweight, as a frozenset of coweights."""
+    return frozenset(map(xi.system.coweight, bfs_orbit(xi.system, xi.coords)))
