@@ -28,10 +28,6 @@ class CircleSubgroup:
     xi: Coweight
 
     @property
-    def system(self):
-        return self.xi.system
-
-    @property
     def regular(self):
         """True iff the pairing row of xi has no zero (centralizer is the
         torus).  The box sweeps filter with an integer mask instead."""

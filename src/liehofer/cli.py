@@ -8,6 +8,7 @@ significant digits so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -96,14 +97,10 @@ _INTEGER = re.compile(r"([+-]?)0*([0-9]+)")
 _MAX_DIGITS = 20
 
 
-class _TooManyDigits(argparse.ArgumentTypeError):
-    """A well-formed integer too long for every bound on the command line."""
-
-
 def _integer(text, nonnegative=False):
     m = _INTEGER.fullmatch(text)
     if m and len(m[2]) > _MAX_DIGITS:
-        raise _TooManyDigits(f"expected at most {_MAX_DIGITS} significant digits")
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_DIGITS} significant digits")
     if not m or nonnegative and int(m[1] + m[2]) < 0:
         expected = "expected a nonnegative integer, got" if nonnegative else "invalid int value:"
         raise argparse.ArgumentTypeError(f"{expected} {clipped_repr(text)}")
@@ -111,17 +108,18 @@ def _integer(text, nonnegative=False):
 
 
 def _parse_xi(system, text, flag):
-    try:
-        coords = [_integer(p) for p in text.split(",")]
-    except _TooManyDigits:
-        coords = [math.inf]  # past every bound
-    except argparse.ArgumentTypeError:
-        raise ValueError(
-            f"{flag} expects comma-separated integers, got {clipped_repr(text)}"
-        ) from None
-    if any(abs(c) > MAX_COORD for c in coords):
+    """The coweight of ``--xi`` or ``--eta``: the grammar, then the bound,
+    whose digits are counted before int(), then the coordinate count."""
+    matches = [_INTEGER.fullmatch(p) for p in text.split(",")]
+    if not all(matches):
+        raise ValueError(f"{flag} expects comma-separated integers, got {clipped_repr(text)}")
+    if any(len(m[2]) > len(str(MAX_COORD)) or int(m[2]) > MAX_COORD for m in matches):
         raise ValueError(f"{flag} coordinates must lie in -{MAX_COORD}..{MAX_COORD}")
-    return system.coweight(coords)
+    if len(matches) != system.rank:
+        raise ValueError(
+            f"{flag} expects {system.rank} coordinates for {system.label}, got {len(matches)}"
+        )
+    return system.coweight([int(m[1] + m[2]) for m in matches])
 
 
 def _cmd_index(args):
@@ -228,14 +226,7 @@ def _cmd_hessian(args):
     _emit(
         {
             "command": "hessian-su2",
-            "functional": report.functional,
-            "m": report.m,
-            "n": report.n,
-            "negative_count": report.negative_count,
-            "zero_count": report.zero_count,
-            "positive_count": report.positive_count,
-            "min_eigenvalue": report.min_eigenvalue,
-            "max_eigenvalue": report.max_eigenvalue,
+            **dataclasses.asdict(report),
             "units": {
                 "negative_count": "dimensionless",
                 "zero_count": "dimensionless",
@@ -283,19 +274,16 @@ def _cmd_seidel(args):
 
 
 def _cmd_verify(args):
-    labels = (
-        list(verify.ALL_SYSTEMS)
-        if args.systems == "all"
-        else [s.strip() for s in args.systems.split(",")]
-    )
-    seen = set()
+    systems = []
+    labels = verify.ALL_SYSTEMS if args.systems == "all" else args.systems.split(",")
     for label in labels:
-        system = from_label(label)  # validate before running anything
-        if system in seen:
+        system = from_label(label.strip())  # validate before running anything
+        if system in systems:
             raise InputError(
                 f"--systems names {system.label} twice: {clipped_repr(args.systems)}"
             )
-        seen.add(system)
+        systems.append(system)
+    labels = [system.label for system in systems]
     names = None
     if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",")]

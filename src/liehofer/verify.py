@@ -2,8 +2,11 @@
 suite.
 
 Each check returns (passed, detail, counterexample); a failed check always
-carries a concrete counterexample datum.  A sweep that checked nothing is
-vacuous and fails, with the empty sweep as its counterexample.
+carries a concrete counterexample datum.  A sweep that checked nothing, or
+a series check given no systems, is vacuous and fails, with the empty
+sweep as its counterexample.  ``run_checks`` refuses a box outside
+0..MAX_BOX before it runs any check, whichever checks are named; the two
+sweeps also check it, for callers that run them directly.
 
 The box is filtered by an integer numpy mask; the index checks then work on
 pairing rows of Python ints, so the filter and the checks share no code.
@@ -86,10 +89,11 @@ def check_norm_inequality(labels, box):
     """m^2 <= <xi,xi><eta,eta>, exhaustively at rank <= 2 and on
     2000 seeded random pairs shared by the systems of rank >= 3."""
     _check_box(box)
+    systems = [from_label(label) for label in labels]
+    draws = 2000 // max(1, sum(system.rank > 2 for system in systems))
     rng = np.random.default_rng(7)
     checked = 0
-    for label in labels:
-        system = from_label(label)
+    for system in systems:
         if system.rank <= 2:
             pairs = itertools.product(
                 box_coweights(system, box, nonzero_only=False),
@@ -97,7 +101,7 @@ def check_norm_inequality(labels, box):
             )
         else:
             def draw(system=system):
-                for _ in range(2000 // max(1, sum(from_label(l).rank > 2 for l in labels))):
+                for _ in range(draws):
                     eta = system.coweight(rng.integers(-box, box + 1, system.rank))
                     xi = system.coweight(rng.integers(-box, box + 1, system.rank))
                     if not xi.is_zero:
@@ -106,7 +110,7 @@ def check_norm_inequality(labels, box):
         for eta, xi in pairs:
             if not hofer.check_norm_inequality(eta, xi):
                 return False, f"{checked} pairs checked", {
-                    "system": label,
+                    "system": system.label,
                     "eta": list(eta.coords),
                     "xi": list(xi.coords),
                 }
@@ -122,13 +126,17 @@ def check_omega_series(labels):
     """Stratum assembly equals the transgression oracle, exactly, to
     degree 12."""
     cutoff = 12
+    if not labels:
+        return False, "0 systems checked: the check is vacuous", {
+            "systems": [], "cutoff": cutoff, "checked": 0,
+        }
     for label in labels:
         system = from_label(label)
         try:
             loop_morse.omega_g_series(system, cutoff, check=True)
         except ArithmeticError as exc:
             return False, str(exc), {"system": label, "cutoff": cutoff}
-    return True, f"series match to cutoff for {len(list(labels))} systems", None
+    return True, f"series match to cutoff for {len(labels)} systems", None
 
 
 def check_hessian():
@@ -154,16 +162,19 @@ def check_hessian():
 
 def check_seidel():
     """Leading-term exponent matches the Hofer length of [2] on A1, and
-    the strict energy bound rejects offending corrections (unit area)."""
-    a1 = build_root_system("A", 1)
-    length = hofer.hofer_length_circle(a1.coweight([2]))
+    the strict energy bound rejects offending corrections (unit area).
+    The exponent is compared with L+ of [2] on its own orbit, taken through
+    the orbit maximum rather than the length handed to ``psi_leading``."""
+    xi = build_root_system("A", 1).coweight([2])
+    length = hofer.hofer_length_circle(xi)
     report = quantum_cp1.psi_leading(length.value_float, +1)
     if not (report.nonzero and report.invertible):
         return False, "leading class not invertible", {"xi": [2]}
-    if report.exponent != length.value_float:
+    l_plus = hofer.positive_norm(xi, xi)[1].value_float
+    if report.exponent != l_plus:
         return False, "exponent mismatch", {
             "exponent": report.exponent,
-            "hofer_length": length.value_float,
+            "hofer_length": l_plus,
         }
     try:
         quantum_cp1.psi_leading(
@@ -176,8 +187,8 @@ def check_seidel():
 
 
 CHECKS = {
-    "index-equality": lambda labels, box: check_index_equality(labels, box),
-    "norm-inequality": lambda labels, box: check_norm_inequality(labels, box),
+    "index-equality": check_index_equality,
+    "norm-inequality": check_norm_inequality,
     "omega-series": lambda labels, box: check_omega_series(labels),
     "hessian": lambda labels, box: check_hessian(),
     "seidel": lambda labels, box: check_seidel(),
@@ -186,6 +197,7 @@ CHECKS = {
 
 def run_checks(labels, box, names=None):
     """Run the named checks (all by default) and collect the results."""
+    _check_box(box)
     names = list(names) if names else list(CHECKS)
     results = {}
     for name in names:

@@ -105,6 +105,12 @@ def test_verify_fast_subset(capsys):
         assert result["counterexample"] is None
 
 
+def test_verify_echoes_canonical_system_labels(capsys):
+    code, payload = run(capsys, "verify", "--systems", "a1,b02", "--checks", "hessian")
+    assert code == 0
+    assert payload["systems"] == ["A1", "B2"]
+
+
 def test_verify_rejects_unknown_check(capsys):
     code = main(["verify", "--checks", "nonsense"])
     assert code == 2
@@ -185,6 +191,11 @@ def test_verify_empty_sweep_fails(capsys):
         (["index", "--system", "A1", "--xi", "2", "y" * 4400], "unrecognized arguments"),
         (["verify", "--systems", "A1", "--checks", "hessian,hessian"],
          "--checks names hessian twice"),
+        # the box bound holds whichever checks are named
+        (["verify", "--box", "11", "--systems", "A1", "--checks", "hessian"], "box must lie"),
+        # a wrong coordinate count names its flag
+        (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1"], "--eta"),
+        (["seidel-cp1", "--xi", "1,2"], "--xi"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+from liehofer import hofer
 from liehofer.root_system import from_label, pairing
 from liehofer.verify import (
     ALL_SYSTEMS,
@@ -9,6 +11,8 @@ from liehofer.verify import (
     box_coweights,
     check_index_equality,
     check_norm_inequality,
+    check_omega_series,
+    check_seidel,
 )
 
 
@@ -19,6 +23,29 @@ def test_empty_sweep_is_vacuous_not_a_pass(check, labels):
     assert passed is False
     assert "vacuous" in detail
     assert counterexample == {"systems": labels, "box": 0, "checked": 0}
+
+
+def test_series_check_over_no_systems_is_vacuous_not_a_pass():
+    passed, detail, counterexample = check_omega_series([])
+    assert passed is False
+    assert "vacuous" in detail
+    assert counterexample["checked"] == 0
+
+
+def test_seidel_check_compares_with_an_independent_length(monkeypatch):
+    assert check_seidel()[0] is True
+    positive_norm = hofer.positive_norm
+
+    def one_ulp_off(eta, xi):
+        m, report = positive_norm(eta, xi)
+        return m, hofer.NormReport(
+            report.value_squared, math.nextafter(report.value_float, math.inf)
+        )
+
+    monkeypatch.setattr(hofer, "positive_norm", one_ulp_off)
+    passed, detail, counterexample = check_seidel()
+    assert passed is False and detail == "exponent mismatch"
+    assert counterexample["hofer_length"] != counterexample["exponent"]
 
 
 @pytest.mark.parametrize("check", [check_index_equality, check_norm_inequality])
