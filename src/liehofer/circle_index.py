@@ -1,20 +1,25 @@
 """Weights of a circle subgroup at the moment-map maximum, its virtual
-index, and its Riemannian index by counting conjugate points, each in one
-pass over the pairing row.  The tests keep the one-by-one enumeration of
-the conjugate times as the oracle of the count.
+index, and its Riemannian index by counting conjugate points.
 
 Loops are parametrized over [0, 1] (turns), so all frequencies are the
 integer root pairings; each computation builds its own pairing row
-``pairings(xi)`` and shares it with no other.  With the sign conventions
-used throughout the package the weights at the maximum are negative; a
-weight that is not raises InvalidWeights, and is never silently fixed.
+``pairings(xi)`` and shares it with no other.  Both computations are
+closed forms over that row, evaluated by C-level builtins: the weights are
+-|v| over the nonzero entries v, and a root with |v| > 0 has |v| - 1
+interior conjugate times, so the conjugate-point count is
+2 (sum |v| - #v + #{v = 0}).  Their oracles live in the tests:
+``tests/conjugate_oracle.py`` lists the conjugate times one by one as
+Fractions, and ``tests/test_circle_index.py`` sums the per-root
+generator forms over the per-root ``pairing``.
+
+With the sign conventions used throughout the package the weights at the
+maximum are negative; a weight that is not raises InvalidWeights, and is
+never silently fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import neg
 
 from .errors import DegenerateSubgroup, InvalidWeights
 from .root_system import Coweight, pairings
@@ -69,8 +74,7 @@ def weights_at_max(gamma):
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
     # of the pair {alpha, -alpha} exactly one pairs negatively
-    weights = sorted(map(neg, map(abs, filter(None, pairings(gamma.xi)))))
-    return WeightMultiset(tuple(weights))
+    return WeightMultiset(tuple(sorted([-abs(v) for v in pairings(gamma.xi) if v])))
 
 
 def virtual_index(w):
@@ -85,12 +89,14 @@ def riemannian_index_conjugate(gamma):
 
     For each positive root with |pairing| = v > 0 the interior conjugate
     times are {j/v : 0 < j < v}, each counted with multiplicity 2 (the real
-    root-space pair).  Each root's times are counted in one step, as
-    ``len(range(1, v))``; the tests list them one by one as the oracle.
+    root-space pair).  There are v - 1 of them, and none for v = 0, so the
+    count over the row is the closed form 2 (sum |v| - #v + #{v = 0}).
+    ``tests/conjugate_oracle.py`` lists the times one by one as the oracle.
     """
     if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return 2 * sum(map(len, map(range, repeat(1), map(abs, pairings(gamma.xi)))))
+    row = pairings(gamma.xi)
+    return 2 * (sum(map(abs, row)) - len(row) + row.count(0))
 
 
 def index_equality_report(gamma):

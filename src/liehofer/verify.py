@@ -22,15 +22,19 @@ from . import hofer, loop_morse, quantum_cp1, su2_loops
 from .circle_index import CircleSubgroup, index_equality_report
 from .errors import EnergyBoundViolation
 from .loop_morse import bott_index
-from .root_system import EXPONENTS, build_root_system, dominant_representative, from_label
+from .root_system import (
+    EXPONENTS, Coweight, build_root_system, dominant_representative, from_label,
+)
 
 ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 
 # Largest coordinate bound of the two box sweeps.  The box holds
-# (2 box + 1)^rank coweights; at the cap the slowest system takes about 4 s
-# (`verify --box 10 --systems F4 --checks index-equality`), and the norm
-# sweep over every system about 1.8 s (`verify --box 10 --systems all
-# --checks norm-inequality`); 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+# (2 box + 1)^rank coweights; at the cap the slowest system takes about 3 s
+# (`verify --box 10 --systems F4 --checks index-equality`), the index sweep
+# over every system about 12.6 s (`--systems all`), and the norm sweep over
+# every system about 1.4 s (`verify --box 10 --systems all --checks
+# norm-inequality`); medians of 3 CLI runs on a 2-vCPU VM, Python 3.11.7,
+# numpy 2.4.6.
 MAX_BOX = 10
 
 
@@ -43,7 +47,8 @@ def box_coweights(system, box, regular_only=False, nonzero_only=True):
     """All integer coweights with coordinates in [-box, box], in
     ``itertools.product`` order, one int64 block of points per leading
     coordinate.  A point is regular when its row of (points @ roots.T) has
-    no zero; a ``Coweight`` is built only for a kept point."""
+    no zero; a ``Coweight`` is built only for a kept point, straight from
+    its row."""
     rank, side = system.rank, 2 * box + 1
     roots_t = np.array(system.positive_roots, dtype=np.int64).T
     # the other rank - 1 coordinates of a block, as rows; one empty row at rank 1
@@ -55,8 +60,9 @@ def box_coweights(system, box, regular_only=False, nonzero_only=True):
             keep &= points.any(axis=1)
         if regular_only:
             keep &= (points @ roots_t).all(axis=1)
+        # .tolist() rows hold Python ints already, so no coordinate is converted
         for coords in points[keep].tolist():
-            yield system.coweight(coords)
+            yield Coweight(system, tuple(coords))
 
 
 def check_index_equality(labels, box):

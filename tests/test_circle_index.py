@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import liehofer.circle_index as circle_index
+import liehofer.loop_morse as loop_morse
 from conjugate_oracle import conjugate_times, riemannian_index_oracle
 from liehofer.circle_index import (
     CircleSubgroup,
@@ -15,8 +17,8 @@ from liehofer.circle_index import (
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DegenerateSubgroup, InvalidWeights
 from liehofer.loop_morse import bott_index
-from liehofer.root_system import dominant_representative, from_label, pairing
-from liehofer.verify import ALL_SYSTEMS
+from liehofer.root_system import dominant_representative, from_label, pairing, pairings
+from liehofer.verify import ALL_SYSTEMS, box_coweights
 from weyl_oracle import weyl_orbit
 
 
@@ -94,14 +96,41 @@ def test_is_dominant_matches_coordinatewise_test(label):
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
 def test_index_sums_match_generator_forms(label):
+    # every box-3 coweight and the +-MAX_COORD corners, where the one-by-one
+    # conjugate oracle would list up to 10^5 times per root
     system = from_label(label)
-    for xi in box(system, 3):
+    corners = itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
+    for xi in box(system, 3) + [system.coweight(c) for c in corners]:
         dom = dominant_representative(xi)
         row = [pairing(root, dom) for root in system.positive_roots]
         assert bott_index(dom) == sum(2 * (p - 1) for p in row if p > 0), xi
         if not xi.is_zero:
-            w = weights_at_max(CircleSubgroup(xi))
+            g = CircleSubgroup(xi)
+            w = weights_at_max(g)
+            row = [pairing(root, xi) for root in system.positive_roots]
+            assert w.weights == tuple(sorted(-abs(p) for p in row if p)), xi
             assert virtual_index(w) == sum(2 * (-k - 1) for k in w.weights), xi
+            assert riemannian_index_conjugate(g) == sum(2 * (abs(p) - 1) for p in row if p), xi
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_index_check_builds_three_pairing_rows_per_coweight(label, monkeypatch):
+    # the weights, the conjugate count and the Bott index each build their
+    # own row, so no two of the three sums share an input
+    rows = []
+
+    def counting(xi):
+        rows.append(xi.coords)
+        return pairings(xi)
+
+    monkeypatch.setattr(circle_index, "pairings", counting)
+    monkeypatch.setattr(loop_morse, "pairings", counting)
+    for xi in box_coweights(from_label(label), 2, regular_only=True):
+        rows.clear()
+        index_equality_report(CircleSubgroup(xi))
+        dom = dominant_representative(xi)
+        bott_index(dom)
+        assert rows == [xi.coords, xi.coords, dom.coords], xi
 
 
 def test_conjugate_times_listed():

@@ -8,7 +8,7 @@ import pytest
 
 from liehofer.circle_index import CircleSubgroup
 from liehofer.cli import MAX_COORD
-from liehofer.errors import DimensionError, UnsupportedSystem
+from liehofer.errors import DimensionError, InputError, UnsupportedSystem
 from liehofer.root_system import (
     EXPONENTS,
     build_root_system,
@@ -114,6 +114,23 @@ def test_pairing_examples():
     a2 = from_label("A2")
     assert pairing((1, 1), a2.coweight([1, 1])) == 2
     assert pairing((1, 1), a2.coweight([0, 0])) == 0
+
+
+def test_coweight_takes_integer_coordinates_only():
+    a2 = from_label("A2")
+    xi = a2.coweight(np.array([3, -1], dtype=np.int64))
+    assert xi.coords == (3, -1) and all(type(c) is int for c in xi.coords)
+    assert a2.coweight(range(2)).coords == (0, 1)
+    # no coordinate is truncated: [0.5, 0.4] would become the zero coweight
+    for coords in ([1.7, -0.2], [0.5, 0.4], [1, 2.0], [np.float64(1), 0], ["1", 0],
+                   [1, Fraction(2)]):
+        with pytest.raises(InputError) as info:
+            a2.coweight(coords)
+        assert str(info.value).startswith("coweight coordinates must be integers, got ")
+    with pytest.raises(InputError) as info:
+        a2.coweight([0, "x" * 5000])
+    clipped = "'" + "x" * 59 + "... (5000 characters)"
+    assert str(info.value) == f"coweight coordinates must be integers, got {clipped}"
 
 
 def test_pairing_dimension_mismatch():
