@@ -15,7 +15,10 @@ rank-2 coweights at box 10).  The record has four fields: the dominant
 coordinates dom, their Gram row G dom, the numerator x of <x, x>, and the
 finished length report.  The orbit maximum is then one integer dot product
 of length ``rank``, dom(eta) . G dom(xi) (the Gram matrix is symmetric),
-and the Hofer length of a circle is the memoized report itself.  All
+and the Hofer length of a circle is the memoized report itself.  The
+zero test of the base coweight reads the same record: the Gram form is
+positive definite, so x = 0 exactly when xi = 0, and no function here scans
+the coordinates again.  All
 lengths are reported in lattice units (long roots at squared length 2,
 loops parametrized in turns), stored as exact squares with the correctly
 rounded square root of the int / int quotient.
@@ -48,6 +51,8 @@ def _invariants(system, coords):
     tuple ``coords``: its dominant coordinates, their Gram row (the
     numerators of <omega_j^vee, dom>), the numerator x of <x, x> taken on
     ``coords`` as given, and the finished length report of sqrt(<x, x>).
+    The Gram form is positive definite, so x is 0 exactly for the zero
+    coweight: the callers' zero test reads x instead of the coordinates.
     The float is the square root of the correctly rounded int / int
     quotient, the same double as ``math.sqrt(float(Fraction(x, den)))``."""
     dom = dominant_coords(system, coords)
@@ -61,13 +66,14 @@ def _orbit_maximum_numerator(eta, xi):
     """(system, M, X, E): the orbit maximum is M / gram_den, where M is the
     integer numerator of <dom(xi), dom(eta)>, one dot product of dom(eta)
     with the Gram row of dom(xi), and X and E are the numerators of
-    <xi, xi> and <eta, eta>."""
-    if xi.is_zero:
-        raise DegenerateOrbit("orbit of the zero coweight is a point")
+    <xi, xi> and <eta, eta>.  xi's record comes first: the zero test
+    reads its x, and precedes the different-system test."""
     system = xi.system
+    _, g_xi, x, _ = _invariants(system, xi.coords)
+    if not x:
+        raise DegenerateOrbit("orbit of the zero coweight is a point")
     if eta.system is not system:
         raise DegenerateOrbit("coweights belong to different root systems")
-    _, g_xi, x, _ = _invariants(system, xi.coords)
     dom_eta, _, e, _ = _invariants(system, eta.coords)
     return system, sum(map(operator.mul, dom_eta, g_xi)), x, e
 
@@ -111,7 +117,10 @@ def check_norm_inequality(eta, xi):
 
 def hofer_length_circle(xi):
     """Positive Hofer length of the circle action generated by xi: equals
-    ||xi||, returned as the exact square <xi, xi>: the memoized report."""
-    if xi.is_zero:
+    ||xi||, returned as the exact square <xi, xi>: the memoized report.
+    The zero test reads the record's numerator x of <xi, xi>, 0 only for
+    xi = 0."""
+    _, _, x, report = _invariants(xi.system, xi.coords)
+    if not x:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
-    return _invariants(xi.system, xi.coords)[3]
+    return report

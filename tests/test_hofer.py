@@ -139,6 +139,63 @@ def test_hofer_length_zero_rejected():
         hofer_length_circle(from_label("A1").coweight([0]))
 
 
+ZERO_ORBIT = "orbit of the zero coweight is a point"
+
+
+def _zero_xi_calls(system):
+    """The four Hofer entry points, each called with the zero coweight of
+    ``system`` as xi."""
+    zero = system.coweight([0] * system.rank)
+    eta = system.coweight(range(1, system.rank + 1))
+    return (
+        lambda: orbit_maximum(eta, zero),
+        lambda: positive_norm(eta, zero),
+        lambda: check_norm_inequality(eta, zero),
+        lambda: hofer_length_circle(zero),
+    )
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_zero_xi_rejected_cold_and_memoized(label):
+    # the zero test reads the memo record of xi: it must hold on a cold memo
+    # and again once the zero record is there, when the call is a memo hit
+    calls = _zero_xi_calls(from_label(label))
+    for call in calls:
+        _invariants.cache_clear()
+        with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
+            call()
+    assert _invariants.cache_info().currsize == 1
+    for call in calls:
+        hits = _invariants.cache_info().hits
+        with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
+            call()
+        assert _invariants.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_zero_eta_gives_zero_maximum(label):
+    system = from_label(label)
+    zero = system.coweight([0] * system.rank)
+    xi = system.coweight(range(1, system.rank + 1))
+    for _ in range(2):  # cold, then from the memo
+        assert orbit_maximum(zero, xi) == 0
+        m, report = positive_norm(zero, xi)
+        assert m == 0 and report.value_squared == 0 and report.value_float == 0.0
+        assert check_norm_inequality(zero, xi) is True
+
+
+@pytest.mark.parametrize("labels", [("A2", "B2"), ("B2", "A2"), ("A1", "F4"), ("F4", "A1")])
+def test_zero_xi_of_another_system_is_a_zero_orbit(labels):
+    # the zero test still comes before the different-system test
+    eta_system, xi_system = (from_label(label) for label in labels)
+    eta = eta_system.coweight(range(1, eta_system.rank + 1))
+    zero = xi_system.coweight([0] * xi_system.rank)
+    for fn in (orbit_maximum, positive_norm, check_norm_inequality):
+        for _ in range(2):
+            with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
+                fn(eta, zero)
+
+
 def test_norm_report_float_consistency():
     report = hofer_length_circle(from_label("G2").coweight([2, 1]))
     assert abs(report.value_float ** 2 - float(report.value_squared)) < 1e-12 * float(
