@@ -7,12 +7,9 @@ integer root pairings; each computation builds its own pairing row
 closed forms over that row, evaluated by C-level builtins: the weights are
 -|v| over the nonzero entries v, and a root with |v| > 0 has |v| - 1
 interior conjugate times, so the conjugate-point count is
-2 (sum |v| - #v + #{v = 0}).  Each reads its zero test off its own row:
-the simple roots are among the positive roots, so the row holds every
-coordinate of xi, and xi = 0 exactly when the row is all zero (no weight,
-or sum |v| = 0); neither scans the coordinates again.  Their oracles live
-in the tests: ``tests/conjugate_oracle.py`` lists the conjugate times one
-by one as Fractions, and ``tests/test_circle_index.py`` sums the per-root
+2 (sum |v| - #v + #{v = 0}).  Their oracles live in the tests:
+``tests/conjugate_oracle.py`` lists the conjugate times one by one as
+Fractions, and ``tests/test_circle_index.py`` sums the per-root
 generator forms over the per-root ``pairing``.
 
 With the sign conventions used throughout the package the weights at the
@@ -72,14 +69,12 @@ def weights_at_max(gamma):
     maximum of its generating Hamiltonian.
 
     One weight per root with negative pairing; roots pairing to zero are
-    tangent to the centralizer and contribute nothing.  No weight at all
-    means an all-zero row, the zero coweight.
+    tangent to the centralizer and contribute nothing.
     """
-    # of the pair {alpha, -alpha} exactly one pairs negatively
-    weights = tuple(sorted([-abs(v) for v in pairings(gamma.xi) if v]))
-    if not weights:
+    if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return WeightMultiset(weights)
+    # of the pair {alpha, -alpha} exactly one pairs negatively
+    return WeightMultiset(tuple(sorted([-abs(v) for v in pairings(gamma.xi) if v])))
 
 
 def virtual_index(w):
@@ -97,13 +92,11 @@ def riemannian_index_conjugate(gamma):
     root-space pair).  There are v - 1 of them, and none for v = 0, so the
     count over the row is the closed form 2 (sum |v| - #v + #{v = 0}).
     ``tests/conjugate_oracle.py`` lists the times one by one as the oracle.
-    sum |v| = 0 means an all-zero row, the zero coweight.
     """
-    row = pairings(gamma.xi)
-    total = sum(map(abs, row))
-    if not total:
+    if gamma.xi.is_zero:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return 2 * (total - len(row) + row.count(0))
+    row = pairings(gamma.xi)
+    return 2 * (sum(map(abs, row)) - len(row) + row.count(0))
 
 
 def index_equality_report(gamma):

@@ -273,14 +273,8 @@ def build_root_system(family, rank):
     )
 
 
-@lru_cache(maxsize=64)
 def from_label(label):
-    """Parse a label like "B3" into a root system.
-
-    Memoized per label string, in a bounded memo, so a repeated label skips
-    the parse; "b3", "B03" and "B3" are three entries for one system.  A
-    failed lookup is never cached (``lru_cache`` stores no exception), so a
-    bad label raises UnsupportedSystem on every call."""
+    """Parse a label like "B3" into a root system."""
     rank = label[1:]
     if not (rank.isascii() and rank.isdecimal()):
         raise UnsupportedSystem(f"malformed system label {clipped_repr(label)}")

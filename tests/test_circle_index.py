@@ -41,7 +41,6 @@ def test_weights_zero_coweight_rejected():
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
 def test_zero_coweight_rejected_on_every_system(label):
-    # each zero test reads its own pairing row, all zero only for xi = 0
     zero = gamma(label, [0] * from_label(label).rank)
     for fn in (weights_at_max, riemannian_index_conjugate, index_equality_report):
         with pytest.raises(DegenerateSubgroup, match="^zero coweight generates no circle subgroup$"):

@@ -108,34 +108,6 @@ def test_unsupported_systems():
         from_label("Z9")
 
 
-def test_from_label_returns_one_object_per_system():
-    assert from_label("b3") is from_label("B03") is from_label("B3")
-    assert from_label("B3") is build_root_system("B", 3)
-
-
-BAD_LABELS = ["Z9", "A5", "B1", "A", "A" + "1" * 4400]
-
-
-@pytest.mark.parametrize("label", BAD_LABELS, ids=["Z9", "A5", "B1", "empty-rank", "4400-digits"])
-def test_bad_label_raises_on_every_call(label):
-    # the label memo caches no exception: every call parses and raises
-    # again, before and after a good lookup
-    messages = []
-    for _ in range(2):
-        for _ in range(2):
-            with pytest.raises(UnsupportedSystem) as err:
-                from_label(label)
-            messages.append(str(err.value))
-        from_label("A2")
-    assert len(set(messages)) == 1
-    assert len(messages[0]) < 120  # clipped, never the whole label
-
-
-def test_label_memo_is_bounded():
-    maxsize = from_label.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < 1000
-
-
 def test_pairing_examples():
     a1 = from_label("A1")
     assert pairing((1,), a1.coweight([2])) == 2
