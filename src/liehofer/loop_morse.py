@@ -27,8 +27,8 @@ from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
 # takes about 0.65 s through the CLI (`omega-series --system A4 --cutoff
-# 200`, median of 3 runs on a 2-vCPU VM, Python 3.11.7); the number of
-# strata grows like cutoff^rank.
+# 200`, median of 6 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7, numpy
+# 2.4.6); the number of strata grows like cutoff^rank.
 MAX_CUTOFF = 200
 
 
@@ -123,10 +123,11 @@ def in_coroot_lattice(xi):
 
 
 def _check_cutoff(cutoff, even=False):
-    if even and cutoff % 2:
-        raise ValueError("cutoff must be a nonnegative even integer")
+    # the range first, so that an odd cutoff out of range names the bound
     if not 0 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in 0..{MAX_CUTOFF}, got {cutoff}")
+    if even and cutoff % 2:
+        raise ValueError("cutoff must be a nonnegative even integer")
 
 
 def enumerate_critical_strata(system, cutoff):

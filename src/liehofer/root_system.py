@@ -23,10 +23,20 @@ reflection touches.
 Three kernels work on coordinates: ``pairings`` gives the pairing row of a
 coweight, ``inner_numerator`` the integer numerator of an inner product
 over ``gram_den``, and ``dominant_coords`` reduces coordinates to the
-dominant chamber.  The per-root ``pairing`` is the test oracle of the
-first.  ``inner`` and ``dominant_representative`` wrap the other two;
-``inner`` builds the only Fraction in this module.  The Hofer norms call
-the kernels directly, building a Fraction only for the value they return.
+dominant chamber.  The first and the last run on every item of every
+sweep, where a loop over the sparse tables spent most of its time
+unpacking and indexing them.  So ``build_root_system`` writes each
+system's two tables out as straight-line Python and compiles it once,
+with one ``exec`` (as ``dataclasses`` does for ``__init__``), into
+``pairing_row`` and ``dominant_reduction``, which ``pairings`` and
+``dominant_coords`` call: the same additions and reflections in the same
+order.  The source holds only local names and integers from the Cartan
+data, never a label or an input.  The per-root ``pairing`` remains the
+test oracle of the pairing row, and the BFS orbit of
+``tests/weyl_oracle.py`` that of the reduction.  ``inner`` and
+``dominant_representative`` wrap the other two kernels; ``inner`` builds
+the only Fraction in this module.  The Hofer norms call the kernels
+directly, building a Fraction only for the value they return.
 
 The module needs only the standard library.  No runtime path enumerates a
 Weyl orbit: the tests' oracle (``tests/weyl_oracle.py``) does, with its
@@ -162,6 +172,46 @@ def _positive_roots(cartan):
     return roots, tuple((slot[step[root][0]], step[root][1]) for root in roots)
 
 
+def _kernels(steps, columns):
+    """The two coordinate kernels of a system, ``pairing_row`` and
+    ``dominant_reduction``, as straight-line Python compiled by one
+    ``exec``.
+
+    The source holds only local names (``c<i>``, ``r<k>``) and the integer
+    literals of ``columns``; it looks up no global and no attribute.
+    ``pairing_row`` binds the coordinates to locals and computes one local
+    per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a simple root is its
+    own coordinate), then returns them as one list.  ``dominant_reduction``
+    tests ``c<i> < 0`` in index order and applies the first such s_i with
+    its Cartan entries as literals, restarting at index 0 after each
+    reflection, until no coordinate is negative.
+    """
+    rank = len(columns)
+    coords = ", ".join(f"c{i}" for i in range(rank))
+    name = [None]  # name[k]: the local holding the pairing of the root in slot k
+    row = [f"def pairing_row(c):\n    {coords}, = c\n"]
+    for k, (p, i) in enumerate(steps, 1):
+        if p:
+            name.append(f"r{k}")
+            row.append(f"    r{k} = {name[p]} + c{i}\n")
+        else:
+            name.append(f"c{i}")
+    row.append(f"    return [{', '.join(name[1:])}]\n")
+    reduce = [f"def dominant_reduction(c):\n    {coords}, = c\n    while True:\n"]
+    for i, column in enumerate(columns):
+        reduce.append(f"        {'elif' if i else 'if'} c{i} < 0:\n")
+        # s_i: c_j -= c_ji c_i; the neighbours first, then c_ii = 2 flips c_i
+        for j, cji in column:
+            if j != i:
+                factor = "" if cji == -1 else f"{-cji} * "
+                reduce.append(f"            c{j} += {factor}c{i}\n")
+        reduce.append(f"            c{i} = -c{i}\n")
+    reduce.append(f"        else:\n            return ({coords},)\n")
+    namespace = {"__name__": __name__}
+    exec("".join(row + reduce), namespace)
+    return namespace["pairing_row"], namespace["dominant_reduction"]
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Root datum of a semisimple family: exact integer Cartan data and the
@@ -173,7 +223,9 @@ class RootSystem:
     denominator: the one Gram form, which every inner product uses.
     ``root_steps`` holds one (parent slot, simple index) pair per positive
     root, and ``cartan_columns[i]`` the pairs
-    (j, c_ji) with c_ji nonzero.  Hofer norms need no Weyl orbit: the orbit
+    (j, c_ji) with c_ji nonzero.  ``pairing_row`` and ``dominant_reduction``
+    are those two tables compiled into functions of a coordinate sequence
+    (see ``_kernels``).  Hofer norms need no Weyl orbit: the orbit
     maximum is the inner product of the dominant representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
@@ -190,6 +242,8 @@ class RootSystem:
     gram_den: int
     root_steps: tuple
     cartan_columns: tuple
+    pairing_row: object
+    dominant_reduction: object
 
     @property
     def label(self):
@@ -269,7 +323,7 @@ def build_root_system(family, rank):
     )
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        steps, columns,
+        steps, columns, *_kernels(steps, columns),
     )
 
 
@@ -295,14 +349,9 @@ def pairing(root, xi):
 
 def pairings(xi):
     """Pairing row of a coweight: its Python-int pairings with the positive
-    roots, in their order, one addition per root along ``root_steps``.
-    Slot 0 of the working row is the pairing of the zero root."""
-    coords = xi.coords
-    row = [0]
-    for p, i in xi.system.root_steps:
-        row.append(row[p] + coords[i])
-    del row[0]
-    return row
+    roots, in their order, one addition per root along ``root_steps``, by
+    the system's generated ``pairing_row``."""
+    return xi.system.pairing_row(xi.coords)
 
 
 def inner_numerator(system, x, y):
@@ -366,22 +415,11 @@ def orbit_array(xi):
 def dominant_coords(system, coords):
     """Coordinates of the unique dominant coweight in the Weyl orbit of
     ``coords``: apply the simple reflection of the first negative coordinate
-    until none is left, in one flat index scan that restarts at 0 after each
-    reflection.  A reflection s_i changes only coordinate i and its Dynkin
-    neighbours, the entries of ``cartan_columns[i]``."""
-    c = list(coords)
-    columns = system.cartan_columns
-    rank = len(c)
-    i = 0
-    while i < rank:
-        ci = c[i]
-        if ci < 0:
-            for j, cji in columns[i]:
-                c[j] -= ci * cji
-            i = 0
-        else:
-            i += 1
-    return tuple(c)
+    until none is left, restarting at index 0 after each reflection, by the
+    system's generated ``dominant_reduction``.  A reflection s_i changes
+    only coordinate i and its Dynkin neighbours, the entries of
+    ``cartan_columns[i]``."""
+    return system.dominant_reduction(coords)
 
 
 def dominant_representative(xi):

@@ -29,12 +29,12 @@ from .root_system import (
 ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 
 # Largest coordinate bound of the two box sweeps.  The box holds
-# (2 box + 1)^rank coweights; at the cap the slowest system takes about 3 s
+# (2 box + 1)^rank coweights; at the cap the slowest system takes about 1.8 s
 # (`verify --box 10 --systems F4 --checks index-equality`), the index sweep
-# over every system about 12.6 s (`--systems all`), and the norm sweep over
+# over every system about 8.7 s (`--systems all`), and the norm sweep over
 # every system about 1.4 s (`verify --box 10 --systems all --checks
-# norm-inequality`); medians of 3 CLI runs on a 2-vCPU VM, Python 3.11.7,
-# numpy 2.4.6.
+# norm-inequality`); medians of 6 to 14 CLI runs on a 2-vCPU VM (`nproc` 2),
+# Python 3.11.7, numpy 2.4.6, whose speed drifts by about 25% between runs.
 MAX_BOX = 10
 
 

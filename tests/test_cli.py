@@ -196,6 +196,9 @@ def test_verify_empty_sweep_fails(capsys):
         # a wrong coordinate count names its flag
         (["hofer", "--system", "A2", "--xi", "1,1", "--eta", "1"], "--eta"),
         (["seidel-cp1", "--xi", "1,2"], "--xi"),
+        # an odd cutoff out of range names the bound, not the parity
+        (["omega-series", "--system", "A2", "--cutoff", "201"],
+         "cutoff must lie in 0..200, got 201"),
     ],
 )
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv, flag):

@@ -1,6 +1,8 @@
+import builtins
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from liehofer.circle_index import CircleSubgroup
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DimensionError, InputError, UnsupportedSystem
+from liehofer.loop_morse import omega_g_series
 from liehofer.root_system import (
     EXPONENTS,
     build_root_system,
@@ -21,7 +24,7 @@ from liehofer.root_system import (
     pairings,
     weyl_poincare,
 )
-from liehofer.verify import box_coweights
+from liehofer.verify import box_coweights, check_index_equality
 
 from bourbaki_oracle import cartan_matrix
 from weyl_oracle import bfs_orbit, bfs_weyl_poincare, reflect_coweight, weyl_orbit
@@ -317,6 +320,47 @@ def test_pairings_row_matches_per_root_pairing(label):
         assert row == [pairing(alpha, xi) for alpha in system.positive_roots]
         assert row == product
         assert all(type(p) is int for p in row)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_generated_kernels_on_every_box3_coweight(label):
+    # every nonzero box-3 coweight and the +-MAX_COORD corners, against the
+    # per-root pairing and the dense reflections of the oracle
+    system = from_label(label)
+    for kernel in (system.pairing_row, system.dominant_reduction):
+        # the generated text holds local names and integer literals only
+        code = kernel.__code__
+        assert code.co_names == ()
+        assert {type(k) for k in code.co_consts} <= {int, bool, type(None)}
+        assert all(re.fullmatch(r"c\d*|r\d+", v) for v in code.co_varnames)
+    points = [xi.coords for xi in box_coweights(system, 3)]
+    points += itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
+    for coords in points:
+        xi = system.coweight(coords)
+        assert pairings(xi) == [pairing(alpha, xi) for alpha in system.positive_roots]
+        dom = dominant_coords(system, coords)
+        assert type(dom) is tuple and min(dom) >= 0
+        assert dominant_coords(system, dom) == dom
+        for i in range(system.rank):
+            assert dominant_coords(system, reflect_coweight(system, coords, i)) == dom
+
+
+def test_hot_path_compiles_nothing(monkeypatch):
+    # the kernels are compiled once, when a system is built; a sweep and a
+    # series over built systems never reach exec or compile
+    for label in ALL_LABELS:
+        from_label(label)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled on the hot path")
+
+    # undone before a failure leaves the block: pytest compiles to report it
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "exec", refuse)
+        patched.setattr(builtins, "compile", refuse)
+        assert check_index_equality(ALL_LABELS, 2)[0]
+        omega_g_series(from_label("F4"), 20)  # raises if it disagrees with the oracle
+        assert from_label("f4").pairing_row is from_label("F4").pairing_row
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
