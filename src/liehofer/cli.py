@@ -352,7 +352,7 @@ def _build_parser():
     p.add_argument("--m", type=_integer, required=True, help="winding number, m >= 1, 4m <= n")
     p.add_argument(
         "--n", type=_integer, default=64,
-        help=f"loop resolution, max(32, 4m)..{su2_loops.MAX_N} (a memory bound)",
+        help=f"loop resolution, max(32, 4m)..{su2_loops.MAX_N}",
     )
     p.add_argument("--functional", choices=("energy", "lplus"), default="energy")
 

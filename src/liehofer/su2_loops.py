@@ -7,19 +7,23 @@ geodesic is homogeneous and the quaternion dot product is left-invariant,
 so every step contributes the same 6x6 block, which ``_step_blocks``
 gives in closed form, and each matrix is block-tridiagonal with constant
 blocks.  The fixed unitary basis e_x, (0, 1, -/+i)/sqrt 2 (the axial
-mode and the transverse pair) diagonalizes those blocks exactly, so the
-spectrum is a closed-form table (``_mode_eigenvalues``): three rows of
-a_k + 2|mu_k| cos(pi j / n), j = 1..n-1, each entry of exact sign, so
-the counts need no zero band.  The L+ lane reads its exact second
-derivatives along the energy-unstable modes, the transverse modes with
-j > n - 2m, off the L+ table.  Both lanes are O(n) and run no
-eigensolver.
+mode and the transverse pair) diagonalizes those blocks exactly, so mode
+(k, j) has eigenvalue a_k + 2|mu_k| cos(pi j / n), j = 1..n-1.  Each
+transverse row falls with j and has the sign of the integer n - j - 2m,
+and the axial row is positive and falls with j.  So the counts are
+integers and the two extremes sit at known modes: ``hessian_spectrum``
+evaluates a fixed handful of scalar expressions with ``math``, in O(1)
+time and memory, and builds no array, runs no loop over the modes and
+classifies nothing.  The tests keep the table of all 3 (n - 1) mode
+eigenvalues as its oracle, and check that table against a dense
+eigensolve of ``energy_hessian``.
 
 No CLI command runs anything here but ``hessian_spectrum``.  The
 quaternion code (``DiscreteLoop``, ``geodesic_loop``, ``discrete_energy``,
-``discrete_lplus``, ``apply_tangent``) and the dense ``energy_hessian``
-are the tests' oracles; they stay in the package only because the
-benchmark names them (it wraps each to time it).
+``discrete_lplus``, ``apply_tangent``) and the dense ``energy_hessian``,
+with the ``_step_blocks`` it is built from, are the tests' oracles; they
+stay in the package only because the benchmark names them (it wraps each
+to time it).
 
 Distances are in lattice units: the once-around geodesic (winding m = 1,
 coweight [2] of A1) has length sqrt(2) and energy 2, so the per-step
@@ -28,11 +32,12 @@ distance is sqrt(2) times the quaternion angle in turns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -151,8 +156,9 @@ class SpectralReport:
     max_eigenvalue: float
 
 
-# Largest loop resolution, a plain memory bound: each lane builds tables of
-# 3 (n - 1) doubles and no matrix.
+# Largest loop resolution: the input domain that the tests cover, up to its
+# corner 4m = n = MAX_N.  The spectrum costs the same at every n and needs no
+# memory in n; the bound keeps huge n a usage error (exit 2 on the CLI).
 MAX_N = 65536
 
 # Largest resolution of the dense oracle ``energy_hessian``: its matrix is
@@ -208,8 +214,8 @@ def energy_hessian(m, n):
     Every diagonal block is S and every off-diagonal block B above, B^T
     below (``_step_blocks``); the end steps supply one half of S each at
     the first and last interior points.  Assembly is O(n), the matrix
-    O(n^2): it is the tests' dense oracle for ``_mode_eigenvalues``, and
-    no lane of ``hessian_spectrum`` builds it.
+    O(n^2): it is the dense oracle of the tests' mode table, and
+    ``hessian_spectrum`` never builds it.
 
     Raises ValueError when m < 1, n > 1024 or 4m > n: beyond the last the
     step angle is too coarse for the eigenvalue counts to resolve the
@@ -228,75 +234,38 @@ def energy_hessian(m, n):
     return hess.reshape(3 * k, 3 * k)
 
 
-def _mode_eigenvalues(m, n, functional):
-    """Hessian eigenvalues of the energy or L+ at the winding-m geodesic:
-    mode (k, j) at [k, j - 1], rows k axial, transverse, transverse.
-
-    The Hessian is block-tridiagonal Toeplitz with diagonal block S and
-    off-diagonal blocks B above, B^T below (``_step_blocks``).  Both are
-    diagonal in the fixed unitary basis e_x (axial) and
-    v = (0, 1, -/+i)/sqrt 2 (transverse): in the notation of
-    ``_step_blocks``, u x e_x = 0 and u x v = +/-i s v, while u . v = 0.
-    With S v_k = a_k v_k and B v_k = mu_k v_k the Hessian splits into
-    scalar Dirichlet tridiagonal matrices with diagonal a_k and
-    off-diagonal mu_k, whose eigenvalues are a_k + 2|mu_k| cos_j,
-    cos_j = cos(pi j / n), j = 1..n-1.  On the axial mode Hess theta
-    vanishes and grad r grad r^T / s^2 has a = 2, mu = -1; on the
-    transverse pair that term vanishes and Hess theta has a = 2r / s,
-    |mu| = 1 / s.  So, with t = 2 pi m / n and c = n / 2 pi^2, the energy
-    rows are 4c (1 + cos_j) and (4c t / sin t)(cos t + cos_j), twice, and
-    the L+ rows 0 and (sqrt 2 / (pi sin t))(cos t + cos_j), twice.
-
-    Both sums of cosines are taken as products of sines, with no
-    cancellation where they are small:
-    1 + cos_j = 2 sin^2(pi (n - j) / 2n) and
-    cos t + cos_j = 2 sin(pi (n - j + 2m) / 2n) sin(pi (n - j - 2m) / 2n).
-    For 4m <= n every sine but the last is positive, so the axial rows are
-    positive, and each transverse entry is exactly 0.0 at j = n - 2m and
-    otherwise has the sign of the integer n - j - 2m.
-    """
-    t = 2 * np.pi * m / n
-    nj = n - np.arange(1, n)  # n - j
-    transverse = (
-        2.0 * np.sin(np.pi * (nj + 2 * m) / (2 * n))
-        * np.sin(np.pi * (nj - 2 * m) / (2 * n)) / np.sin(t)
-    )
-    if functional == "energy":
-        c = n / (2 * np.pi**2)
-        axial = 8 * c * np.sin(np.pi * nj / (2 * n)) ** 2
-        transverse = 4 * c * t * transverse
-    else:
-        axial, transverse = np.zeros(n - 1), _SQRT2 / np.pi * transverse
-    return np.stack([axial, transverse, transverse])
-
-
-def _classify(values):
-    neg = int(np.count_nonzero(values < 0))
-    zero = int(np.count_nonzero(values == 0))
-    return neg, zero, values.size - neg - zero
-
-
 def hessian_spectrum(functional, m, n):
-    """Eigenvalue counts of the chosen functional at the winding-m geodesic.
+    """Eigenvalue counts and extremes of the chosen functional's Hessian at
+    the winding-m geodesic, in closed form: O(1) in n, no array.
 
-    'energy': the closed-form spectrum of the block-tridiagonal energy
-    Hessian (``_mode_eigenvalues``, O(n), no matrix is built).  Every
-    entry has its exact sign, so the two critical-stratum directions (the
-    adjoint-orbit 2-sphere) count as zero with no band.
+    With t = 2 pi m / n, c = n / 2 pi^2 and the transverse factor
+    T(j) = 2 sin(pi (n - j + 2m) / 2n) sin(pi (n - j - 2m) / 2n) / sin t,
+    which is (cos t + cos(pi j / n)) / sin t taken as a product of sines,
+    mode (k, j) of the energy Hessian has eigenvalue 8c sin^2(pi (n - j) / 2n)
+    on the axial mode and 4c t T(j) on each transverse one.  T falls with
+    j, is exactly 0.0 at j = n - 2m and otherwise has the sign of the
+    integer n - j - 2m; the axial row is positive and falls with j.
 
-    'lplus': exact second derivatives of the full-loop L+ along the
-    negative energy modes, O(n).  The L+ blocks are diagonal in the same
-    fixed basis as the energy blocks, so energy mode (k, j) is an
-    eigenvector of the L+ Hessian too, and its L+ eigenvalue is entry
-    [k, j - 1] of the L+ table of ``_mode_eigenvalues``.  The negative
-    energy modes are exactly the transverse ones with n - j - 2m < 0, so
-    the lane reads the slice [1:, n - 2m:] of the L+ table and builds no
-    energy table.  Negativity off
-    the energy-unstable subspace is exactly what the conjecture leaves
-    open, so it is not asserted here.
+    'energy': counts (4m - 2, 2, 3(n - 1) - 4m), with no zero band: the
+    two zero modes at j = n - 2m are the adjoint-orbit 2-sphere.  The
+    minimum is 4c t T(n - 1).  The maximum is the axial entry at j = 1,
+    8c sin^2(pi (n - 1) / 2n): it beats the transverse entry at j = 1 for
+    every 0 < t <= pi / 2, because that comparison reduces to
+    t <= 2 tan(t / 2).
 
-    Neither lane builds a matrix, runs an eigensolver or sorts.  Raises
-    ValueError unless 32 <= n <= MAX_N, 1 <= m and 4m <= n.
+    'lplus': the L+ blocks are diagonal in the same basis, so every energy
+    mode is an L+ eigenvector too, with eigenvalue (sqrt 2 / pi) T(j) on
+    the transverse modes.  The lane takes the L+ eigenvalues of the
+    negative energy modes, the transverse ones with j > n - 2m: counts
+    (4m - 2, 0, 0), minimum (sqrt 2 / pi) T(n - 1) and maximum
+    (sqrt 2 / pi) T(n - 2m + 1).  Negativity off the energy-unstable
+    subspace is exactly what the conjecture leaves open, so it is not
+    asserted here.
+
+    Each extreme is evaluated with the same expression, in the same order,
+    as the entry of the tests' mode table it stands for.  Raises
+    ValueError unless 32 <= n <= MAX_N, 1 <= m and 4m <= n, or for an
+    unknown functional.
     """
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
@@ -305,10 +274,22 @@ def hessian_spectrum(functional, m, n):
             f"unknown functional {functional!r} (expected 'energy' or 'lplus')"
         )
     _check_resolution(m, n)
-    values = _mode_eigenvalues(m, n, functional)
-    if functional == "lplus":
-        values = values[1:, n - 2 * m:]
-    neg, zero, pos = _classify(values)
-    return SpectralReport(
-        functional, m, n, neg, zero, pos, float(values.min()), float(values.max())
-    )
+    t = 2 * math.pi * m / n
+
+    def transverse(j):
+        return (
+            2.0 * math.sin(math.pi * (n - j + 2 * m) / (2 * n))
+            * math.sin(math.pi * (n - j - 2 * m) / (2 * n)) / math.sin(t)
+        )
+
+    negative = 4 * m - 2
+    if functional == "energy":
+        c = n / (2 * math.pi**2)
+        axial = math.sin(math.pi * (n - 1) / (2 * n))
+        counts = (negative, 2, 3 * (n - 1) - 4 * m)
+        low, high = 4 * c * t * transverse(n - 1), 8 * c * (axial * axial)
+    else:
+        counts = (negative, 0, 0)
+        low = _SQRT2 / math.pi * transverse(n - 1)
+        high = _SQRT2 / math.pi * transverse(n - 2 * m + 1)
+    return SpectralReport(functional, m, n, *counts, low, high)

@@ -1,18 +1,23 @@
 """Test oracles for the SU(2) Hessian spectra.
 
-The library reads the L+ second derivatives along the energy-unstable
-modes off its closed-form table of mode eigenvalues.  This oracle takes
-the long way: real orthonormal eigenvectors of the energy Hessian, built
-mode by mode from a numeric joint eigenbasis of its own, and the
-exact second derivative of the whole-loop L+ along each of them, summed
-step by step.  ``energy_spectrum`` sorts the library's energy table, for
-comparison with a dense eigensolve.  ``constant_loop`` and ``random_loop``
-are the test loops of the discrete functionals.  Only the tests use them.
+The library evaluates the counts and the two extreme eigenvalues of each
+spectrum in closed form, at modes it knows in advance.  ``mode_eigenvalues``
+is the long way round: the table of all 3 (n - 1) mode eigenvalues, whose
+signs ``classify`` counts and whose extremes ``table_spectrum`` takes,
+entry by entry, as the lane did before it had a closed form.  The tests
+check that table against a dense eigensolve of ``energy_hessian``.
+``energy_spectrum`` sorts the energy table for that comparison.
+
+The L+ oracle takes a longer way still: real orthonormal eigenvectors of
+the energy Hessian, built mode by mode from a numeric joint eigenbasis of
+its own, and the exact second derivative of the whole-loop L+ along each
+of them, summed step by step.  ``constant_loop`` and ``random_loop`` are
+the test loops of the discrete functionals.  Only the tests use them.
 """
 
 import numpy as np
 
-from liehofer.su2_loops import DiscreteLoop, _check_resolution, _mode_eigenvalues, _qexp
+from liehofer.su2_loops import DiscreteLoop, _check_resolution, _qexp
 
 # Generic weights of the Hermitian combination whose eigenvectors form the
 # joint eigenbasis; the relative size below which an imaginary part counts
@@ -45,7 +50,69 @@ def energy_spectrum(m, n):
     Raises ValueError when m < 1, n > MAX_N or 4m > n.
     """
     _check_resolution(m, n)
-    return np.sort(_mode_eigenvalues(m, n, "energy").ravel())
+    return np.sort(mode_eigenvalues(m, n, "energy").ravel())
+
+
+def mode_eigenvalues(m, n, functional):
+    """Hessian eigenvalues of the energy or L+ at the winding-m geodesic:
+    mode (k, j) at [k, j - 1], rows k axial, transverse, transverse.
+
+    The Hessian is block-tridiagonal Toeplitz with diagonal block S and
+    off-diagonal blocks B above, B^T below (``_step_blocks``).  Both are
+    diagonal in the fixed unitary basis e_x (axial) and
+    v = (0, 1, -/+i)/sqrt 2 (transverse): in the notation of
+    ``_step_blocks``, u x e_x = 0 and u x v = +/-i s v, while u . v = 0.
+    With S v_k = a_k v_k and B v_k = mu_k v_k the Hessian splits into
+    scalar Dirichlet tridiagonal matrices with diagonal a_k and
+    off-diagonal mu_k, whose eigenvalues are a_k + 2|mu_k| cos_j,
+    cos_j = cos(pi j / n), j = 1..n-1.  On the axial mode Hess theta
+    vanishes and grad r grad r^T / s^2 has a = 2, mu = -1; on the
+    transverse pair that term vanishes and Hess theta has a = 2r / s,
+    |mu| = 1 / s.  So, with t = 2 pi m / n and c = n / 2 pi^2, the energy
+    rows are 4c (1 + cos_j) and (4c t / sin t)(cos t + cos_j), twice, and
+    the L+ rows 0 and (sqrt 2 / (pi sin t))(cos t + cos_j), twice.
+
+    Both sums of cosines are taken as products of sines, with no
+    cancellation where they are small:
+    1 + cos_j = 2 sin^2(pi (n - j) / 2n) and
+    cos t + cos_j = 2 sin(pi (n - j + 2m) / 2n) sin(pi (n - j - 2m) / 2n).
+    For 4m <= n every sine but the last is positive, so the axial rows are
+    positive, and each transverse entry is exactly 0.0 at j = n - 2m and
+    otherwise has the sign of the integer n - j - 2m.
+    """
+    t = 2 * np.pi * m / n
+    nj = n - np.arange(1, n)  # n - j
+    transverse = (
+        2.0 * np.sin(np.pi * (nj + 2 * m) / (2 * n))
+        * np.sin(np.pi * (nj - 2 * m) / (2 * n)) / np.sin(t)
+    )
+    if functional == "energy":
+        c = n / (2 * np.pi**2)
+        axial = 8 * c * np.sin(np.pi * nj / (2 * n)) ** 2
+        transverse = 4 * c * t * transverse
+    else:
+        axial, transverse = np.zeros(n - 1), np.sqrt(2.0) / np.pi * transverse
+    return np.stack([axial, transverse, transverse])
+
+
+def classify(values):
+    """Counts of the negative, zero and positive entries, by their signs."""
+    neg = int(np.count_nonzero(values < 0))
+    zero = int(np.count_nonzero(values == 0))
+    return neg, zero, values.size - neg - zero
+
+
+def table_spectrum(functional, m, n):
+    """Counts and extremes of the mode table: the whole energy table, or
+    the L+ table on the negative energy modes, the transverse ones with
+    n - j - 2m < 0, which is the slice [1:, n - 2m:].
+
+    Returns (negative, zero, positive), min, max.
+    """
+    values = mode_eigenvalues(m, n, functional)
+    if functional == "lplus":
+        values = values[1:, n - 2 * m:]
+    return classify(values), float(values.min()), float(values.max())
 
 
 def unstable_directions(s, b, n):

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from liehofer.cli import main
+from liehofer.cli import MAX_COORD, main
+from liehofer.su2_loops import MAX_N
+from liehofer.verify import CHECKS
 
 
 def run(capsys, *argv):
@@ -266,3 +269,100 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+# Inputs of the generated argvs: good and bad labels (the rank of a good one
+# is its digit), coordinates at and past MAX_COORD, non-ASCII digits, and
+# cutoffs, resolutions, areas and signs on both sides of their bounds.  No
+# box is 4 or more and no valid cutoff is above 40, so every run is short.
+_LABELS = ("A1", "A2", "A3", "B2", "C3", "D4", "G2", "F4", "a2", "b02")
+_BAD_LABELS = ("E6", "A0", "A10", "Z2", "", "A", "A\u0662", "\uff212", "B" + "9" * 30)
+_COORDS = (
+    "0", "1", "-1", "2", "-3", "007", "+4", str(MAX_COORD), str(-MAX_COORD),
+    str(MAX_COORD + 1), str(-MAX_COORD - 1), "9" * 25, "\u0661", "\u0663\u0662",
+    "1.5", "x", "",
+)
+_CUTOFFS = ("0", "2", "7", "12", "20", "40", "-2", "201", "x", "\u0661\u0662", "+8", "008")
+_RESOLUTIONS = ("31", "32", "33", "64", "256", str(MAX_N), str(MAX_N + 1), "\u0666\u0664", "x")
+_WINDINGS = ("0", "1", "2", "3", "-1", "x")
+_AREAS = ("1", "0.5", "2.25", "1e-300", "0", "-1", "nan", "inf", "x", "\u0661")
+_SIGNS = ("1", "-1", "0", "2", "x")
+_BOXES = ("0", "1", "2", "3", "-1", "11", "x", "\u0662")
+
+
+def _xi(rng, rank):
+    count = rank if rng.random() < 0.85 else max(1, rank + rng.choice((-1, 1)))
+    good = ("0", "1", "-1", "2", "-3")
+    return ",".join(
+        rng.choice(good) if rng.random() < 0.8 else rng.choice(_COORDS) for _ in range(count)
+    )
+
+
+def _system(rng):
+    if rng.random() < 0.8:
+        label = rng.choice(_LABELS)
+        return label, int(label[1:])
+    return rng.choice(_BAD_LABELS), rng.randint(1, 4)
+
+
+def _optional(rng, argv, flag, choices):
+    if rng.random() < 0.8:
+        argv += [flag, rng.choice(choices)]
+    return argv
+
+
+def _random_argv(rng, command):
+    if command in ("index", "weights", "hofer"):
+        label, rank = _system(rng)
+        argv = [command, "--system", label, f"--xi={_xi(rng, rank)}"]
+        if command == "hofer" and rng.random() < 0.7:
+            argv.append(f"--eta={_xi(rng, rank)}")
+        return argv
+    if command == "omega-series":
+        return _optional(rng, ["omega-series", "--system", _system(rng)[0]], "--cutoff", _CUTOFFS)
+    if command == "hessian-su2":
+        if rng.random() < 0.3:
+            # the winding bound: 4m = n, and 4m = n + 1
+            m = rng.choice((8, 16, MAX_N // 4))
+            m, n = str(m), str(4 * m - rng.choice((0, 1)))
+        else:
+            m, n = rng.choice(_WINDINGS), rng.choice(_RESOLUTIONS)
+        argv = ["hessian-su2", "--m", m, "--n", n]
+        return _optional(rng, argv, "--functional", ("energy", "lplus", "lplus", "curvature"))
+    if command == "seidel-cp1":
+        argv = ["seidel-cp1", f"--xi={_xi(rng, 1)}"]
+        return _optional(rng, _optional(rng, argv, "--area", _AREAS), "--sign", _SIGNS)
+    labels = [_system(rng)[0] for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.1:
+        labels.append(labels[0].lower())  # a system named twice
+    argv = ["verify", "--box", rng.choice(_BOXES), "--systems", ",".join(labels)]
+    if rng.random() < 0.7:
+        checks = rng.sample(sorted(CHECKS), rng.randint(1, 3))
+        if rng.random() < 0.2:
+            checks.append(rng.choice(("foo", checks[0])))  # unknown, or named twice
+        argv += ["--checks", ",".join(checks)]
+    return argv
+
+
+def test_generated_argvs_keep_the_exit_contract(capsys):
+    # exit 0, 1 or 2; on 2 an empty stdout and one stderr line; on 0 JSON
+    rng = random.Random(20260)
+    commands = ("index", "weights", "hofer", "omega-series", "hessian-su2", "seidel-cp1", "verify")
+    seen = set()
+    for i in range(300):
+        argv = _random_argv(rng, commands[i % len(commands)])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert captured.out == "", argv
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        elif code == 0:
+            json.loads(captured.out)
+        seen.add((argv[0], code))
+    # every command both ran and was refused, and some check failed
+    assert {(c, k) for c in commands for k in (0, 2)} <= seen
+    assert any(k == 1 for _, k in seen)

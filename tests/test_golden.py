@@ -27,6 +27,10 @@ CASES = {
 HESSIAN_CASES = {
     "hessian_su2_m2_n128.json": ["hessian-su2", "--m", "2", "--n", "128"],
     "hessian_su2_lplus_m1_n64.json": ["hessian-su2", "--functional", "lplus", "--m", "1", "--n", "64"],
+    "hessian_su2_m16384_n65536.json": ["hessian-su2", "--m", "16384", "--n", "65536"],
+    "hessian_su2_lplus_m16384_n65536.json": [
+        "hessian-su2", "--functional", "lplus", "--m", "16384", "--n", "65536",
+    ],
 }
 
 # The extremes come from a closed-form spectrum in floating point, so a

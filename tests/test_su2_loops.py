@@ -18,7 +18,6 @@ from liehofer.su2_loops import (
     geodesic_loop,
     hessian_spectrum,
     _distances,
-    _mode_eigenvalues,
     _qexp,
     _qmul,
     _step_blocks,
@@ -27,9 +26,17 @@ from su2_oracle import (
     constant_loop,
     energy_spectrum,
     lplus_second_derivative,
+    mode_eigenvalues,
     random_loop,
+    table_spectrum,
     unstable_directions,
 )
+
+
+def _within_2_ulp(got, want):
+    """The closed form evaluates the extremes with math.sin and the table
+    with numpy's sin, which may use SIMD code on some CPUs."""
+    return abs(got - want) <= 2 * math.ulp(want)
 
 
 def _case_id(functional, *rest):
@@ -307,7 +314,7 @@ def test_fixed_basis_diagonalizes_step_blocks(n):
                 np.diagonal(s_k).real[:, None]
                 + 2.0 * np.abs(np.diagonal(b_k))[:, None] * cosines
             )
-            table = _mode_eigenvalues(m, n, functional)
+            table = mode_eigenvalues(m, n, functional)
             assert table.shape == (3, n - 1)
             assert np.max(np.abs(rows - table)) <= 2e-15 * np.max(np.abs(table)), (
                 functional, m, n,
@@ -335,7 +342,7 @@ def test_low_spectrum_tends_to_the_continuum_limit(m):
         assert np.max(np.abs(low - limit)) <= first * v**2, (m, n)
         j = np.arange(1, v)
         limit = np.sort(np.concatenate([j**2 - v**2, j**2 - v**2])) / (math.sqrt(2) * v)
-        low = n * np.sort(_mode_eigenvalues(m, n, "lplus").ravel())[: len(limit)]
+        low = n * np.sort(mode_eigenvalues(m, n, "lplus").ravel())[: len(limit)]
         assert np.max(np.abs(low - limit)) <= first * v / math.sqrt(2), (m, n)
         report = hessian_spectrum("lplus", m, n)
         assert report.negative_count == len(limit), (m, n)
@@ -348,7 +355,7 @@ def test_energy_zero_modes_are_exactly_zero(n):
     # the transverse pair at j = n - 2m, the directions of the adjoint-orbit
     # 2-sphere, and no other entry
     for m in sorted({1, 3, n // 4}):
-        table = _mode_eigenvalues(m, n, "energy")
+        table = mode_eigenvalues(m, n, "energy")
         assert table[1, n - 2 * m - 1] == table[2, n - 2 * m - 1] == 0.0, (m, n)
         assert np.count_nonzero(table == 0.0) == 2, (m, n)
 
@@ -371,22 +378,9 @@ def test_transverse_rows_match_longdouble_sum():
     }
     keep = np.arange(1, n) != n - 2 * m
     for functional, want in rows.items():
-        got = _mode_eigenvalues(m, n, functional)[1]
+        got = mode_eigenvalues(m, n, functional)[1]
         error = np.abs(got[keep] - want[keep]) / np.abs(want[keep])
         assert float(np.max(error)) <= 1e-15, functional
-
-
-def test_energy_lane_builds_no_dense_hessian(monkeypatch):
-    def dense(*args, **kwargs):
-        raise AssertionError("energy lane built the dense Hessian")
-
-    def eigh(*args, **kwargs):
-        raise AssertionError("energy lane ran an eigensolver")
-
-    monkeypatch.setattr(su2_loops, "energy_hessian", dense)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    report = hessian_spectrum("energy", 2, 128)
-    assert (report.negative_count, report.zero_count) == (6, 2)
 
 
 @pytest.mark.parametrize(
@@ -394,11 +388,12 @@ def test_energy_lane_builds_no_dense_hessian(monkeypatch):
     [
         pytest.param(functional, n, id=_case_id(functional, n))
         for functional in ("energy", "lplus")
-        for n in (32, 64, 128, 256, 512, 1024, 2048, MAX_N)
+        for n in (32, 33, 64, 128, 256, 512, 1024, 2048, 4099, MAX_N)
     ],
 )
 def test_energy_counts_sweep(functional, n):
-    # every winding up to n = 1024, and a few up to 4m = n beyond
+    # every winding up to n = 1024, and a few up to 4m = n beyond; the
+    # closed form against the mode table, entry by entry
     windings = range(1, n // 4 + 1) if n <= 1024 else sorted({1, 2, 3, 8, n // 4})
     for m in windings:
         report = hessian_spectrum(functional, m, n)
@@ -409,7 +404,29 @@ def test_energy_counts_sweep(functional, n):
         else:
             # L+ is taken only along the energy-unstable modes
             assert counts == (negative, 0, 0), (m, n)
+        table_counts, low, high = table_spectrum(functional, m, n)
+        assert counts == table_counts, (m, n)
+        assert _within_2_ulp(report.min_eigenvalue, low), (m, n)
+        assert _within_2_ulp(report.max_eigenvalue, high), (m, n)
 
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the lane read numpy.{name}")
+
+
+@pytest.mark.parametrize("functional", ["energy", "lplus"])
+def test_lane_reads_no_numpy(functional, monkeypatch):
+    # a dense Hessian, an eigensolver and a mode table all need numpy
+    monkeypatch.setattr(su2_loops, "np", _NoNumpy())
+    for m, n in ((1, 32), (3, 256), (16384, 65536)):
+        report = hessian_spectrum(functional, m, n)
+        counts = (report.negative_count, report.zero_count, report.positive_count)
+        negative = 4 * m - 2
+        if functional == "energy":
+            assert counts == (negative, 2, 3 * (n - 1) - 4 * m), (m, n)
+        else:
+            assert counts == (negative, 0, 0), (m, n)
 
 
 def _dense_block_tridiagonal(s, b, n):
@@ -515,30 +532,18 @@ def test_lplus_lane_matches_probe_along_unstable_directions(n):
 
 @pytest.mark.parametrize("n", [32, 33, 100, 1024, 4099, MAX_N])
 def test_lplus_lane_slice_is_the_energy_sign_mask(n):
-    # the lane slices the L+ table at the transverse modes with
-    # n - j - 2m < 0; mask it instead with the signs of the energy table
+    # the lane takes the L+ extremes at the transverse modes with
+    # n - j - 2m < 0; take them instead from the L+ table masked with the
+    # signs of the energy table
     for m in sorted({1, 2, 3, n // 8, n // 4 - 1, n // 4}):
-        energy = _mode_eigenvalues(m, n, "energy")
-        masked = _mode_eigenvalues(m, n, "lplus")[energy < 0]
+        energy = mode_eigenvalues(m, n, "energy")
+        masked = mode_eigenvalues(m, n, "lplus")[energy < 0]
         report = hessian_spectrum("lplus", m, n)
         counts = (report.negative_count, report.zero_count, report.positive_count)
         expected = tuple(int(np.count_nonzero(c)) for c in (masked < 0, masked == 0, masked > 0))
         assert counts == expected, (m, n)
-        assert report.min_eigenvalue == float(masked.min()), (m, n)
-        assert report.max_eigenvalue == float(masked.max()), (m, n)
-
-
-def test_lplus_lane_builds_no_dense_hessian(monkeypatch):
-    def dense(*args, **kwargs):
-        raise AssertionError("L+ lane built the dense Hessian")
-
-    def eigh(*args, **kwargs):
-        raise AssertionError("L+ lane ran an eigensolver")
-
-    monkeypatch.setattr(su2_loops, "energy_hessian", dense)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    report = hessian_spectrum("lplus", 2, 128)
-    assert (report.negative_count, report.zero_count, report.positive_count) == (6, 0, 0)
+        assert _within_2_ulp(report.min_eigenvalue, float(masked.min())), (m, n)
+        assert _within_2_ulp(report.max_eigenvalue, float(masked.max())), (m, n)
 
 
 def test_lplus_output_is_the_same_for_one_and_two_blas_threads():
