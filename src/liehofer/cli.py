@@ -1,5 +1,7 @@
 """Command-line surface: reproducible JSON reports over all modules.
 
+Each command returns its report and exit code; `main` alone adds the
+command name and the units, writes ``--out`` and prints.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
 Exact rationals are serialized as "p/q" strings; floats are fixed at 12
 significant digits so identical invocations are byte-identical.
@@ -35,7 +37,7 @@ def _fmt(value):
     return value
 
 
-def _emit(payload, out_path=None):
+def _emit(payload, out_path):
     text = json.dumps(_fmt(payload), indent=2)
     if out_path:
         try:
@@ -122,45 +124,47 @@ def _parse_xi(system, text, flag):
     return system.coweight([int(m[1] + m[2]) for m in matches])
 
 
-def _cmd_index(args):
+# The unit of every unit-bearing report field.  A command names its
+# unit-bearing fields in the report's "units" entry; `main` looks them up here.
+_UNITS = {
+    **dict.fromkeys(
+        ("virtual_index", "riemannian_index", "weights", "coefficients", "oracle",
+         "negative_count", "zero_count", "positive_count", "coordinate_box"),
+        "dimensionless",
+    ),
+    **dict.fromkeys(
+        ("length_squared", "length", "orbit_maximum", "positive_norm_squared",
+         "positive_norm", "min_eigenvalue", "max_eigenvalue", "leading_exponent",
+         "l_plus_squared", "area"),
+        "lattice-units",
+    ),
+}
+
+
+def _circle_header(args):
+    """The circle subgroup of ``--system`` and ``--xi``, and the report
+    header that ``index`` and ``weights`` share."""
     system = from_label(args.system)
     gamma = CircleSubgroup(_parse_xi(system, args.xi, "--xi"))
+    return gamma, {"system": system.label, "xi": list(gamma.xi.coords), "regular": gamma.regular}
+
+
+def _cmd_index(args):
+    gamma, header = _circle_header(args)
     report = index_equality_report(gamma)
-    _emit(
-        {
-            "command": "index",
-            "system": system.label,
-            "xi": list(gamma.xi.coords),
-            "regular": gamma.regular,
-            "weights": list(report.weights.weights),
-            "virtual_index": report.virtual_index,
-            "riemannian_index": report.riemannian_index,
-            "agree": report.agree,
-            "units": {
-                "virtual_index": "dimensionless",
-                "riemannian_index": "dimensionless",
-            },
-        },
-        args.out,
-    )
-    return 0
+    return {
+        **header,
+        "weights": list(report.weights.weights),
+        "virtual_index": report.virtual_index,
+        "riemannian_index": report.riemannian_index,
+        "agree": report.agree,
+        "units": ("virtual_index", "riemannian_index"),
+    }, 0
 
 
 def _cmd_weights(args):
-    system = from_label(args.system)
-    gamma = CircleSubgroup(_parse_xi(system, args.xi, "--xi"))
-    _emit(
-        {
-            "command": "weights",
-            "system": system.label,
-            "xi": list(gamma.xi.coords),
-            "regular": gamma.regular,
-            "weights": list(weights_at_max(gamma).weights),
-            "units": {"weights": "dimensionless"},
-        },
-        args.out,
-    )
-    return 0
+    gamma, header = _circle_header(args)
+    return {**header, "weights": list(weights_at_max(gamma).weights), "units": ("weights",)}, 0
 
 
 def _cmd_hofer(args):
@@ -168,37 +172,24 @@ def _cmd_hofer(args):
     xi = _parse_xi(system, args.xi, "--xi")
     length = hofer.hofer_length_circle(xi)
     payload = {
-        "command": "hofer",
         "system": system.label,
         "xi": list(xi.coords),
         "length_squared": length.value_squared,
         "length": length.value_float,
-        "units": {
-            "length_squared": "lattice-units",
-            "length": "lattice-units",
-        },
+        "units": ("length_squared", "length"),
     }
     if args.eta is not None:
         eta = _parse_xi(system, args.eta, "--eta")
         m, norm = hofer.positive_norm(eta, xi)
+        payload["units"] += ("orbit_maximum", "positive_norm_squared", "positive_norm")
         payload.update(
-            {
-                "eta": list(eta.coords),
-                "orbit_maximum": m,
-                "positive_norm_squared": norm.value_squared,
-                "positive_norm": norm.value_float,
-                "norm_inequality_holds": hofer.check_norm_inequality(eta, xi),
-            }
+            eta=list(eta.coords),
+            orbit_maximum=m,
+            positive_norm_squared=norm.value_squared,
+            positive_norm=norm.value_float,
+            norm_inequality_holds=hofer.check_norm_inequality(eta, xi),
         )
-        payload["units"].update(
-            {
-                "orbit_maximum": "lattice-units",
-                "positive_norm_squared": "lattice-units",
-                "positive_norm": "lattice-units",
-            }
-        )
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
 def _cmd_omega_series(args):
@@ -206,71 +197,43 @@ def _cmd_omega_series(args):
     series = loop_morse.omega_g_series(system, args.cutoff, check=False)
     oracle = loop_morse.transgression_series(system, args.cutoff)
     match = series.coeffs == oracle.coeffs
-    _emit(
-        {
-            "command": "omega-series",
-            "system": system.label,
-            "cutoff": args.cutoff,
-            "coefficients": list(series.coeffs),
-            "oracle": list(oracle.coeffs),
-            "match": match,
-            "units": {"coefficients": "dimensionless", "oracle": "dimensionless"},
-        },
-        args.out,
-    )
-    return 0 if match else 1
+    return {
+        "system": system.label,
+        "cutoff": args.cutoff,
+        "coefficients": list(series.coeffs),
+        "oracle": list(oracle.coeffs),
+        "match": match,
+        "units": ("coefficients", "oracle"),
+    }, 0 if match else 1
 
 
 def _cmd_hessian(args):
     report = su2_loops.hessian_spectrum(args.functional, args.m, args.n)
-    _emit(
-        {
-            "command": "hessian-su2",
-            **dataclasses.asdict(report),
-            "units": {
-                "negative_count": "dimensionless",
-                "zero_count": "dimensionless",
-                "positive_count": "dimensionless",
-                "min_eigenvalue": "lattice-units",
-                "max_eigenvalue": "lattice-units",
-            },
-        },
-        args.out,
-    )
-    return 0
+    return {
+        **dataclasses.asdict(report),
+        "units": ("negative_count", "zero_count", "positive_count",
+                  "min_eigenvalue", "max_eigenvalue"),
+    }, 0
 
 
 def _cmd_seidel(args):
-    a1 = from_label("A1")
-    xi = _parse_xi(a1, args.xi, "--xi")
+    xi = _parse_xi(from_label("A1"), args.xi, "--xi")
     length = hofer.hofer_length_circle(xi)
-    report = quantum_cp1.psi_leading(
-        length.value_float, args.sign, area=args.area
-    )
-    _emit(
-        {
-            "command": "seidel-cp1",
-            "xi": list(xi.coords),
-            "area": args.area,
-            "sign": report.sign,
-            "leading_basis": quantum_cp1.PT,
-            "leading_exponent": report.exponent,
-            "l_plus_squared": length.value_squared,
-            "nonzero": report.nonzero,
-            "invertible": report.invertible,
-            "corrections": [
-                {"coefficient": c, "basis": b, "exponent": e}
-                for c, b, e in report.corrections
-            ],
-            "units": {
-                "leading_exponent": "lattice-units",
-                "l_plus_squared": "lattice-units",
-                "area": "lattice-units",
-            },
-        },
-        args.out,
-    )
-    return 0
+    report = quantum_cp1.psi_leading(length.value_float, args.sign, area=args.area)
+    return {
+        "xi": list(xi.coords),
+        "area": args.area,
+        "sign": report.sign,
+        "leading_basis": quantum_cp1.PT,
+        "leading_exponent": report.exponent,
+        "l_plus_squared": length.value_squared,
+        "nonzero": report.nonzero,
+        "invertible": report.invertible,
+        "corrections": [
+            {"coefficient": c, "basis": b, "exponent": e} for c, b, e in report.corrections
+        ],
+        "units": ("leading_exponent", "l_plus_squared", "area"),
+    }, 0
 
 
 def _cmd_verify(args):
@@ -296,18 +259,13 @@ def _cmd_verify(args):
             raise InputError(f"--checks names {twice[0]} twice: {clipped_repr(args.checks)}")
     results = verify.run_checks(labels, args.box, names)
     all_pass = all(r["pass"] for r in results.values())
-    _emit(
-        {
-            "command": "verify",
-            "systems": labels,
-            "coordinate_box": args.box,
-            "checks": results,
-            "all_pass": all_pass,
-            "units": {"coordinate_box": "dimensionless"},
-        },
-        args.out,
-    )
-    return 0 if all_pass else 1
+    return {
+        "systems": labels,
+        "coordinate_box": args.box,
+        "checks": results,
+        "all_pass": all_pass,
+        "units": ("coordinate_box",),
+    }, 0 if all_pass else 1
 
 
 def _build_parser():
@@ -376,10 +334,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        payload, code = args.fn(args)
+        # every report opens with its command and names its unit-bearing fields
+        payload = {"command": args.command, **payload}
+        payload["units"] = {name: _UNITS[name] for name in payload["units"]}
+        _emit(payload, args.out)
         # flush here, not at exit, so that a closed pipe is caught below
         sys.stdout.flush()
         return code

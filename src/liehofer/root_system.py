@@ -272,7 +272,15 @@ class RootSystem:
 @dataclass(frozen=True)
 class Coweight:
     """Integer vector in the fundamental-coweight basis; encodes a circle
-    subgroup theta -> exp(2 pi theta xi)."""
+    subgroup theta -> exp(2 pi theta xi).
+
+    Only ``RootSystem.coweight`` checks that the coordinates are
+    integers; this constructor checks their count alone, so build
+    coweights through ``system.coweight(coords)``.  A coweight built here
+    from non-integers (``Coweight(system, (0.5, 0.4))``) reaches the
+    exact code unchecked and fails there with a misleading error, or none.
+    The check stays out of the constructor because every sweep item
+    builds coweights and would pay for it."""
 
     system: RootSystem
     coords: tuple

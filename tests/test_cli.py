@@ -10,6 +10,7 @@ import pytest
 from liehofer.cli import MAX_COORD, main
 from liehofer.su2_loops import MAX_N
 from liehofer.verify import CHECKS
+from test_golden import CASES, HESSIAN_CASES
 
 
 def run(capsys, *argv):
@@ -88,11 +89,13 @@ def test_usage_error_unknown_subcommand():
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code = main(["index", "--system", "A1", "--xi", "2", "--out", str(target)])
-    stdout = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(target.read_text()) == json.loads(stdout)
+    # every golden report, so that each command's report reaches the file
+    for name, argv in {**CASES, **HESSIAN_CASES}.items():
+        target = tmp_path / name
+        code = main([*argv, "--out", str(target)])
+        stdout = capsys.readouterr().out
+        assert code == 0, argv
+        assert target.read_bytes() == stdout.encode(), argv
 
 
 def test_verify_fast_subset(capsys):

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,21 +541,3 @@ def test_lplus_lane_slice_is_the_energy_sign_mask(n):
         assert _within_2_ulp(report.min_eigenvalue, float(masked.min())), (m, n)
         assert _within_2_ulp(report.max_eigenvalue, float(masked.max())), (m, n)
 
-
-def test_lplus_output_is_the_same_for_one_and_two_blas_threads():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            PYTHONPATH=src,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "liehofer.cli", "hessian-su2",
-             "--functional", "lplus", "--m", "1", "--n", "256"],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
