@@ -106,10 +106,12 @@ def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
 
     Every correction term must sit strictly below the leading energy
     exponent; a violation raises EnergyBoundViolation (the maximal-energy
-    class is the unique leading term).
+    class is the unique leading term).  orientation_sign must be the int
+    +1 or -1: True and 1.0 compare equal to 1 but raise ValueError, so the
+    report never echoes a bool or a float as its sign.
     """
-    if orientation_sign not in (1, -1):
-        raise ValueError("orientation sign must be +1 or -1")
+    if type(orientation_sign) is not int or orientation_sign not in (1, -1):
+        raise ValueError("orientation sign must be the int +1 or -1")
     l_plus, area = float(l_plus), float(area)
     corrections = tuple((Fraction(c), b, float(e)) for c, b, e in corrections)
     if not all(map(math.isfinite, [l_plus, area] + [e for _, _, e in corrections])):

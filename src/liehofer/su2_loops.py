@@ -33,6 +33,7 @@ distance is sqrt(2) times the quaternion angle in turns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,9 +265,13 @@ def hessian_spectrum(functional, m, n):
 
     Each extreme is evaluated with the same expression, in the same order,
     as the entry of the tests' mode table it stands for.  Raises
-    ValueError unless 32 <= n <= MAX_N, 1 <= m and 4m <= n, or for an
-    unknown functional.
+    ValueError unless m and n are integers with 32 <= n <= MAX_N, 1 <= m
+    and 4m <= n, or for an unknown functional.
     """
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise ValueError(f"winding m={m!r} and resolution n={n!r} must be integers") from None
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
     if functional not in ("energy", "lplus"):

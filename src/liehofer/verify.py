@@ -2,9 +2,12 @@
 suite.
 
 Each check returns (passed, detail, counterexample); a failed check always
-carries a concrete counterexample datum.  A sweep that checked nothing, or
-a series check given no systems, is vacuous and fails, with the empty
-sweep as its counterexample.  ``run_checks`` refuses a box outside
+carries a concrete counterexample datum.  The index and norm sweeps share
+one tally, ``_sweep``: it counts the cases that hold, stops at the first
+counterexample with the detail "N regular coweights checked" or
+"N (eta, xi) pairs checked", and fails a sweep that checked nothing as
+vacuous, with the empty sweep as its counterexample; a series check given
+no systems is vacuous too.  ``run_checks`` refuses a box outside
 0..MAX_BOX before it runs any check, whichever checks are named; the two
 sweeps also check it, for callers that run them directly.
 
@@ -65,67 +68,67 @@ def box_coweights(system, box, regular_only=False, nonzero_only=True):
             yield Coweight(system, tuple(coords))
 
 
+def _sweep(labels, box, failures, noun, verdict):
+    """The tally of both box sweeps.  ``failures`` yields None for each case
+    that holds and a counterexample dict for one that does not; the first
+    counterexample ends the sweep.  A sweep that checked nothing fails, with
+    the empty sweep as its counterexample."""
+    _check_box(box)
+    checked = 0
+    for counterexample in failures:
+        if counterexample is not None:
+            return False, f"{checked} {noun} checked", counterexample
+        checked += 1
+    if not checked:
+        return False, f"0 {noun} checked: the sweep is vacuous", {
+            "systems": list(labels), "box": box, "checked": 0,
+        }
+    return True, f"{checked} {noun} {verdict}", None
+
+
 def check_index_equality(labels, box):
     """Virtual index == conjugate-point index == Bott index of the
     dominant representative, exactly, for every regular coweight."""
-    _check_box(box)
-    checked = 0
-    for label in labels:
-        system = from_label(label)
-        for xi in box_coweights(system, box, regular_only=True):
-            report = index_equality_report(CircleSubgroup(xi))
-            dom = dominant_representative(xi)
-            if not (report.agree and report.virtual_index == bott_index(dom)):
-                return False, f"{checked} coweights checked", {
+    def failures():
+        for label in labels:
+            for xi in box_coweights(from_label(label), box, regular_only=True):
+                report = index_equality_report(CircleSubgroup(xi))
+                bott = bott_index(dominant_representative(xi))
+                yield None if report.agree and report.virtual_index == bott else {
                     "system": label,
                     "xi": list(xi.coords),
                     "virtual_index": report.virtual_index,
                     "riemannian_index": report.riemannian_index,
-                    "bott_index": bott_index(dom),
+                    "bott_index": bott,
                 }
-            checked += 1
-    if not checked:
-        return False, "0 regular coweights checked: the sweep is vacuous", {
-            "systems": list(labels), "box": box, "checked": 0,
-        }
-    return True, f"{checked} regular coweights agree", None
+    return _sweep(labels, box, failures(), "regular coweights", "agree")
 
 
 def check_norm_inequality(labels, box):
     """m^2 <= <xi,xi><eta,eta>, exhaustively at rank <= 2 and on
     2000 seeded random pairs shared by the systems of rank >= 3."""
-    _check_box(box)
-    systems = [from_label(label) for label in labels]
-    draws = 2000 // max(1, sum(system.rank > 2 for system in systems))
-    rng = np.random.default_rng(7)
-    checked = 0
-    for system in systems:
-        if system.rank <= 2:
-            pairs = itertools.product(
-                box_coweights(system, box, nonzero_only=False),
-                box_coweights(system, box),
-            )
-        else:
-            def draw(system=system):
-                for _ in range(draws):
-                    eta = system.coweight(rng.integers(-box, box + 1, system.rank))
-                    xi = system.coweight(rng.integers(-box, box + 1, system.rank))
-                    if not xi.is_zero:
-                        yield eta, xi
-            pairs = draw()
-        for eta, xi in pairs:
-            if not hofer.check_norm_inequality(eta, xi):
-                return False, f"{checked} pairs checked", {
-                    "system": system.label,
-                    "eta": list(eta.coords),
-                    "xi": list(xi.coords),
-                }
-            checked += 1
-    if not checked:
-        return False, "0 (eta, xi) pairs checked: the sweep is vacuous", {
-            "systems": list(labels), "box": box, "checked": 0,
-        }
-    return True, f"{checked} (eta, xi) pairs satisfy the inequality", None
+    def failures():
+        systems = [from_label(label) for label in labels]
+        draws = 2000 // max(1, sum(system.rank > 2 for system in systems))
+        rng = np.random.default_rng(7)
+        for system in systems:
+            if system.rank <= 2:
+                pairs = itertools.product(
+                    box_coweights(system, box, nonzero_only=False),
+                    box_coweights(system, box),
+                )
+            else:
+                def draw(system=system):
+                    return system.coweight(rng.integers(-box, box + 1, system.rank))
+                pairs = ((draw(), draw()) for _ in range(draws))
+            for eta, xi in pairs:
+                if not xi.is_zero:
+                    yield None if hofer.check_norm_inequality(eta, xi) else {
+                        "system": system.label,
+                        "eta": list(eta.coords),
+                        "xi": list(xi.coords),
+                    }
+    return _sweep(labels, box, failures(), "(eta, xi) pairs", "satisfy the inequality")
 
 
 def check_omega_series(labels):
@@ -148,21 +151,15 @@ def check_omega_series(labels):
 def check_hessian():
     """Spectral counts at the once-around SU(2) geodesic, n = 48 points."""
     n = 48
-    report = su2_loops.hessian_spectrum("energy", 1, n)
-    if (report.negative_count, report.zero_count) != (2, 2):
-        return False, "energy spectrum off", {
-            "m": 1, "n": n,
-            "negative_count": report.negative_count,
-            "zero_count": report.zero_count,
-        }
-    lp = su2_loops.hessian_spectrum("lplus", 1, n)
-    if (lp.negative_count, lp.zero_count, lp.positive_count) != (2, 0, 0):
-        return False, "lplus second derivatives off", {
-            "m": 1, "n": n,
-            "negative_count": lp.negative_count,
-            "zero_count": lp.zero_count,
-            "positive_count": lp.positive_count,
-        }
+    fields = ("negative_count", "zero_count", "positive_count")
+    for functional, expected, message in (
+        ("energy", (2, 2), "energy spectrum off"),
+        ("lplus", (2, 0, 0), "lplus second derivatives off"),
+    ):
+        report = su2_loops.hessian_spectrum(functional, 1, n)
+        counts = {field: getattr(report, field) for field in fields[:len(expected)]}
+        if tuple(counts.values()) != expected:
+            return False, message, {"m": 1, "n": n, **counts}
     return True, f"energy counts (2, 2) and lplus counts (2, 0, 0) at n={n}", None
 
 

@@ -239,8 +239,7 @@ def test_sphere_moment_max_is_height():
     assert abs(sphere_moment_max((0, 0, 2)) - 2.0) < 5e-3
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
-                                   "C2", "C3", "C4", "D4", "G2", "F4"])
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
 def test_positive_norm_scaling_laws(label):
     # eta -> k eta scales m by k (and the squared norm by k^2);
     # xi -> k xi scales m by k and leaves the norm unchanged

@@ -21,9 +21,10 @@ from liehofer.loop_morse import (
     transgression_series,
 )
 from liehofer.root_system import EXPONENTS, from_label, weyl_poincare
+from liehofer.verify import ALL_SYSTEMS
 from weyl_oracle import bfs_weyl_poincare, weyl_orbit
 
-ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+ALL_LABELS = ALL_SYSTEMS
 
 
 def test_poly_helpers():

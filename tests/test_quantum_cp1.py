@@ -219,8 +219,11 @@ def test_psi_leading_rejects_high_corrections():
 
 
 def test_psi_leading_sign_validation():
-    with pytest.raises(ValueError):
-        psi_leading(1.0, 2)
+    # True, 1.0 and -1.0 compare equal to +-1 but are not the int sign
+    for sign in (2, 0, True, False, 1.0, -1.0, "1", None):
+        with pytest.raises(ValueError):
+            psi_leading(1.0, sign)
+    assert type(psi_leading(1.0, -1).sign) is int
 
 
 def test_psi_exponent_matches_hofer_length():

@@ -24,12 +24,12 @@ from liehofer.root_system import (
     pairings,
     weyl_poincare,
 )
-from liehofer.verify import box_coweights, check_index_equality
+from liehofer.verify import ALL_SYSTEMS, box_coweights, check_index_equality
 
 from bourbaki_oracle import cartan_matrix
 from weyl_oracle import bfs_orbit, bfs_weyl_poincare, reflect_coweight, weyl_orbit
 
-ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+ALL_LABELS = ALL_SYSTEMS
 
 POSITIVE_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "A4": 10,

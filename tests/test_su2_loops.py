@@ -153,6 +153,17 @@ def test_spectrum_preconditions():
         energy_hessian(0, 64)
 
 
+def test_spectrum_takes_integer_m_and_n_only():
+    # unchecked, m = 1.5 gives fractional counts and n = 64.0 is echoed as a float
+    for m, n in ((1.5, 64), (2, 64.0), (2.0, 64), ("2", 64), (2, "64"), (None, 64)):
+        for functional in ("energy", "lplus"):
+            with pytest.raises(ValueError, match="integers"):
+                hessian_spectrum(functional, m, n)
+    report = hessian_spectrum("lplus", np.int64(2), np.int32(64))
+    assert report == hessian_spectrum("lplus", 2, 64)
+    assert type(report.m) is int and type(report.n) is int
+
+
 def test_counts_invariant_under_axis_change():
     # gauge symmetry: rotating the geodesic axis conjugates the loop and
     # leaves the eigenvalue counts unchanged

@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
 
-from liehofer import hofer
+from liehofer import hofer, su2_loops, verify
 from liehofer.root_system import from_label, pairing
 from liehofer.verify import (
     ALL_SYSTEMS,
     MAX_BOX,
     box_coweights,
+    check_hessian,
     check_index_equality,
     check_norm_inequality,
     check_omega_series,
@@ -53,6 +55,76 @@ def test_nonempty_sweep_passes(check):
     passed, detail, counterexample = check(["A1", "B3"], 1)
     assert passed is True and counterexample is None
     assert not detail.startswith("0 ")
+
+
+# A2 at box 1 holds 72 (eta, xi) pairs, so k = 80 falls on B3's seeded
+# draws: both branches of the norm sweep are reached.
+@pytest.mark.parametrize("k", [1, 4, 80])
+def test_norm_sweep_stops_at_the_first_counterexample(monkeypatch, k):
+    seen = []
+
+    def fails_on_kth(eta, xi):
+        seen.append((eta, xi))
+        return len(seen) != k
+
+    monkeypatch.setattr(verify.hofer, "check_norm_inequality", fails_on_kth)
+    passed, detail, counterexample = check_norm_inequality(["A2", "B3"], 1)
+    assert passed is False and len(seen) == k
+    assert detail.startswith(f"{k - 1} ")
+    eta, xi = seen[-1]
+    assert counterexample == {
+        "system": xi.system.label, "eta": list(eta.coords), "xi": list(xi.coords),
+    }
+
+
+# A2 at box 2 holds 12 regular coweights, so k = 20 falls on B3.
+@pytest.mark.parametrize("k", [1, 4, 20])
+def test_index_sweep_stops_at_the_first_counterexample(monkeypatch, k):
+    seen = []
+    index_equality_report = verify.index_equality_report
+
+    def disagrees_on_kth(gamma):
+        seen.append(gamma.xi)
+        report = index_equality_report(gamma)
+        if len(seen) != k:
+            return report
+        return dataclasses.replace(
+            report, riemannian_index=report.riemannian_index + 1, agree=False,
+        )
+
+    monkeypatch.setattr(verify, "index_equality_report", disagrees_on_kth)
+    passed, detail, counterexample = check_index_equality(["A2", "B3"], 2)
+    assert passed is False and len(seen) == k
+    assert detail.startswith(f"{k - 1} ")
+    xi = seen[-1]
+    assert set(counterexample) == {
+        "system", "xi", "virtual_index", "riemannian_index", "bott_index",
+    }
+    assert counterexample["system"] == xi.system.label
+    assert counterexample["xi"] == list(xi.coords)
+    assert counterexample["riemannian_index"] == counterexample["virtual_index"] + 1
+
+
+@pytest.mark.parametrize("lane, message, keys", [
+    ("energy", "energy spectrum off", {"negative_count", "zero_count"}),
+    ("lplus", "lplus second derivatives off",
+     {"negative_count", "zero_count", "positive_count"}),
+])
+def test_hessian_check_names_the_lane_that_fails(monkeypatch, lane, message, keys):
+    assert check_hessian()[0] is True
+    hessian_spectrum = su2_loops.hessian_spectrum
+
+    def one_zero_mode_too_many(functional, m, n):
+        report = hessian_spectrum(functional, m, n)
+        if functional != lane:
+            return report
+        return dataclasses.replace(report, zero_count=report.zero_count + 1)
+
+    monkeypatch.setattr(su2_loops, "hessian_spectrum", one_zero_mode_too_many)
+    passed, detail, counterexample = check_hessian()
+    assert passed is False and detail == message
+    assert set(counterexample) == {"m", "n"} | keys
+    assert counterexample["zero_count"] == (3 if lane == "energy" else 1)
 
 
 @pytest.mark.parametrize("check", [check_index_equality, check_norm_inequality])
