@@ -30,10 +30,12 @@ system's two tables out as straight-line Python and compiles it once,
 with one ``exec`` (as ``dataclasses`` does for ``__init__``), into
 ``pairing_row`` and ``dominant_reduction``, which ``pairings`` and
 ``dominant_coords`` call: the same additions and reflections in the same
-order.  The source holds only local names and integers from the Cartan
-data, never a label or an input.  The per-root ``pairing`` remains the
-test oracle of the pairing row, and the BFS orbit of
-``tests/weyl_oracle.py`` that of the reduction.  ``inner`` and
+order.  The same ``exec`` also compiles ``line_zeros``, with which
+``verify.box_coweights`` finds the singular points of a whole line of its
+box at once.  The source holds only local names and integers from
+the Cartan data, never a label or an input.  The per-root ``pairing``
+remains the test oracle of the pairing row and of ``line_zeros``, and the
+BFS orbit of ``tests/weyl_oracle.py`` that of the reduction.  ``inner`` and
 ``dominant_representative`` wrap the other two kernels; ``inner`` builds
 the only Fraction in this module.  The Hofer norms call the kernels
 directly, building a Fraction only for the value they return.
@@ -173,18 +175,28 @@ def _positive_roots(cartan):
 
 
 def _kernels(steps, columns):
-    """The two coordinate kernels of a system, ``pairing_row`` and
-    ``dominant_reduction``, as straight-line Python compiled by one
-    ``exec``.
+    """The generated coordinate kernels of a system, ``pairing_row``,
+    ``dominant_reduction`` and ``line_zeros``, as straight-line Python
+    compiled by one ``exec``.
 
     The source holds only local names (``c<i>``, ``r<k>``) and the integer
-    literals of ``columns``; it looks up no global and no attribute.
-    ``pairing_row`` binds the coordinates to locals and computes one local
-    per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a simple root is its
-    own coordinate), then returns them as one list.  ``dominant_reduction``
-    tests ``c<i> < 0`` in index order and applies the first such s_i with
-    its Cartan entries as literals, restarting at index 0 after each
-    reflection, until no coordinate is negative.
+    literals of ``columns`` and ``steps``; it looks up no global and no
+    attribute.  ``pairing_row`` binds the coordinates to locals and
+    computes one local per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a
+    simple root is its own coordinate), then returns them as one list.
+    ``dominant_reduction`` tests ``c<i> < 0`` in index order and applies
+    the first such s_i with its Cartan entries as literals, restarting at
+    index 0 after each reflection, until no coordinate is negative.
+
+    ``line_zeros`` takes the first rank - 1 coordinates h of the line
+    h + (c,).  On it a root pairs to p + b c, with p its pairing at
+    h + (0,) and b its coefficient of the last simple root; the kernel
+    computes each p with the additions of ``pairing_row`` at c = 0 (a step
+    along the last simple root adds nothing, so b counts those steps).  It
+    returns None when a root with b = 0 has p = 0, so that every point of
+    the line is singular, and otherwise the set of the c at which some
+    root pairs to zero: 0, the last simple root's zero, and -p / b for
+    each root whose b divides p.
     """
     rank = len(columns)
     coords = ", ".join(f"c{i}" for i in range(rank))
@@ -207,9 +219,32 @@ def _kernels(steps, columns):
                 reduce.append(f"            c{j} += {factor}c{i}\n")
         reduce.append(f"            c{i} = -c{i}\n")
     reduce.append(f"        else:\n            return ({coords},)\n")
+    last = rank - 1
+    heads = ", ".join(f"c{i}" for i in range(last))
+    zeros = [f"def line_zeros(c):\n    [{heads}] = c\n"]
+    at_zero, coeff = ["0"], [0]  # per slot: the local holding p, and b
+    for k, (p, i) in enumerate(steps, 1):
+        coeff.append(coeff[p] + (i == last))
+        if i == last:
+            at_zero.append(at_zero[p])
+        elif at_zero[p] == "0":
+            at_zero.append(f"c{i}")
+        else:
+            at_zero.append(f"r{k}")
+            zeros.append(f"    r{k} = {at_zero[p]} + c{i}\n")
+    roots = list(zip(at_zero[1:], coeff[1:]))
+    flat = [name for name, b in roots if b == 0]
+    if flat:
+        zeros.append(f"    if not ({' and '.join(flat)}):\n        return None\n")
+    # -p // b is exact where b divides p; elsewhere 0 stands in, already a zero
+    found = ["0"] + [
+        f"-{name}" if b == 1 else f"-{name} // {b} if not {name} % {b} else 0"
+        for name, b in roots if b and name != "0"
+    ]
+    zeros.append(f"    return {{{', '.join(found)}}}\n")
     namespace = {"__name__": __name__}
-    exec("".join(row + reduce), namespace)
-    return namespace["pairing_row"], namespace["dominant_reduction"]
+    exec("".join(row + reduce + zeros), namespace)
+    return namespace["pairing_row"], namespace["dominant_reduction"], namespace["line_zeros"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +258,11 @@ class RootSystem:
     denominator: the one Gram form, which every inner product uses.
     ``root_steps`` holds one (parent slot, simple index) pair per positive
     root, and ``cartan_columns[i]`` the pairs
-    (j, c_ji) with c_ji nonzero.  ``pairing_row`` and ``dominant_reduction``
-    are those two tables compiled into functions of a coordinate sequence
-    (see ``_kernels``).  Hofer norms need no Weyl orbit: the orbit
-    maximum is the inner product of the dominant representatives.
+    (j, c_ji) with c_ji nonzero.  ``pairing_row``, ``dominant_reduction``
+    and ``line_zeros`` are those two tables compiled into functions of a
+    coordinate sequence (see ``_kernels``).  Hofer norms need no Weyl
+    orbit: the orbit maximum is the inner product of the dominant
+    representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
     and hashing are by identity.
@@ -244,6 +280,7 @@ class RootSystem:
     cartan_columns: tuple
     pairing_row: object
     dominant_reduction: object
+    line_zeros: object
 
     @property
     def label(self):

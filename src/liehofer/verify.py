@@ -11,15 +11,17 @@ no systems is vacuous too.  ``run_checks`` refuses a box outside
 0..MAX_BOX before it runs any check, whichever checks are named; the two
 sweeps also check it, for callers that run them directly.
 
-The box is filtered by an integer numpy mask; the index checks then work on
-pairing rows of Python ints, so the filter and the checks share no code.
+``box_coweights`` streams the box one line along the last coordinate at a
+time, in Python ints, with one call of the generated kernel
+``line_zeros`` per line for the regular filter; the tests hold that
+filter to the per-root ``pairing`` oracle, one point at a time.  Only the
+seeded norm draw reads numpy, which ``check_norm_inequality`` imports
+when it runs.
 """
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops
 from .circle_index import CircleSubgroup, index_equality_report
@@ -32,12 +34,13 @@ from .root_system import (
 ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 
 # Largest coordinate bound of the two box sweeps.  The box holds
-# (2 box + 1)^rank coweights; at the cap the slowest system takes about 1.8 s
+# (2 box + 1)^rank coweights; at the cap the slowest system takes about 2.0 s
 # (`verify --box 10 --systems F4 --checks index-equality`), the index sweep
-# over every system about 8.7 s (`--systems all`), and the norm sweep over
-# every system about 1.4 s (`verify --box 10 --systems all --checks
-# norm-inequality`); medians of 6 to 14 CLI runs on a 2-vCPU VM (`nproc` 2),
+# over every system about 7.2 s (`--systems all`), and the norm sweep over
+# every system about 1.7 s (`verify --box 10 --systems all --checks
+# norm-inequality`); medians of 3 to 5 CLI runs on a 2-vCPU VM (`nproc` 2),
 # Python 3.11.7, numpy 2.4.6, whose speed drifts by about 25% between runs.
+# Enumerating F4's 97,870 regular box coweights takes about 0.1 s of that.
 MAX_BOX = 10
 
 
@@ -48,24 +51,31 @@ def _check_box(box):
 
 def box_coweights(system, box, regular_only=False, nonzero_only=True):
     """All integer coweights with coordinates in [-box, box], in
-    ``itertools.product`` order, one int64 block of points per leading
-    coordinate.  A point is regular when its row of (points @ roots.T) has
-    no zero; a ``Coweight`` is built only for a kept point, straight from
-    its row."""
-    rank, side = system.rank, 2 * box + 1
-    roots_t = np.array(system.positive_roots, dtype=np.int64).T
-    # the other rank - 1 coordinates of a block, as rows; one empty row at rank 1
-    tail = np.indices((side,) * (rank - 1)).reshape(rank - 1, side ** (rank - 1)).T - box
-    for lead in range(-box, box + 1):
-        points = np.hstack([np.full((len(tail), 1), lead), tail])
-        keep = np.ones(len(points), dtype=bool)
-        if nonzero_only:
-            keep &= points.any(axis=1)
-        if regular_only:
-            keep &= (points @ roots_t).all(axis=1)
-        # .tolist() rows hold Python ints already, so no coordinate is converted
-        for coords in points[keep].tolist():
-            yield Coweight(system, tuple(coords))
+    ``itertools.product`` order, streamed one line along the last
+    coordinate at a time; the zero point is left out under
+    ``nonzero_only``.
+
+    Under ``regular_only`` only the points where no positive root pairs to
+    zero are kept.  A simple root pairs to its own coordinate, so only the
+    heads (c_0 .. c_{r-2}) with no zero coordinate start a line, and c = 0
+    never lies on one.  One call of the system's generated ``line_zeros``
+    per line gives the c at which some root pairs to zero on
+    head + (c,), or None when every point of the line is singular; the
+    line's other points are yielded.  So the work of a line lands on its
+    first point, and no point waits for a block of points."""
+    rank, side = system.rank, range(-box, box + 1)
+    if not regular_only:
+        points = itertools.product(side, repeat=rank)
+        for coords in filter(any, points) if nonzero_only else points:
+            yield Coweight(system, coords)
+        return
+    line = [c for c in side if c]
+    for head in itertools.product(line, repeat=rank - 1):
+        zeros = system.line_zeros(head)
+        if zeros is not None:
+            for c in line:
+                if c not in zeros:
+                    yield Coweight(system, head + (c,))
 
 
 def _sweep(labels, box, failures, noun, verdict):
@@ -110,6 +120,10 @@ def check_norm_inequality(labels, box):
     def failures():
         systems = [from_label(label) for label in labels]
         draws = 2000 // max(1, sum(system.rank > 2 for system in systems))
+        # the pair count in the detail depends on this numpy stream; numpy
+        # is imported here, so that no other sweep loads it
+        import numpy as np
+
         rng = np.random.default_rng(7)
         for system in systems:
             if system.rank <= 2:

@@ -12,6 +12,11 @@ from liehofer.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# verify_all_box10_sweeps.json, the two box sweeps at the box cap on every
+# system (several seconds), is compared byte for byte by the CI workflow
+# instead: `verify --box 10 --systems all --checks
+# index-equality,norm-inequality` under python -O.
+
 CASES = {
     "hofer_F4.json": ["hofer", "--system", "F4", "--xi", "2,-1,3,1", "--eta=-1,2,0,3"],
     "verify_A1_A2_B2_box2.json": ["verify", "--box", "2", "--systems", "A1,A2,B2"],

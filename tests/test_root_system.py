@@ -327,7 +327,7 @@ def test_generated_kernels_on_every_box3_coweight(label):
     # every nonzero box-3 coweight and the +-MAX_COORD corners, against the
     # per-root pairing and the dense reflections of the oracle
     system = from_label(label)
-    for kernel in (system.pairing_row, system.dominant_reduction):
+    for kernel in (system.pairing_row, system.dominant_reduction, system.line_zeros):
         # the generated text holds local names and integer literals only
         code = kernel.__code__
         assert code.co_names == ()
@@ -343,6 +343,14 @@ def test_generated_kernels_on_every_box3_coweight(label):
         assert dominant_coords(system, dom) == dom
         for i in range(system.rank):
             assert dominant_coords(system, reflect_coweight(system, coords, i)) == dom
+    # every line through the box, zero coordinates in its head included
+    for head in itertools.product(range(-3, 4), repeat=system.rank - 1):
+        zeros = system.line_zeros(head)
+        assert zeros is None or 0 in zeros
+        for c in set(range(-3, 4)) | (zeros or set()):
+            xi = system.coweight(head + (c,))
+            singular = any(pairing(alpha, xi) == 0 for alpha in system.positive_roots)
+            assert singular == (zeros is None or c in zeros), (head, c)
 
 
 def test_hot_path_compiles_nothing(monkeypatch):

@@ -164,6 +164,18 @@ def test_spectrum_takes_integer_m_and_n_only():
     assert type(report.m) is int and type(report.n) is int
 
 
+def test_loop_and_dense_hessian_take_integer_m_and_n_only():
+    # unchecked, geodesic_loop(1.5, 64) overwrote its last point (the
+    # quaternion -1) with the identity, and energy_hessian(1.5, 64) was 189 x 189
+    for bad in (1.5, "2", None):
+        for m, n in ((bad, 64), (1, bad)):
+            for build in (geodesic_loop, energy_hessian):
+                with pytest.raises(ValueError, match="integers"):
+                    build(m, n)
+    assert np.array_equal(geodesic_loop(np.int64(2), np.int32(64)).points, geodesic_loop(2, 64).points)
+    assert np.array_equal(energy_hessian(np.int64(1), 64), energy_hessian(1, 64))
+
+
 def test_counts_invariant_under_axis_change():
     # gauge symmetry: rotating the geodesic axis conjugates the loop and
     # leaves the eigenvalue counts unchanged
