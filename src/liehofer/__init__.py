@@ -5,7 +5,7 @@ leading term.
 
 The package re-exports nothing: import the submodule that holds a name.
 ``root_system``, ``circle_index``, ``hofer``, ``loop_morse`` and
-``quantum_cp1`` need only the standard library; ``su2_loops`` and
-``verify`` use numpy."""
+``quantum_cp1`` need only the standard library; ``su2_loops`` uses numpy,
+and ``verify`` imports it only inside the norm sweep's seeded draw."""
 
 __version__ = "0.1.0"

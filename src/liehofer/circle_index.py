@@ -35,7 +35,8 @@ class CircleSubgroup:
     @property
     def regular(self):
         """True iff the pairing row of xi has no zero (centralizer is the
-        torus).  The box sweeps filter with an integer mask instead."""
+        torus).  The index sweep filters a whole line of its box at once
+        with the system's ``line_zeros`` instead."""
         return 0 not in pairings(self.xi)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
-from .errors import InputError, LieHoferError, UnsupportedSystem, clipped, clipped_repr
+from .errors import InputError, LieHoferError, clipped, clipped_repr
 from .root_system import from_label
 
 
@@ -253,7 +253,7 @@ def _cmd_verify(args):
         unknown = [n for n in names if n not in verify.CHECKS]
         if unknown:
             shown = clipped(", ".join(map(repr, unknown)), args.checks)
-            raise UnsupportedSystem(f"unknown --checks: {shown}")
+            raise InputError(f"unknown --checks: {shown}")
         twice = [n for i, n in enumerate(names) if n in names[:i]]
         if twice:
             raise InputError(f"--checks names {twice[0]} twice: {clipped_repr(args.checks)}")

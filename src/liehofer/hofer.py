@@ -12,16 +12,17 @@ denominator ``gram_den`` until it is returned.
 Each coweight gets one memo record, kept for the 1024 most recent
 coordinate tuples (enough for the largest exhaustive ``verify`` grid, 441
 rank-2 coweights at box 10).  The record has four fields: the dominant
-coordinates dom, their Gram row G dom, the numerator x of <x, x>, and the
-finished length report.  The orbit maximum is then one integer dot product
-of length ``rank``, dom(eta) . G dom(xi) (the Gram matrix is symmetric),
-and the Hofer length of a circle is the memoized report itself.  The
-zero test of the base coweight reads the same record: the Gram form is
-positive definite, so x = 0 exactly when xi = 0, and no function here scans
-the coordinates again.  All
-lengths are reported in lattice units (long roots at squared length 2,
-loops parametrized in turns), stored as exact squares with the correctly
-rounded square root of the int / int quotient.
+coordinates dom, their Gram row G dom, the numerator x = dom . G dom of
+<x, x> (the Gram form is Weyl-invariant, so dom gives the same x as the
+coordinates themselves), and the finished length report.  The orbit
+maximum is then one integer dot product of length ``rank``,
+dom(eta) . G dom(xi) (the Gram matrix is symmetric), and the Hofer length
+of a circle is the memoized report itself.  The zero test of the base
+coweight reads the same record: the Gram form is positive definite, so
+x = 0 exactly when xi = 0, and no function here scans the coordinates
+again.  All lengths are reported in lattice units (long roots at squared
+length 2, loops parametrized in turns), stored as exact squares with the
+correctly rounded square root of the int / int quotient.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegenerateOrbit
-from .root_system import dominant_coords, inner_numerator
+from .errors import DegenerateOrbit, DimensionError
+from .root_system import dominant_coords
 from .root_system import inner, orbit_array  # noqa: F401  (re-exports: perfbench/tracing.py wraps them here)
 
 
@@ -49,15 +50,17 @@ class NormReport:
 def _invariants(system, coords):
     """Memo record (dom, g_dom, x, length) of the coweight with coordinate
     tuple ``coords``: its dominant coordinates, their Gram row (the
-    numerators of <omega_j^vee, dom>), the numerator x of <x, x> taken on
-    ``coords`` as given, and the finished length report of sqrt(<x, x>).
-    The Gram form is positive definite, so x is 0 exactly for the zero
-    coweight: the callers' zero test reads x instead of the coordinates.
+    numerators of <omega_j^vee, dom>), the numerator x of <x, x>, and the
+    finished length report of sqrt(<x, x>).  The Gram form is
+    Weyl-invariant, so x is taken on dom as dom . g_dom, the same integer
+    as on ``coords``, with no second Gram product.  It is positive
+    definite, so x is 0 exactly for the zero coweight: the callers' zero
+    test reads x instead of the coordinates.
     The float is the square root of the correctly rounded int / int
     quotient, the same double as ``math.sqrt(float(Fraction(x, den)))``."""
     dom = dominant_coords(system, coords)
     g_dom = tuple(sum(map(operator.mul, row, dom)) for row in system.gram_num)
-    x = inner_numerator(system, coords, coords)
+    x = sum(map(operator.mul, dom, g_dom))
     den = system.gram_den
     return dom, g_dom, x, NormReport(Fraction(x, den), math.sqrt(x / den))
 
@@ -73,7 +76,7 @@ def _orbit_maximum_numerator(eta, xi):
     if not x:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
     if eta.system is not system:
-        raise DegenerateOrbit("coweights belong to different root systems")
+        raise DimensionError("coweights belong to different root systems")
     dom_eta, _, e, _ = _invariants(system, eta.coords)
     return system, sum(map(operator.mul, dom_eta, g_xi)), x, e
 

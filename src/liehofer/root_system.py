@@ -20,24 +20,24 @@ pairing row with one addition per root.  ``cartan_columns`` lists the
 nonzero entries of each Cartan column, the Dynkin neighbours a simple
 reflection touches.
 
-Three kernels work on coordinates: ``pairings`` gives the pairing row of a
-coweight, ``inner_numerator`` the integer numerator of an inner product
-over ``gram_den``, and ``dominant_coords`` reduces coordinates to the
-dominant chamber.  The first and the last run on every item of every
-sweep, where a loop over the sparse tables spent most of its time
-unpacking and indexing them.  So ``build_root_system`` writes each
-system's two tables out as straight-line Python and compiles it once,
-with one ``exec`` (as ``dataclasses`` does for ``__init__``), into
-``pairing_row`` and ``dominant_reduction``, which ``pairings`` and
-``dominant_coords`` call: the same additions and reflections in the same
-order.  The same ``exec`` also compiles ``line_zeros``, with which
-``verify.box_coweights`` finds the singular points of a whole line of its
-box at once.  The source holds only local names and integers from
-the Cartan data, never a label or an input.  The per-root ``pairing``
-remains the test oracle of the pairing row and of ``line_zeros``, and the
-BFS orbit of ``tests/weyl_oracle.py`` that of the reduction.  ``inner`` and
-``dominant_representative`` wrap the other two kernels; ``inner`` builds
-the only Fraction in this module.  The Hofer norms call the kernels
+Two kernels work on coordinates: ``pairings`` gives the pairing row of a
+coweight, and ``dominant_coords`` reduces coordinates to the dominant
+chamber.  Both run on every item of every sweep, where a loop over the
+sparse tables spent most of its time unpacking and indexing them.  So
+``build_root_system`` writes each system's two tables out as
+straight-line Python and compiles it once, with one ``exec`` (as
+``dataclasses`` does for ``__init__``), into ``pairing_row`` and
+``dominant_reduction``, which ``pairings`` and ``dominant_coords`` call:
+the same additions and reflections in the same order, so no runtime code
+reads the tables themselves.  The same ``exec`` also compiles
+``line_zeros``, with which ``verify.box_coweights`` finds the singular
+points of a whole line of its box at once.  The source holds only local
+names and integers from the Cartan data, never a label or an input.  The
+per-root ``pairing`` remains the test oracle of the pairing row and of
+``line_zeros``, and the BFS orbit of ``tests/weyl_oracle.py`` that of the
+reduction.  ``inner``, the exact inner product over ``gram_den``, builds
+the only Fraction in this module; ``dominant_representative`` wraps the
+reduction.  The Hofer norms call the kernels and read ``gram_num``
 directly, building a Fraction only for the value they return.
 
 The module needs only the standard library.  No runtime path enumerates a
@@ -399,28 +399,15 @@ def pairings(xi):
     return xi.system.pairing_row(xi.coords)
 
 
-def inner_numerator(system, x, y):
-    """Integer numerator of the inner product of the coweights with
-    coordinate tuples x and y, over the system's denominator ``gram_den``.
-
-    The caller has checked that both belong to ``system``, so both have
-    ``system.rank`` coordinates.
-    """
-    total = 0
-    for a, row in zip(x, system.gram_num):
-        if a:
-            total += a * sum(map(operator.mul, row, y))
-    return total
-
-
 def inner(xi1, xi2):
     """Exact Ad-invariant inner product of two coweights (long roots at
-    squared length 2): the integer numerator ``inner_numerator`` over
+    squared length 2): the integer xi1 . G xi2 with G = ``gram_num``, over
     ``gram_den``, as a Fraction."""
     system = xi1.system
     if system is not xi2.system:
         raise DimensionError("coweights belong to different root systems")
-    return Fraction(inner_numerator(system, xi1.coords, xi2.coords), system.gram_den)
+    g_y = (sum(map(operator.mul, row, xi2.coords)) for row in system.gram_num)
+    return Fraction(sum(map(operator.mul, xi1.coords, g_y)), system.gram_den)
 
 
 @lru_cache(maxsize=4096)

@@ -171,10 +171,7 @@ _DENSE_MAX_N = 1024
 
 def _integers(m, n):
     """m and n as ints (``operator.index``: numpy integers pass); a float,
-    a string or None raises ValueError, never truncated.  For
-    ``geodesic_loop`` and ``energy_hessian``; ``hessian_spectrum``, about
-    1.6 us a call, does the same inline: one more call read 2-3% slower in
-    its benchmark workload."""
+    a string or None raises ValueError, never truncated."""
     try:
         return operator.index(m), operator.index(n)
     except TypeError:
@@ -283,10 +280,7 @@ def hessian_spectrum(functional, m, n):
     ValueError unless m and n are integers with 32 <= n <= MAX_N, 1 <= m
     and 4m <= n, or for an unknown functional.
     """
-    try:
-        m, n = operator.index(m), operator.index(n)
-    except TypeError:
-        raise ValueError(f"winding m={m!r} and resolution n={n!r} must be integers") from None
+    m, n = _integers(m, n)
     if n < 32:
         raise ValueError("need n >= 32 for spectral work")
     if functional not in ("energy", "lplus"):

@@ -49,11 +49,10 @@ def _check_box(box):
         raise ValueError(f"box must lie in 0..{MAX_BOX}, got {box}")
 
 
-def box_coweights(system, box, regular_only=False, nonzero_only=True):
-    """All integer coweights with coordinates in [-box, box], in
-    ``itertools.product`` order, streamed one line along the last
-    coordinate at a time; the zero point is left out under
-    ``nonzero_only``.
+def box_coweights(system, box, regular_only=False):
+    """All integer coweights with coordinates in [-box, box], the zero
+    point included, in ``itertools.product`` order, streamed one line
+    along the last coordinate at a time.
 
     Under ``regular_only`` only the points where no positive root pairs to
     zero are kept.  A simple root pairs to its own coordinate, so only the
@@ -65,8 +64,7 @@ def box_coweights(system, box, regular_only=False, nonzero_only=True):
     first point, and no point waits for a block of points."""
     rank, side = system.rank, range(-box, box + 1)
     if not regular_only:
-        points = itertools.product(side, repeat=rank)
-        for coords in filter(any, points) if nonzero_only else points:
+        for coords in itertools.product(side, repeat=rank):
             yield Coweight(system, coords)
         return
     line = [c for c in side if c]
@@ -127,16 +125,13 @@ def check_norm_inequality(labels, box):
         rng = np.random.default_rng(7)
         for system in systems:
             if system.rank <= 2:
-                pairs = itertools.product(
-                    box_coweights(system, box, nonzero_only=False),
-                    box_coweights(system, box),
-                )
+                pairs = itertools.product(box_coweights(system, box), repeat=2)
             else:
                 def draw(system=system):
                     return system.coweight(rng.integers(-box, box + 1, system.rank))
                 pairs = ((draw(), draw()) for _ in range(draws))
             for eta, xi in pairs:
-                if not xi.is_zero:
+                if not xi.is_zero:  # the sweep's one zero filter: a zero xi has a point orbit
                     yield None if hofer.check_norm_inequality(eta, xi) else {
                         "system": system.label,
                         "eta": list(eta.coords),

@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "hofer_F4.json": ["hofer", "--system", "F4", "--xi", "2,-1,3,1", "--eta=-1,2,0,3"],
     "verify_A1_A2_B2_box2.json": ["verify", "--box", "2", "--systems", "A1,A2,B2"],
+    # every check, the rank <= 2 norm grid and the Hofer memo on all systems
+    "verify_all_box4.json": ["verify", "--box", "4", "--systems", "all"],
     "omega_series_F4_cutoff20.json": ["omega-series", "--system", "F4", "--cutoff", "20"],
     "index_F4.json": ["index", "--system", "F4", "--xi", "1,2,1,1"],
     "seidel_cp1_xi2.json": ["seidel-cp1", "--xi", "2"],

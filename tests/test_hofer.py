@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liehofer.errors import DegenerateOrbit
+from liehofer.errors import DegenerateOrbit, DimensionError
 from liehofer.hofer import (
     _invariants,
     check_norm_inequality,
@@ -63,7 +63,7 @@ def test_mismatched_systems_rejected(labels):
     eta = eta_system.coweight(range(1, eta_system.rank + 1))
     xi = xi_system.coweight(range(2, xi_system.rank + 2))
     for fn in (orbit_maximum, positive_norm, check_norm_inequality):
-        with pytest.raises(DegenerateOrbit):
+        with pytest.raises(DimensionError, match="^coweights belong to different root systems$"):
             fn(eta, xi)
 
 

@@ -137,13 +137,11 @@ def test_box_cap(check):
     assert passed is True
 
 
-def _filtered_box(system, box, regular_only, nonzero_only):
+def _filtered_box(system, box, regular_only):
     """The per-coweight filter: every box point, tested one at a time."""
     out = []
     for coords in itertools.product(range(-box, box + 1), repeat=system.rank):
         xi = system.coweight(coords)
-        if nonzero_only and xi.is_zero:
-            continue
         if regular_only and not all(pairing(a, xi) != 0 for a in system.positive_roots):
             continue
         out.append(xi.coords)
@@ -154,17 +152,14 @@ def test_box_coweights_match_per_coweight_filter():
     for label in ALL_SYSTEMS:
         system = from_label(label)
         for box in range(5):
-            for regular_only, nonzero_only in itertools.product((False, True), repeat=2):
+            for regular_only in (False, True):
                 # at rank 4 the oracle reaches box 4, the index sweep's own
-                # box, with the index sweep's own flags only
-                if system.rank > 3 and box == 4 and not (regular_only and nonzero_only):
+                # box, with the index sweep's own flag only
+                if system.rank > 3 and box == 4 and not regular_only:
                     continue
-                got = [
-                    xi.coords
-                    for xi in box_coweights(system, box, regular_only, nonzero_only)
-                ]
-                assert got == _filtered_box(system, box, regular_only, nonzero_only), (
-                    label, box, regular_only, nonzero_only,
+                got = [xi.coords for xi in box_coweights(system, box, regular_only)]
+                assert got == _filtered_box(system, box, regular_only), (
+                    label, box, regular_only,
                 )
                 assert all(type(c) is int for coords in got for c in coords)
 
@@ -179,7 +174,7 @@ def test_box_sweep_needs_no_numpy(monkeypatch):
     assert not any(getattr(value, "__name__", None) == "numpy" for value in vars(verify).values())
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert len(list(box_coweights(from_label("B3"), 2, regular_only=True))) == 24
-    assert len(list(box_coweights(from_label("A2"), 2, nonzero_only=False))) == 25
+    assert len(list(box_coweights(from_label("A2"), 2))) == 25
     passed, detail, _ = check_index_equality(ALL_SYSTEMS, 2)
     assert passed is True and detail == "428 regular coweights agree"
     # the seeded norm draw is the one use of numpy, so the block is real
