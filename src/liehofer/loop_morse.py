@@ -9,7 +9,10 @@ built from the classical exponents m_i.
 
 The Bott index is nondecreasing in every coordinate of a dominant
 coweight, so the strata below a cutoff are found by a depth-first walk
-that stops each coordinate at the cutoff instead of scanning a box.
+that stops each coordinate at the cutoff instead of scanning a box.  The
+walk builds each candidate coweight once, for its Bott index, and hands
+it down to the stratum it becomes; it also refuses a bad cutoff for the
+series, before the series allocates its coefficients.
 Stratum polynomials are quotients of Weyl Poincare polynomials, which
 ``weyl_poincare`` builds in closed form from the root heights and
 memoizes per system and parabolic.  The two sides of the check share no
@@ -32,16 +35,13 @@ from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py
 MAX_CUTOFF = 200
 
 
-def exponents(system):
-    """Classical exponents of the system, from the literature table
-    ``EXPONENTS``; they feed the transgression oracle only."""
-    return EXPONENTS[(system.family, system.rank)]
-
-
 # -- exact polynomial division (coefficient tuples, index = degree) --
 
 def poly_divexact(num, den):
-    """Exact polynomial division; raises ArithmeticError on a remainder."""
+    """Exact polynomial division; raises ArithmeticError on a remainder,
+    and ZeroDivisionError (an ArithmeticError) on a zero divisor."""
+    if not any(den):
+        raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     dd = len(den) - 1
     while den[dd] == 0:
@@ -147,24 +147,25 @@ def enumerate_critical_strata(system, cutoff):
     coords = [0] * rank
     strata = []
 
-    def walk(k, idx):
-        # coords[k:] are zero and the Bott index of coords is idx <= cutoff
+    def walk(k, xi, idx):
+        # xi has the coordinates coords, coords[k:] are zero, and its Bott
+        # index is idx <= cutoff
         if k == rank:
-            xi = system.coweight(coords)
             strata.append(
                 CriticalStratum(xi, idx, stratum_poincare(xi), in_coroot_lattice(xi))
             )
             return
-        walk(k + 1, idx)
+        walk(k + 1, xi, idx)
         for c in range(1, bound + 1):
             coords[k] = c
-            raised = bott_index(system.coweight(coords))
-            if raised > cutoff:
+            raised = system.coweight(coords)
+            index = bott_index(raised)
+            if index > cutoff:
                 break
-            walk(k + 1, raised)
+            walk(k + 1, raised, index)
         coords[k] = 0
 
-    walk(0, 0)  # the zero coweight, index 0
+    walk(0, system.coweight(coords), 0)  # the zero coweight, index 0
     strata.sort(key=lambda s: (s.bott_index, s.xi.coords))
     return strata
 
@@ -176,7 +177,7 @@ def transgression_series(system, cutoff):
     in increasing degree d."""
     _check_cutoff(cutoff)
     coeffs = [1] + [0] * cutoff
-    for m in exponents(system):
+    for m in EXPONENTS[(system.family, system.rank)]:
         for d in range(2 * m, cutoff + 1):
             coeffs[d] += coeffs[d - 2 * m]
     return TruncatedSeries(cutoff, tuple(coeffs))
@@ -189,14 +190,14 @@ def omega_g_series(system, cutoff, check=True):
     With check=True (default) the result is compared against the
     transgression oracle; a mismatch raises ArithmeticError.
     """
-    _check_cutoff(cutoff, even=True)  # before the coefficient list is allocated
+    # the walk refuses a bad cutoff before the coefficient list is allocated
+    strata = enumerate_critical_strata(system, cutoff)
     coeffs = [0] * (cutoff + 1)
-    for s in enumerate_critical_strata(system, cutoff):
-        if not s.in_coroot_lattice:
-            continue
-        for d, c in enumerate(s.stratum_poly):
-            if s.bott_index + d <= cutoff:
-                coeffs[s.bott_index + d] += c
+    for s in strata:
+        if s.in_coroot_lattice:
+            top = s.stratum_poly[:cutoff + 1 - s.bott_index]
+            for d, c in enumerate(top, s.bott_index):
+                coeffs[d] += c
     series = TruncatedSeries(cutoff, tuple(coeffs))
     if check and series.coeffs != transgression_series(system, cutoff).coeffs:
         raise ArithmeticError(

@@ -31,7 +31,10 @@ straight-line Python and compiles it once, with one ``exec`` (as
 the same additions and reflections in the same order, so no runtime code
 reads the tables themselves.  The same ``exec`` also compiles
 ``line_zeros``, with which ``verify.box_coweights`` finds the singular
-points of a whole line of its box at once.  The source holds only local
+points of a whole line of its box at once.  Both row kernels write their
+additions with one scheme, ``_row_scheme``; ``line_zeros`` runs it with
+the last coordinate folded to 0 and reads each root's coefficient of the
+last simple root from the root itself.  The source holds only local
 names and integers from the Cartan data, never a label or an input.  The
 per-root ``pairing`` remains the test oracle of the pairing row and of
 ``line_zeros``, and the BFS orbit of ``tests/weyl_oracle.py`` that of the
@@ -174,41 +177,56 @@ def _positive_roots(cartan):
     return roots, tuple((slot[step[root][0]], step[root][1]) for root in roots)
 
 
-def _kernels(steps, columns):
+def _row_scheme(steps, folded=None):
+    """The additions of a generated pairing row: root k = (the root in slot
+    p) + c_i along ``steps``, one line ``r<k> = <parent> + c<i>`` per root
+    that needs one, and the name of the local (or coordinate) holding each
+    root's pairing, in root order.  A simple root is its own coordinate.
+    With ``folded`` = i, coordinate i is held at 0: a step along alpha_i
+    adds nothing, so its root keeps its parent's name, and a root whose
+    pairing is 0 there is named ``0``."""
+    name, adds = ["0"], []  # name[k]: the local holding the pairing of slot k
+    for k, (p, i) in enumerate(steps, 1):
+        if i == folded:
+            name.append(name[p])
+        elif name[p] == "0":
+            name.append(f"c{i}")
+        else:
+            name.append(f"r{k}")
+            adds.append(f"    r{k} = {name[p]} + c{i}\n")
+    return name[1:], adds
+
+
+def _kernels(roots, steps, columns):
     """The generated coordinate kernels of a system, ``pairing_row``,
     ``dominant_reduction`` and ``line_zeros``, as straight-line Python
     compiled by one ``exec``.
 
     The source holds only local names (``c<i>``, ``r<k>``) and the integer
-    literals of ``columns`` and ``steps``; it looks up no global and no
-    attribute.  ``pairing_row`` binds the coordinates to locals and
-    computes one local per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a
-    simple root is its own coordinate), then returns them as one list.
-    ``dominant_reduction`` tests ``c<i> < 0`` in index order and applies
-    the first such s_i with its Cartan entries as literals, restarting at
-    index 0 after each reflection, until no coordinate is negative.
+    literals of ``columns``, ``steps`` and ``roots``; it looks up no global
+    and no attribute.  Both row kernels write their additions with one
+    scheme, ``_row_scheme``: ``pairing_row`` binds the coordinates to
+    locals, computes one local per root, ``r<k> = r<p> + c<i>`` along
+    ``steps`` (a simple root is its own coordinate), and returns them as
+    one list.  ``dominant_reduction`` tests ``c<i> < 0`` in index order and
+    applies the first such s_i with its Cartan entries as literals,
+    restarting at index 0 after each reflection, until no coordinate is
+    negative.
 
     ``line_zeros`` takes the first rank - 1 coordinates h of the line
     h + (c,).  On it a root pairs to p + b c, with p its pairing at
-    h + (0,) and b its coefficient of the last simple root; the kernel
-    computes each p with the additions of ``pairing_row`` at c = 0 (a step
-    along the last simple root adds nothing, so b counts those steps).  It
-    returns None when a root with b = 0 has p = 0, so that every point of
-    the line is singular, and otherwise the set of the c at which some
-    root pairs to zero: 0, the last simple root's zero, and -p / b for
-    each root whose b divides p.
+    h + (0,), computed by the same scheme with the last coordinate folded
+    to 0, and b its coefficient of the last simple root, read from the
+    root itself.  It returns None when a root with b = 0 has p = 0, so
+    that every point of the line is singular, and otherwise the set of the
+    c at which some root pairs to zero: 0, the last simple root's zero,
+    and -p / b for each root whose b divides p.
     """
     rank = len(columns)
     coords = ", ".join(f"c{i}" for i in range(rank))
-    name = [None]  # name[k]: the local holding the pairing of the root in slot k
-    row = [f"def pairing_row(c):\n    {coords}, = c\n"]
-    for k, (p, i) in enumerate(steps, 1):
-        if p:
-            name.append(f"r{k}")
-            row.append(f"    r{k} = {name[p]} + c{i}\n")
-        else:
-            name.append(f"c{i}")
-    row.append(f"    return [{', '.join(name[1:])}]\n")
+    names, adds = _row_scheme(steps)
+    row = [f"def pairing_row(c):\n    {coords}, = c\n", *adds]
+    row.append(f"    return [{', '.join(names)}]\n")
     reduce = [f"def dominant_reduction(c):\n    {coords}, = c\n    while True:\n"]
     for i, column in enumerate(columns):
         reduce.append(f"        {'elif' if i else 'if'} c{i} < 0:\n")
@@ -221,25 +239,16 @@ def _kernels(steps, columns):
     reduce.append(f"        else:\n            return ({coords},)\n")
     last = rank - 1
     heads = ", ".join(f"c{i}" for i in range(last))
-    zeros = [f"def line_zeros(c):\n    [{heads}] = c\n"]
-    at_zero, coeff = ["0"], [0]  # per slot: the local holding p, and b
-    for k, (p, i) in enumerate(steps, 1):
-        coeff.append(coeff[p] + (i == last))
-        if i == last:
-            at_zero.append(at_zero[p])
-        elif at_zero[p] == "0":
-            at_zero.append(f"c{i}")
-        else:
-            at_zero.append(f"r{k}")
-            zeros.append(f"    r{k} = {at_zero[p]} + c{i}\n")
-    roots = list(zip(at_zero[1:], coeff[1:]))
-    flat = [name for name, b in roots if b == 0]
+    at_zero, adds = _row_scheme(steps, folded=last)
+    zeros = [f"def line_zeros(c):\n    [{heads}] = c\n", *adds]
+    terms = [(name, root[last]) for name, root in zip(at_zero, roots)]  # p + b c
+    flat = [name for name, b in terms if b == 0]
     if flat:
         zeros.append(f"    if not ({' and '.join(flat)}):\n        return None\n")
     # -p // b is exact where b divides p; elsewhere 0 stands in, already a zero
     found = ["0"] + [
         f"-{name}" if b == 1 else f"-{name} // {b} if not {name} % {b} else 0"
-        for name, b in roots if b and name != "0"
+        for name, b in terms if b and name != "0"
     ]
     zeros.append(f"    return {{{', '.join(found)}}}\n")
     namespace = {"__name__": __name__}
@@ -368,7 +377,7 @@ def build_root_system(family, rank):
     )
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        steps, columns, *_kernels(steps, columns),
+        steps, columns, *_kernels(positive, steps, columns),
     )
 
 

@@ -1,0 +1,118 @@
+"""Mutation harness: each mutant in ``MUTANTS`` must be killed by its test.
+
+Run from anywhere with ``python tests/mutants.py``; pytest does not
+collect this file.  A mutant is one exact text substitution in one file,
+with the test that must fail once it is applied.  The harness first runs
+every killer test on an unmutated copy of ``src`` and ``tests`` in a
+temporary directory, where each must pass.  It then applies each mutant
+to a fresh temporary copy, never to the working tree, and runs its killer
+there.  The run exits nonzero if a killer fails on the clean copy, if a
+mutant's old text does not occur exactly once in its file, or if a
+mutant survives.
+
+Each row names one decision and the change that breaks it.  Equivalent
+mutants (a change no test could tell from the original) stay out of the
+table.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KERNELS = "tests/test_root_system.py::test_generated_kernels_on_every_box3_coweight"
+
+# (file, exact old text, new text, killer test)
+MUTANTS = [
+    # the row scheme: a step along the folded coordinate keeps its parent's
+    # local; naming the coordinate reads a name line_zeros never binds
+    (
+        "src/liehofer/root_system.py",
+        "            name.append(name[p])\n",
+        '            name.append(f"c{i}")\n',
+        KERNELS,
+    ),
+    # line_zeros: b is the root's coefficient of the last simple root
+    (
+        "src/liehofer/root_system.py",
+        "(name, root[last]) for name, root",
+        "(name, root[0]) for name, root",
+        KERNELS,
+    ),
+    # the walk hands the raised coweight, not its parent's, down to the leaf
+    (
+        "src/liehofer/loop_morse.py",
+        "            walk(k + 1, raised, index)\n",
+        "            walk(k + 1, xi, index)\n",
+        "tests/test_loop_morse.py::test_walk_matches_box_scan",
+    ),
+    # the series keeps every degree up to and including the cutoff
+    (
+        "src/liehofer/loop_morse.py",
+        "s.stratum_poly[:cutoff + 1 - s.bott_index]",
+        "s.stratum_poly[:cutoff - s.bott_index]",
+        "tests/test_loop_morse.py::test_omega_series_a1",
+    ),
+    # an odd cutoff is refused where the walk needs an even one
+    (
+        "src/liehofer/loop_morse.py",
+        "    if even and cutoff % 2:\n",
+        "    if False:\n",
+        "tests/test_loop_morse.py::test_cutoff_cap",
+    ),
+    # a zero divisor raises ZeroDivisionError, not IndexError
+    (
+        "src/liehofer/loop_morse.py",
+        "    if not any(den):\n",
+        "    if False:\n",
+        "tests/test_loop_morse.py::test_poly_divexact_refuses_a_zero_divisor",
+    ),
+]
+
+
+def copy_tree(dest):
+    """Copy ``src``, ``tests`` and ``pyproject.toml`` into ``dest``."""
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_tests(tree, tests):
+    """Exit code of pytest on the given test ids, run against ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        killers = sorted({killer for *_, killer in MUTANTS})
+        if run_tests(Path(tmp), killers):
+            print("a killer test fails on the unmutated tree", file=sys.stderr)
+            return 1
+    failures = 0
+    for file, old, new, killer in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy_tree(Path(tmp))
+            path = Path(tmp) / file
+            text = path.read_text()
+            found = text.count(old)
+            if found != 1:
+                verdict = f"OLD TEXT FOUND {found} TIMES"
+            else:
+                path.write_text(text.replace(old, new))
+                verdict = "killed" if run_tests(Path(tmp), [killer]) else "SURVIVED"
+        failures += verdict != "killed"
+        print(f"{verdict}: {file}: {old.strip()!r} -> {new.strip()!r} ({killer})")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

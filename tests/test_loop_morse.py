@@ -13,7 +13,6 @@ from liehofer.loop_morse import (
     CriticalStratum,
     bott_index,
     enumerate_critical_strata,
-    exponents,
     in_coroot_lattice,
     omega_g_series,
     poly_divexact,
@@ -31,6 +30,12 @@ def test_poly_helpers():
     assert poly_divexact((1, 2, 1), (1, 1)) == (1, 1)
     with pytest.raises(ArithmeticError):
         poly_divexact((1, 1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("den", [(0,), (0, 0), ()])
+def test_poly_divexact_refuses_a_zero_divisor(den):
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact((1, 2, 1), den)
 
 
 def test_bott_index_examples():
@@ -139,11 +144,11 @@ def test_omega_series_matches_oracle(label):
 
 
 def test_exponents_table():
-    assert exponents(from_label("A3")) == (1, 2, 3)
-    assert exponents(from_label("B4")) == (1, 3, 5, 7)
-    assert exponents(from_label("D4")) == (1, 3, 3, 5)
-    assert exponents(from_label("G2")) == (1, 5)
-    assert exponents(from_label("F4")) == (1, 5, 7, 11)
+    assert EXPONENTS[("A", 3)] == (1, 2, 3)
+    assert EXPONENTS[("B", 4)] == (1, 3, 5, 7)
+    assert EXPONENTS[("D", 4)] == (1, 3, 3, 5)
+    assert EXPONENTS[("G", 2)] == (1, 5)
+    assert EXPONENTS[("F", 4)] == (1, 5, 7, 11)
 
 
 def _box_strata(system, cutoff):
@@ -193,6 +198,26 @@ def test_walk_evaluates_few_candidates(monkeypatch):
     for label in ALL_LABELS:
         enumerate_critical_strata(from_label(label), 20)
     assert 0 < len(calls) < 1000
+
+
+def test_walk_builds_each_coweight_once(monkeypatch):
+    # one coweight per Bott evaluation, plus the zero start; a walk that
+    # builds the coordinates again at each leaf makes 390 at A4, cutoff 40
+    coweights, botts = [], []
+    real_coweight, real_bott = root_system.RootSystem.coweight, loop_morse.bott_index
+
+    def counting_coweight(system, coords):
+        coweights.append(tuple(coords))
+        return real_coweight(system, coords)
+
+    def counting_bott(xi):
+        botts.append(xi)
+        return real_bott(xi)
+
+    monkeypatch.setattr(root_system.RootSystem, "coweight", counting_coweight)
+    monkeypatch.setattr(loop_morse, "bott_index", counting_bott)
+    enumerate_critical_strata(from_label("A4"), 40)
+    assert len(coweights) == len(botts) + 1 == 237
 
 
 def test_cutoff_cap():
