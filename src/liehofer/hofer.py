@@ -11,18 +11,20 @@ denominator ``gram_den`` until it is returned.
 
 Each coweight gets one memo record, kept for the 1024 most recent
 coordinate tuples (enough for the largest exhaustive ``verify`` grid, 441
-rank-2 coweights at box 10).  The record has four fields: the dominant
-coordinates dom, their Gram row G dom, the numerator x = dom . G dom of
-<x, x> (the Gram form is Weyl-invariant, so dom gives the same x as the
-coordinates themselves), and the finished length report.  The orbit
-maximum is then one integer dot product of length ``rank``,
-dom(eta) . G dom(xi) (the Gram matrix is symmetric), and the Hofer length
-of a circle is the memoized report itself.  The zero test of the base
-coweight reads the same record: the Gram form is positive definite, so
-x = 0 exactly when xi = 0, and no function here scans the coordinates
-again.  All lengths are reported in lattice units (long roots at squared
-length 2, loops parametrized in turns), stored as exact squares with the
-correctly rounded square root of the int / int quotient.
+rank-2 coweights at box 10).  The record has three fields, all read from
+the system's generated kernels: the dominant coordinates dom, their Gram
+row G dom, and the numerator x = dom . G dom of <x, x> (the Gram form is
+Weyl-invariant, so dom gives the same x as the coordinates themselves),
+both from one call of ``gram_form``.  The orbit maximum is then one
+integer dot product of length ``rank``, dom(eta) . G dom(xi) (the Gram
+matrix is symmetric).  The length report of a circle, which only
+``hofer_length_circle`` reads, is memoized apart, for the same 1024
+coweights, so the norms build none.  The zero test of the base coweight
+reads x: the Gram form is positive definite, so x = 0 exactly when
+xi = 0, and no function here scans the coordinates again.  All lengths
+are reported in lattice units (long roots at squared length 2, loops
+parametrized in turns), stored as exact squares with the correctly
+rounded square root of the int / int quotient.
 """
 
 from __future__ import annotations
@@ -48,21 +50,31 @@ class NormReport:
 
 @lru_cache(maxsize=1024)
 def _invariants(system, coords):
-    """Memo record (dom, g_dom, x, length) of the coweight with coordinate
-    tuple ``coords``: its dominant coordinates, their Gram row (the
-    numerators of <omega_j^vee, dom>), the numerator x of <x, x>, and the
-    finished length report of sqrt(<x, x>).  The Gram form is
-    Weyl-invariant, so x is taken on dom as dom . g_dom, the same integer
-    as on ``coords``, with no second Gram product.  It is positive
-    definite, so x is 0 exactly for the zero coweight: the callers' zero
-    test reads x instead of the coordinates.
-    The float is the square root of the correctly rounded int / int
-    quotient, the same double as ``math.sqrt(float(Fraction(x, den)))``."""
+    """Memo record (dom, g_dom, x) of the coweight with coordinate tuple
+    ``coords``: its dominant coordinates, their Gram row (the numerators
+    of <omega_j^vee, dom>), and the numerator x of <x, x>, the last two
+    from one call of the system's generated ``gram_form``.  The Gram form
+    is Weyl-invariant, so x is taken on dom, the same integer as on
+    ``coords``.  It is positive definite, so x is 0 exactly for the zero
+    coweight: the callers' zero test reads x instead of the coordinates."""
     dom = dominant_coords(system, coords)
-    g_dom = tuple(sum(map(operator.mul, row, dom)) for row in system.gram_num)
-    x = sum(map(operator.mul, dom, g_dom))
+    g_dom, x = system.gram_form(dom)
+    return dom, g_dom, x
+
+
+@lru_cache(maxsize=1024)
+def _length(system, coords):
+    """Length report of sqrt(<x, x>) for the coweight with coordinate tuple
+    ``coords``, memoized apart from ``_invariants``, whose x it reads: only
+    ``hofer_length_circle`` needs it.  The zero coweight raises, so it
+    never enters this memo.  The float is the square root of the correctly
+    rounded int / int quotient, the same double as
+    ``math.sqrt(float(Fraction(x, den)))``."""
+    x = _invariants(system, coords)[2]
+    if not x:
+        raise DegenerateOrbit("orbit of the zero coweight is a point")
     den = system.gram_den
-    return dom, g_dom, x, NormReport(Fraction(x, den), math.sqrt(x / den))
+    return NormReport(Fraction(x, den), math.sqrt(x / den))
 
 
 def _orbit_maximum_numerator(eta, xi):
@@ -72,12 +84,12 @@ def _orbit_maximum_numerator(eta, xi):
     <xi, xi> and <eta, eta>.  xi's record comes first: the zero test
     reads its x, and precedes the different-system test."""
     system = xi.system
-    _, g_xi, x, _ = _invariants(system, xi.coords)
+    _, g_xi, x = _invariants(system, xi.coords)
     if not x:
         raise DegenerateOrbit("orbit of the zero coweight is a point")
     if eta.system is not system:
         raise DimensionError("coweights belong to different root systems")
-    dom_eta, _, e, _ = _invariants(system, eta.coords)
+    dom_eta, _, e = _invariants(system, eta.coords)
     return system, sum(map(operator.mul, dom_eta, g_xi)), x, e
 
 
@@ -120,10 +132,7 @@ def check_norm_inequality(eta, xi):
 
 def hofer_length_circle(xi):
     """Positive Hofer length of the circle action generated by xi: equals
-    ||xi||, returned as the exact square <xi, xi>: the memoized report.
-    The zero test reads the record's numerator x of <xi, xi>, 0 only for
-    xi = 0."""
-    _, _, x, report = _invariants(xi.system, xi.coords)
-    if not x:
-        raise DegenerateOrbit("orbit of the zero coweight is a point")
-    return report
+    ||xi||, returned as the exact square <xi, xi>: the report of the
+    length memo ``_length``, whose zero test reads the record's numerator
+    x of <xi, xi>, 0 only for xi = 0."""
+    return _length(xi.system, xi.coords)

@@ -20,28 +20,33 @@ pairing row with one addition per root.  ``cartan_columns`` lists the
 nonzero entries of each Cartan column, the Dynkin neighbours a simple
 reflection touches.
 
-Two kernels work on coordinates: ``pairings`` gives the pairing row of a
-coweight, and ``dominant_coords`` reduces coordinates to the dominant
-chamber.  Both run on every item of every sweep, where a loop over the
-sparse tables spent most of its time unpacking and indexing them.  So
-``build_root_system`` writes each system's two tables out as
-straight-line Python and compiles it once, with one ``exec`` (as
-``dataclasses`` does for ``__init__``), into ``pairing_row`` and
-``dominant_reduction``, which ``pairings`` and ``dominant_coords`` call:
-the same additions and reflections in the same order, so no runtime code
-reads the tables themselves.  The same ``exec`` also compiles
+Four generated kernels work on coordinates.  Through the first two,
+``pairings`` gives the pairing row of a coweight, and ``dominant_coords``
+reduces coordinates to the dominant chamber.  Both run on every item of
+every sweep, where a loop over the sparse tables spent most of its time
+unpacking and indexing them.  So ``build_root_system`` writes each
+system's two tables out as straight-line Python and compiles it once,
+with one ``exec`` (as ``dataclasses`` does for ``__init__``), into
+``pairing_row`` and ``dominant_reduction``, which ``pairings`` and
+``dominant_coords`` call: the same additions and reflections in the same
+order, so no runtime code reads the tables themselves.  The same ``exec`` also compiles
 ``line_zeros``, with which ``verify.box_coweights`` finds the singular
 points of a whole line of its box at once.  Both row kernels write their
 additions with one scheme, ``_row_scheme``; ``line_zeros`` runs it with
 the last coordinate folded to 0 and reads each root's coefficient of the
-last simple root from the root itself.  The source holds only local
-names and integers from the Cartan data, never a label or an input.  The
-per-root ``pairing`` remains the test oracle of the pairing row and of
-``line_zeros``, and the BFS orbit of ``tests/weyl_oracle.py`` that of the
-reduction.  ``inner``, the exact inner product over ``gram_den``, builds
-the only Fraction in this module; ``dominant_representative`` wraps the
-reduction.  The Hofer norms call the kernels and read ``gram_num``
-directly, building a Fraction only for the value they return.
+last simple root from the root itself.  A fourth kernel, ``gram_form``,
+writes out the Gram matrix: it returns the Gram row G c of a coordinate
+tuple c and the form c . G c, with the entries of ``gram_num`` as
+literals; the Hofer memo builds each record with it.  The source holds
+only local names and integers from the Cartan data, never a label or an
+input.  The per-root ``pairing`` remains the test oracle of the pairing
+row and of ``line_zeros``, the BFS orbit of ``tests/weyl_oracle.py`` that
+of the reduction, and the Bourbaki Gram matrix of
+``tests/bourbaki_oracle.py`` that of ``gram_form``.  ``inner``, the exact
+inner product over ``gram_den``, keeps its own product over ``gram_num``
+and builds the only Fraction in this module; ``dominant_representative``
+wraps the reduction.  The Hofer norms call the kernels, building a
+Fraction only for the value they return.
 
 The module needs only the standard library.  No runtime path enumerates a
 Weyl orbit: the tests' oracle (``tests/weyl_oracle.py``) does, with its
@@ -197,18 +202,18 @@ def _row_scheme(steps, folded=None):
     return name[1:], adds
 
 
-def _kernels(roots, steps, columns):
-    """The generated coordinate kernels of a system, ``pairing_row``,
-    ``dominant_reduction`` and ``line_zeros``, as straight-line Python
-    compiled by one ``exec``.
+def _kernels(roots, steps, columns, gram_num):
+    """The four generated coordinate kernels of a system, ``pairing_row``,
+    ``dominant_reduction``, ``line_zeros`` and ``gram_form``, as
+    straight-line Python compiled by one ``exec``.
 
-    The source holds only local names (``c<i>``, ``r<k>``) and the integer
-    literals of ``columns``, ``steps`` and ``roots``; it looks up no global
-    and no attribute.  Both row kernels write their additions with one
-    scheme, ``_row_scheme``: ``pairing_row`` binds the coordinates to
-    locals, computes one local per root, ``r<k> = r<p> + c<i>`` along
-    ``steps`` (a simple root is its own coordinate), and returns them as
-    one list.  ``dominant_reduction`` tests ``c<i> < 0`` in index order and
+    The source holds only local names (``c<i>``, ``r<k>``, ``g<i>``) and
+    the integer literals of ``columns``, ``steps``, ``roots`` and
+    ``gram_num``; it looks up no global and no attribute.  Both row
+    kernels write their additions with one scheme, ``_row_scheme``:
+    ``pairing_row`` binds the coordinates to locals, computes one local
+    per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a simple root is its
+    own coordinate), and returns them as one list.  ``dominant_reduction`` tests ``c<i> < 0`` in index order and
     applies the first such s_i with its Cartan entries as literals,
     restarting at index 0 after each reflection, until no coordinate is
     negative.
@@ -221,6 +226,10 @@ def _kernels(roots, steps, columns):
     that every point of the line is singular, and otherwise the set of the
     c at which some root pairs to zero: 0, the last simple root's zero,
     and -p / b for each root whose b divides p.
+
+    ``gram_form`` binds the coordinates to locals, computes the Gram row
+    ``g<i>`` = sum_j gram_num[i][j] c<j> with the entries as literals, and
+    returns the tuple of the g<i> and the form sum_i c<i> g<i>.
     """
     rank = len(columns)
     coords = ", ".join(f"c{i}" for i in range(rank))
@@ -251,9 +260,17 @@ def _kernels(roots, steps, columns):
         for name, b in terms if b and name != "0"
     ]
     zeros.append(f"    return {{{', '.join(found)}}}\n")
+    gram = [f"def gram_form(c):\n    {coords}, = c\n"]
+    for i, gram_row in enumerate(gram_num):
+        terms = (f"c{j}" if g == 1 else f"{g} * c{j}" for j, g in enumerate(gram_row))
+        gram.append(f"    g{i} = {' + '.join(terms)}\n")
+    g_row = ", ".join(f"g{i}" for i in range(rank))
+    form = " + ".join(f"c{i} * g{i}" for i in range(rank))
+    gram.append(f"    return ({g_row},), {form}\n")
     namespace = {"__name__": __name__}
-    exec("".join(row + reduce + zeros), namespace)
-    return namespace["pairing_row"], namespace["dominant_reduction"], namespace["line_zeros"]
+    exec("".join(row + reduce + zeros + gram), namespace)
+    names = ("pairing_row", "dominant_reduction", "line_zeros", "gram_form")
+    return tuple(namespace[name] for name in names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +284,11 @@ class RootSystem:
     denominator: the one Gram form, which every inner product uses.
     ``root_steps`` holds one (parent slot, simple index) pair per positive
     root, and ``cartan_columns[i]`` the pairs
-    (j, c_ji) with c_ji nonzero.  ``pairing_row``, ``dominant_reduction``
-    and ``line_zeros`` are those two tables compiled into functions of a
-    coordinate sequence (see ``_kernels``).  Hofer norms need no Weyl
-    orbit: the orbit maximum is the inner product of the dominant
+    (j, c_ji) with c_ji nonzero.  The four generated kernels are functions
+    of a coordinate sequence (see ``_kernels``): ``pairing_row``,
+    ``dominant_reduction`` and ``line_zeros`` are those two tables
+    compiled, and ``gram_form`` is ``gram_num`` compiled.  Hofer norms need
+    no Weyl orbit: the orbit maximum is the inner product of the dominant
     representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
@@ -290,6 +308,7 @@ class RootSystem:
     pairing_row: object
     dominant_reduction: object
     line_zeros: object
+    gram_form: object
 
     @property
     def label(self):
@@ -377,7 +396,7 @@ def build_root_system(family, rank):
     )
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        steps, columns, *_kernels(positive, steps, columns),
+        steps, columns, *_kernels(positive, steps, columns, gram_num),
     )
 
 

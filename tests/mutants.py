@@ -43,6 +43,27 @@ MUTANTS = [
         "(name, root[0]) for name, root",
         KERNELS,
     ),
+    # gram_form: every Gram row sums all of its terms
+    (
+        "src/liehofer/root_system.py",
+        " for j, g in enumerate(gram_row))",
+        " for j, g in enumerate(gram_row) if (i, j) != (0, 1))",
+        KERNELS,
+    ),
+    # gram_form: x = c . G c pairs each coordinate with its own Gram row
+    (
+        "src/liehofer/root_system.py",
+        'f"c{i} * g{i}"',
+        'f"c{i} * g{(i + 1) % rank}"',
+        KERNELS,
+    ),
+    # the length memo refuses the zero coweight, so it never holds a record
+    (
+        "src/liehofer/hofer.py",
+        "    x = _invariants(system, coords)[2]\n    if not x:\n",
+        "    x = _invariants(system, coords)[2]\n    if False:\n",
+        "tests/test_hofer.py::test_zero_xi_rejected_cold_and_memoized",
+    ),
     # the walk hands the raised coweight, not its parent's, down to the leaf
     (
         "src/liehofer/loop_morse.py",
@@ -63,6 +84,20 @@ MUTANTS = [
         "    if even and cutoff % 2:\n",
         "    if False:\n",
         "tests/test_loop_morse.py::test_cutoff_cap",
+    ),
+    # the coroot lattice test reduces adj(C) xi modulo det(C)
+    (
+        "src/liehofer/loop_morse.py",
+        "for a, c in zip(row, xi.coords)) % det == 0",
+        "for a, c in zip(row, xi.coords)) % 2 == 0",
+        "tests/test_integer_core.py::test_in_coroot_lattice_matches_gauss_jordan_solve",
+    ),
+    # a sweep that checked nothing fails as vacuous instead of passing
+    (
+        "src/liehofer/verify.py",
+        "    if not checked:\n",
+        "    if False:\n",
+        "tests/test_verify.py::test_empty_sweep_is_vacuous_not_a_pass",
     ),
     # a zero divisor raises ZeroDivisionError, not IndexError
     (

@@ -27,6 +27,11 @@ CASES = {
     "seidel_cp1_xi2.json": ["seidel-cp1", "--xi", "2"],
     "weights_F4.json": ["weights", "--system", "F4", "--xi", "1,-2,0,3"],
     "hofer_G2_eta.json": ["hofer", "--system", "G2", "--xi", "2,-1", "--eta=-3,1"],
+    # every coordinate at the bound, in the Hofer memo and its length memo
+    "hofer_F4_corner.json": [
+        "hofer", "--system", "F4", "--xi", "100000,100000,100000,100000",
+        "--eta=-100000,100000,-100000,100000",
+    ],
     "omega_series_D4_cutoff40.json": ["omega-series", "--system", "D4", "--cutoff", "40"],
     "omega_series_A4_cutoff40.json": ["omega-series", "--system", "A4", "--cutoff", "40"],
 }

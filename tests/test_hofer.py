@@ -12,9 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liehofer.hofer as hofer
 from liehofer.errors import DegenerateOrbit, DimensionError
 from liehofer.hofer import (
+    NormReport,
     _invariants,
+    _length,
     check_norm_inequality,
     hofer_length_circle,
     orbit_maximum,
@@ -158,8 +161,10 @@ def _zero_xi_calls(system):
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
 def test_zero_xi_rejected_cold_and_memoized(label):
     # the zero test reads the memo record of xi: it must hold on a cold memo
-    # and again once the zero record is there, when the call is a memo hit
+    # and again once the zero record is there, when the call is a memo hit;
+    # the zero coweight never enters the length memo
     calls = _zero_xi_calls(from_label(label))
+    _length.cache_clear()
     for call in calls:
         _invariants.cache_clear()
         with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
@@ -170,6 +175,44 @@ def test_zero_xi_rejected_cold_and_memoized(label):
         with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
             call()
         assert _invariants.cache_info().hits == hits + 1
+    assert _length.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_length_reports_are_built_only_where_read(label, monkeypatch):
+    # on a cold memo the norms build no length report of their own: the
+    # orbit maximum and the inequality none, the positive norm its one
+    # result, and the Hofer length one per distinct xi, none on a repeat
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return NormReport(*args)
+
+    monkeypatch.setattr(hofer, "NormReport", counted)
+    system = from_label(label)
+    eta = system.coweight([(-1) ** i * (i + 2) for i in range(system.rank)])
+    distinct = dict.fromkeys([*_probes(system.rank), (-2,) * system.rank])
+    xis = [system.coweight(p) for p in distinct]
+
+    def cold():
+        _invariants.cache_clear()
+        _length.cache_clear()
+        built.clear()
+
+    for xi in xis:
+        for fn in (orbit_maximum, check_norm_inequality):
+            cold()
+            fn(eta, xi)
+            assert built == [], fn
+        cold()
+        _, report = positive_norm(eta, xi)
+        assert built == [(report.value_squared, report.value_float)]
+    cold()
+    reports = [hofer_length_circle(xi) for xi in xis]
+    assert len(built) == len(xis)
+    assert [hofer_length_circle(xi) for xi in xis] == reports
+    assert len(built) == len(xis)
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)

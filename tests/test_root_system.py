@@ -11,6 +11,7 @@ import pytest
 from liehofer.circle_index import CircleSubgroup
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DimensionError, InputError, UnsupportedSystem
+from liehofer.hofer import _invariants, _length, check_norm_inequality, hofer_length_circle
 from liehofer.loop_morse import omega_g_series
 from liehofer.root_system import (
     EXPONENTS,
@@ -26,7 +27,7 @@ from liehofer.root_system import (
 )
 from liehofer.verify import ALL_SYSTEMS, box_coweights, check_index_equality
 
-from bourbaki_oracle import cartan_matrix
+from bourbaki_oracle import cartan_matrix, coweight_gram
 from weyl_oracle import bfs_orbit, bfs_weyl_poincare, reflect_coweight, weyl_orbit
 
 ALL_LABELS = ALL_SYSTEMS
@@ -325,19 +326,25 @@ def test_pairings_row_matches_per_root_pairing(label):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_generated_kernels_on_every_box3_coweight(label):
     # every nonzero box-3 coweight and the +-MAX_COORD corners, against the
-    # per-root pairing and the dense reflections of the oracle
+    # per-root pairing, the dense reflections and the Bourbaki Gram matrix
+    # of the oracles
     system = from_label(label)
-    for kernel in (system.pairing_row, system.dominant_reduction, system.line_zeros):
+    kernels = (system.pairing_row, system.dominant_reduction, system.line_zeros,
+               system.gram_form)
+    for kernel in kernels:
         # the generated text holds local names and integer literals only
         code = kernel.__code__
         assert code.co_names == ()
         assert {type(k) for k in code.co_consts} <= {int, bool, type(None)}
-        assert all(re.fullmatch(r"c\d*|r\d+", v) for v in code.co_varnames)
+        assert all(re.fullmatch(r"c\d*|r\d+|g\d+", v) for v in code.co_varnames)
+    gram = [[x * system.gram_den for x in row] for row in coweight_gram(label)]
     points = [xi.coords for xi in box_coweights(system, 3)]
     points += itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
     for coords in points:
         xi = system.coweight(coords)
         assert pairings(xi) == [pairing(alpha, xi) for alpha in system.positive_roots]
+        g_row = tuple(sum(g * c for g, c in zip(row, coords)) for row in gram)
+        assert system.gram_form(coords) == (g_row, sum(c * g for c, g in zip(coords, g_row)))
         dom = dominant_coords(system, coords)
         assert type(dom) is tuple and min(dom) >= 0
         assert dominant_coords(system, dom) == dom
@@ -354,8 +361,9 @@ def test_generated_kernels_on_every_box3_coweight(label):
 
 
 def test_hot_path_compiles_nothing(monkeypatch):
-    # the kernels are compiled once, when a system is built; a sweep and a
-    # series over built systems never reach exec or compile
+    # the kernels are compiled once, when a system is built; a sweep, a
+    # series and the Hofer norms over built systems never reach exec or
+    # compile
     for label in ALL_LABELS:
         from_label(label)
 
@@ -368,6 +376,13 @@ def test_hot_path_compiles_nothing(monkeypatch):
         patched.setattr(builtins, "compile", refuse)
         assert check_index_equality(ALL_LABELS, 2)[0]
         omega_g_series(from_label("F4"), 20)  # raises if it disagrees with the oracle
+        _invariants.cache_clear()  # cold: every record is built by gram_form
+        _length.cache_clear()
+        for label in ALL_LABELS:
+            system = from_label(label)
+            xi = system.coweight(range(1, system.rank + 1))
+            assert hofer_length_circle(xi).value_squared == inner(xi, xi)
+            assert check_norm_inequality(system.coweight([-1] * system.rank), xi)
         assert from_label("f4").pairing_row is from_label("F4").pairing_row
 
 
