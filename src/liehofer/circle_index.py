@@ -58,7 +58,9 @@ class WeightMultiset:
 
 @dataclass(frozen=True)
 class IndexReport:
-    xi: Coweight
+    """Both indices of a circle subgroup, its weights at the maximum, and
+    whether the two indices agree."""
+
     weights: WeightMultiset
     virtual_index: int
     riemannian_index: int
@@ -108,10 +110,4 @@ def index_equality_report(gamma):
     w = weights_at_max(gamma)
     iv = virtual_index(w)
     ir = riemannian_index_conjugate(gamma)
-    return IndexReport(
-        xi=gamma.xi,
-        weights=w,
-        virtual_index=iv,
-        riemannian_index=ir,
-        agree=iv == ir,
-    )
+    return IndexReport(weights=w, virtual_index=iv, riemannian_index=ir, agree=iv == ir)

@@ -13,9 +13,10 @@ that stops each coordinate at the cutoff instead of scanning a box.  The
 walk builds each candidate coweight once, for its Bott index, and hands
 it down to the stratum it becomes; it also refuses a bad cutoff for the
 series, before the series allocates its coefficients.
-Stratum polynomials are quotients of Weyl Poincare polynomials, which
-``weyl_poincare`` builds in closed form from the root heights and
-memoizes per system and parabolic.  The two sides of the check share no
+The series builds a stratum polynomial only for the strata it sums, the
+coroot-lattice ones.  Stratum polynomials are quotients of Weyl Poincare
+polynomials, which ``weyl_poincare`` builds in closed form from the root
+heights and memoizes per system and parabolic.  The two sides of the check share no
 Lie data: the oracle takes its exponents from the literature table
 ``root_system.EXPONENTS``, which no stratum computation reads.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, NotDominant
+from .errors import NotDominant
 from .root_system import EXPONENTS, Coweight, pairings, weyl_poincare
 from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
@@ -62,26 +63,21 @@ def poly_divexact(num, den):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Nonnegative-integer power series truncated at an even cutoff."""
+    """Nonnegative-integer power series truncated at a cutoff: its
+    coefficients in degrees 0..cutoff, so the cutoff is len(coeffs) - 1."""
 
-    cutoff: int
     coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.cutoff + 1:
-            raise DimensionError(
-                f"{len(self.coeffs)} coefficients for cutoff {self.cutoff}"
-            )
 
 
 @dataclass(frozen=True)
 class CriticalStratum:
     """One critical manifold of the energy functional: a dominant coweight
-    with its Bott index and the Poincare polynomial of its adjoint orbit."""
+    with its Bott index, and whether it lies in the coroot lattice.  The
+    Poincare polynomial of its adjoint orbit is ``stratum_poincare(xi)``,
+    built only where a caller reads it."""
 
     xi: Coweight
     bott_index: int
-    stratum_poly: tuple
     in_coroot_lattice: bool
 
 
@@ -151,9 +147,7 @@ def enumerate_critical_strata(system, cutoff):
         # xi has the coordinates coords, coords[k:] are zero, and its Bott
         # index is idx <= cutoff
         if k == rank:
-            strata.append(
-                CriticalStratum(xi, idx, stratum_poincare(xi), in_coroot_lattice(xi))
-            )
+            strata.append(CriticalStratum(xi, idx, in_coroot_lattice(xi)))
             return
         walk(k + 1, xi, idx)
         for c in range(1, bound + 1):
@@ -180,12 +174,14 @@ def transgression_series(system, cutoff):
     for m in EXPONENTS[(system.family, system.rank)]:
         for d in range(2 * m, cutoff + 1):
             coeffs[d] += coeffs[d - 2 * m]
-    return TruncatedSeries(cutoff, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def omega_g_series(system, cutoff, check=True):
     """Poincare series of the based loop group assembled stratum by
-    stratum: sum over coroot-lattice strata of t^index * stratum_poly.
+    stratum: sum over coroot-lattice strata of t^index * stratum_poincare.
+    A stratum polynomial is built only for the strata the sum reads, the
+    ones in the coroot lattice.
 
     With check=True (default) the result is compared against the
     transgression oracle; a mismatch raises ArithmeticError.
@@ -195,10 +191,10 @@ def omega_g_series(system, cutoff, check=True):
     coeffs = [0] * (cutoff + 1)
     for s in strata:
         if s.in_coroot_lattice:
-            top = s.stratum_poly[:cutoff + 1 - s.bott_index]
+            top = stratum_poincare(s.xi)[:cutoff + 1 - s.bott_index]
             for d, c in enumerate(top, s.bott_index):
                 coeffs[d] += c
-    series = TruncatedSeries(cutoff, tuple(coeffs))
+    series = TruncatedSeries(tuple(coeffs))
     if check and series.coeffs != transgression_series(system, cutoff).coeffs:
         raise ArithmeticError(
             f"stratum assembly for {system.label} disagrees with the "

@@ -95,7 +95,6 @@ class PsiLeadingReport:
     sign: int
     exponent: float
     corrections: tuple
-    area: float
     nonzero: bool
     invertible: bool
 
@@ -127,7 +126,6 @@ def psi_leading(l_plus, orientation_sign, corrections=(), area=1.0):
         sign=orientation_sign,
         exponent=l_plus,
         corrections=corrections,
-        area=area,
         nonzero=not element.is_zero,
         invertible=is_invertible(element, area=area),
     )

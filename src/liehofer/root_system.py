@@ -129,25 +129,24 @@ def _symmetrizer(cartan):
 def _adjugate(mat):
     """Integer adjugate and determinant (adj, det) of a square integer
     matrix, by fraction-free Gauss-Jordan elimination (Bareiss): every
-    division is exact, so no Fraction is ever built."""
+    division is exact, so no Fraction is ever built.
+
+    No pivot is searched for.  The k-th pivot is the k-th leading
+    principal minor, and every leading principal minor of a finite-type
+    Cartan matrix is positive (each is the Cartan matrix of a finite-type
+    subdiagram), so no row is ever swapped and det is the last pivot."""
     n = len(mat)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n):
-        piv = next(r for r in range(k, n) if a[r][k] != 0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
         p = a[k][k]
         for i in range(n):
             if i != k:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
         prev = p
-    # now a = [d*I | d*A^-1] with d = sign * det A, so adj A = sign * right block
-    det = sign * prev
-    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
-    return adj, det
+    # now a = [d*I | d*A^-1] with d = det A, so adj A is the right block
+    return tuple(tuple(row[n:]) for row in a), prev
 
 
 def _positive_roots(cartan):
@@ -315,13 +314,14 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
     def coweight(self, coords):
-        """The coweight of this system with the given coordinates.  Each
-        must be an integer (``operator.index``: numpy integers pass and
-        become Python ints); a float or a string raises InputError, never
-        truncated to an integer."""
+        """The coweight of this system with the given coordinates: the one
+        checked constructor of ``Coweight``.  Each coordinate must be an
+        integer (``operator.index``: numpy integers pass and become Python
+        ints); a float or a string raises InputError, never truncated to an
+        integer.  Then their count must be the rank, or DimensionError."""
         coords = tuple(coords)
         try:
-            return Coweight(self, tuple(map(operator.index, coords)))
+            coords = tuple(map(operator.index, coords))
         except TypeError:
             for c in coords:
                 if not hasattr(type(c), "__index__"):
@@ -329,6 +329,9 @@ class RootSystem:
                         f"coweight coordinates must be integers, got {clipped_repr(c)}"
                     ) from None
             raise
+        if len(coords) != self.rank:
+            raise DimensionError(f"expected {self.rank} coordinates, got {len(coords)}")
+        return Coweight(self, coords)
 
     def __repr__(self):
         return f"RootSystem({self.label})"
@@ -339,22 +342,15 @@ class Coweight:
     """Integer vector in the fundamental-coweight basis; encodes a circle
     subgroup theta -> exp(2 pi theta xi).
 
-    Only ``RootSystem.coweight`` checks that the coordinates are
-    integers; this constructor checks their count alone, so build
-    coweights through ``system.coweight(coords)``.  A coweight built here
-    from non-integers (``Coweight(system, (0.5, 0.4))``) reaches the
-    exact code unchecked and fails there with a misleading error, or none.
-    The check stays out of the constructor because every sweep item
-    builds coweights and would pay for it."""
+    The constructor checks nothing.  ``RootSystem.coweight`` is the one
+    checked constructor: it takes input coordinates and checks that they
+    are integers and that there are rank of them.  The library builds a
+    ``Coweight`` directly only from coordinates it has already checked or
+    built with the right length itself (a box point, a dominant
+    reduction), so a sweep item pays for no check."""
 
     system: RootSystem
     coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.system.rank:
-            raise DimensionError(
-                f"expected {self.system.rank} coordinates, got {len(self.coords)}"
-            )
 
     @property
     def is_zero(self):

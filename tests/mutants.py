@@ -12,7 +12,8 @@ mutant survives.
 
 Each row names one decision and the change that breaks it.  Equivalent
 mutants (a change no test could tell from the original) stay out of the
-table.
+table; the comments at its end list the ones considered, each with the
+reason no test can kill it.
 """
 
 import os
@@ -74,9 +75,73 @@ MUTANTS = [
     # the series keeps every degree up to and including the cutoff
     (
         "src/liehofer/loop_morse.py",
-        "s.stratum_poly[:cutoff + 1 - s.bott_index]",
-        "s.stratum_poly[:cutoff - s.bott_index]",
+        "stratum_poincare(s.xi)[:cutoff + 1 - s.bott_index]",
+        "stratum_poincare(s.xi)[:cutoff - s.bott_index]",
         "tests/test_loop_morse.py::test_omega_series_a1",
+    ),
+    # the transgression recurrence adds c[d - 2m] from degree 2m on
+    (
+        "src/liehofer/loop_morse.py",
+        "        for d in range(2 * m, cutoff + 1):\n",
+        "        for d in range(2 * m + 1, cutoff + 1):\n",
+        "tests/test_loop_morse.py::test_omega_series_a1",
+    ),
+    # the Bott index counts the zero entries of the row: p = 0 adds 0, not -2
+    (
+        "src/liehofer/loop_morse.py",
+        "2 * (sum(row) - len(row) + row.count(0))",
+        "2 * (sum(row) - len(row))",
+        "tests/test_loop_morse.py::test_bott_index_examples",
+    ),
+    # the virtual index sums 2(|k| - 1): -2 (sum k + #k), not -2 (sum k - #k)
+    (
+        "src/liehofer/circle_index.py",
+        "    return -2 * (sum(k) + len(k))\n",
+        "    return -2 * (sum(k) - len(k))\n",
+        "tests/test_circle_index.py::test_virtual_index_examples",
+    ),
+    # the conjugate count gives a root pairing to 0 no time; only a singular
+    # coweight has one, so the index sweep (regular points) cannot kill this
+    (
+        "src/liehofer/circle_index.py",
+        "- len(row) + row.count(0))",
+        "- len(row))",
+        "tests/test_circle_index.py::test_index_sums_match_generator_forms",
+    ),
+    # inner pairs xi1 with the Gram row of xi2, not of xi1
+    (
+        "src/liehofer/root_system.py",
+        "(sum(map(operator.mul, row, xi2.coords)) for row",
+        "(sum(map(operator.mul, row, xi1.coords)) for row",
+        "tests/test_root_system.py::test_inner_examples",
+    ),
+    # dominant_reduction: a multiple bond's Cartan literal (2 or 3) off by one
+    (
+        "src/liehofer/root_system.py",
+        'f"{-cji} * "',
+        'f"{-cji - 1} * "',
+        "tests/test_root_system.py::test_dominant_coords_is_the_orbit_dominant_point",
+    ),
+    # the SU(2) spectra: 4m - 2 negative modes
+    (
+        "src/liehofer/su2_loops.py",
+        "    negative = 4 * m - 2\n",
+        "    negative = 4 * m\n",
+        "tests/test_su2_loops.py::test_energy_spectrum_m1",
+    ),
+    # the energy minimum is the transverse entry at j = n - 1
+    (
+        "src/liehofer/su2_loops.py",
+        "4 * c * t * transverse(n - 1)",
+        "4 * c * t * transverse(n - 2)",
+        "tests/test_su2_loops.py::test_energy_spectrum_m1",
+    ),
+    # is_invertible multiplies by the conjugate a - b PT, not by x itself
+    (
+        "src/liehofer/quantum_cp1.py",
+        "(-c if b == PT else c, b, e)",
+        "(c, b, e)",
+        "tests/test_quantum_cp1.py::test_zero_divisor_is_not_invertible",
     ),
     # an odd cutoff is refused where the walk needs an even one
     (
@@ -106,6 +171,13 @@ MUTANTS = [
         "    if False:\n",
         "tests/test_loop_morse.py::test_poly_divexact_refuses_a_zero_divisor",
     ),
+    # Equivalent, left out (tier-1 passes with each applied):
+    # - bott_index's sum(row) -> sum(map(abs, row)): bott_index refuses a
+    #   coweight that is not dominant, and a dominant row has no negative
+    #   entry, so the two sums are equal.
+    # - inner's "for row in system.gram_num" -> "for row in
+    #   zip(*system.gram_num)": the Gram matrix is symmetric, so its rows
+    #   are its columns.
 ]
 
 

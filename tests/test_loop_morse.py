@@ -104,7 +104,7 @@ def test_zero_stratum_is_constant_loop():
         s for s in enumerate_critical_strata(b2, 4) if s.xi.is_zero
     )
     assert zero.bott_index == 0
-    assert zero.stratum_poly == (1,)
+    assert stratum_poincare(zero.xi) == (1,)
     assert zero.in_coroot_lattice
 
 
@@ -160,9 +160,7 @@ def _box_strata(system, cutoff):
         xi = system.coweight(coords)
         idx = bott_index(xi)
         if idx <= cutoff:
-            strata.append(
-                CriticalStratum(xi, idx, stratum_poincare(xi), in_coroot_lattice(xi))
-            )
+            strata.append(CriticalStratum(xi, idx, in_coroot_lattice(xi)))
     strata.sort(key=lambda s: (s.bott_index, s.xi.coords))
     return strata
 
@@ -172,7 +170,7 @@ def _box_strata(system, cutoff):
 def test_walk_matches_box_scan(label, cutoff):
     system = from_label(label)
     walked, boxed = enumerate_critical_strata(system, cutoff), _box_strata(system, cutoff)
-    assert walked == boxed  # coords, index, polynomial, lattice flag and order
+    assert walked == boxed  # coords, index, lattice flag and order
 
 
 def test_bott_index_is_nondecreasing_in_each_coordinate():
@@ -218,6 +216,23 @@ def test_walk_builds_each_coweight_once(monkeypatch):
     monkeypatch.setattr(loop_morse, "bott_index", counting_bott)
     enumerate_critical_strata(from_label("A4"), 40)
     assert len(coweights) == len(botts) + 1 == 237
+
+
+def test_series_builds_one_polynomial_per_coroot_stratum(monkeypatch):
+    # the strata outside the coroot lattice enter no sum, so no polynomial
+    # is built for them: 30 of the 154 strata at A4, cutoff 40
+    system = from_label("A4")
+    summed = [s.xi for s in enumerate_critical_strata(system, 40) if s.in_coroot_lattice]
+    built = []
+    real = loop_morse.stratum_poincare
+
+    def counting(xi):
+        built.append(xi)
+        return real(xi)
+
+    monkeypatch.setattr(loop_morse, "stratum_poincare", counting)
+    omega_g_series(system, 40)
+    assert built == summed and len(built) == 30
 
 
 def test_cutoff_cap():

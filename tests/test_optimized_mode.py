@@ -14,10 +14,10 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CASES = {
-    "truncated-series-length": (
+    "coweight-count": (
         "DimensionError",
-        "from liehofer.loop_morse import TruncatedSeries\n"
-        "TruncatedSeries(4, (1,))\n",
+        "from liehofer.root_system import from_label\n"
+        "from_label('A2').coweight((1, 2, 3))\n",
     ),
     "positive-root-count": (
         "ConsistencyError",

@@ -125,9 +125,10 @@ def test_coweight_takes_integer_coordinates_only():
     xi = a2.coweight(np.array([3, -1], dtype=np.int64))
     assert xi.coords == (3, -1) and all(type(c) is int for c in xi.coords)
     assert a2.coweight(range(2)).coords == (0, 1)
-    # no coordinate is truncated: [0.5, 0.4] would become the zero coweight
+    # no coordinate is truncated: [0.5, 0.4] would become the zero coweight;
+    # the integer check comes before the count, so [0.5, 1, 2] fails it
     for coords in ([1.7, -0.2], [0.5, 0.4], [1, 2.0], [np.float64(1), 0], ["1", 0],
-                   [1, Fraction(2)]):
+                   [1, Fraction(2)], [0.5, 1, 2]):
         with pytest.raises(InputError) as info:
             a2.coweight(coords)
         assert str(info.value).startswith("coweight coordinates must be integers, got ")
@@ -135,6 +136,14 @@ def test_coweight_takes_integer_coordinates_only():
         a2.coweight([0, "x" * 5000])
     clipped = "'" + "x" * 59 + "... (5000 characters)"
     assert str(info.value) == f"coweight coordinates must be integers, got {clipped}"
+
+
+def test_coweight_count_message():
+    a2 = from_label("A2")
+    for coords in ([1, 2, 3], [1]):
+        with pytest.raises(DimensionError) as info:
+            a2.coweight(coords)
+        assert str(info.value) == f"expected 2 coordinates, got {len(coords)}"
 
 
 def test_pairing_dimension_mismatch():
