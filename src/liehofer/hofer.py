@@ -19,7 +19,14 @@ both from one call of ``gram_form``.  The orbit maximum is then one
 integer dot product of length ``rank``, dom(eta) . G dom(xi) (the Gram
 matrix is symmetric).  The length report of a circle, which only
 ``hofer_length_circle`` reads, is memoized apart, for the same 1024
-coweights, so the norms build none.  The zero test of the base coweight
+coweights, so the norms build none.  The report of a positive norm is a
+function of three integers alone, the system, the numerator M of the
+orbit maximum and the numerator X of <xi, xi>, so a third memo of 1024
+keys holds it: pairs with the same (system, M, X), which a grid of small
+coweights repeats many times, share one report.  The length does not read
+that memo with M = X: ``verify.check_seidel`` compares the length with
+the positive norm of xi on its own orbit, and the two values must come
+from two paths.  The zero test of the base coweight
 reads x: the Gram form is positive definite, so x = 0 exactly when
 xi = 0, and no function here scans the coordinates again.  All lengths
 are reported in lattice units (long roots at squared length 2, loops
@@ -103,19 +110,31 @@ def orbit_maximum(eta, xi):
     return Fraction(m, system.gram_den)
 
 
+@lru_cache(maxsize=1024)
+def _norm(system, m, x):
+    """(m / gram_den, report of m^2 / (gram_den x)): the result of
+    ``positive_norm`` for the integer numerators m of the orbit maximum and
+    x != 0 of <xi, xi>.  Both objects are immutable, so every caller with
+    the same key may share them."""
+    den = system.gram_den
+    sq, d = m * m, den * x
+    return Fraction(m, den), NormReport(Fraction(sq, d), math.sqrt(sq / d))
+
+
 def positive_norm(eta, xi):
     """Positive Hofer norm of eta on the orbit of xi.
 
     Returns (m, report): the raw orbit maximum m >= 0 and the squared
     positive norm m^2 / <xi, xi>.  With m = M / gram_den and <xi, xi> =
     X / gram_den in integer numerators, the square is M^2 / (gram_den X),
-    built as one Fraction, and its float is the square root of the
-    correctly rounded int / int quotient.
+    and its float is the square root of the correctly rounded int / int
+    quotient.  Both depend on (system, M, X) alone, so they come from the
+    memo ``_norm`` on that key; the zero xi raises before, and never
+    enters it.  ``hofer_length_circle`` keeps its own memo instead of
+    reading this one at M = X, so that a check comparing the two compares
+    two computations.
     """
-    system, m, x, _ = _orbit_maximum_numerator(eta, xi)
-    den = system.gram_den
-    sq, d = m * m, den * x
-    return Fraction(m, den), NormReport(Fraction(sq, d), math.sqrt(sq / d))
+    return _norm(*_orbit_maximum_numerator(eta, xi)[:3])
 
 
 def check_norm_inequality(eta, xi):

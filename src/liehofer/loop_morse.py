@@ -10,8 +10,9 @@ built from the classical exponents m_i.
 The Bott index is nondecreasing in every coordinate of a dominant
 coweight, so the strata below a cutoff are found by a depth-first walk
 that stops each coordinate at the cutoff instead of scanning a box.  The
-walk builds each candidate coweight once, for its Bott index, and hands
-it down to the stratum it becomes; it also refuses a bad cutoff for the
+walk builds each candidate coweight once, directly from the coordinates
+it made (they need no input check), for its Bott index, and hands it
+down to the stratum it becomes; it also refuses a bad cutoff for the
 series, before the series allocates its coefficients.
 The series builds a stratum polynomial only for the strata it sums, the
 coroot-lattice ones.  Stratum polynomials are quotients of Weyl Poincare
@@ -152,14 +153,14 @@ def enumerate_critical_strata(system, cutoff):
         walk(k + 1, xi, idx)
         for c in range(1, bound + 1):
             coords[k] = c
-            raised = system.coweight(coords)
+            raised = Coweight(system, tuple(coords))
             index = bott_index(raised)
             if index > cutoff:
                 break
             walk(k + 1, raised, index)
         coords[k] = 0
 
-    walk(0, system.coweight(coords), 0)  # the zero coweight, index 0
+    walk(0, Coweight(system, tuple(coords)), 0)  # the zero coweight, index 0
     strata.sort(key=lambda s: (s.bott_index, s.xi.coords))
     return strata
 

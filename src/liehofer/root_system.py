@@ -347,7 +347,8 @@ class Coweight:
     are integers and that there are rank of them.  The library builds a
     ``Coweight`` directly only from coordinates it has already checked or
     built with the right length itself (a box point, a dominant
-    reduction), so a sweep item pays for no check."""
+    reduction, a candidate of the strata walk), so a sweep item pays for
+    no check."""
 
     system: RootSystem
     coords: tuple

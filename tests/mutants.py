@@ -136,6 +136,34 @@ MUTANTS = [
         "4 * c * t * transverse(n - 2)",
         "tests/test_su2_loops.py::test_energy_spectrum_m1",
     ),
+    # the energy maximum is the axial entry at j = 1, 8c sin^2(pi (n - 1) / 2n)
+    (
+        "src/liehofer/su2_loops.py",
+        "8 * c * (axial * axial)",
+        "4 * c * (axial * axial)",
+        "tests/test_su2_loops.py::test_energy_counts_sweep",
+    ),
+    # the L+ minimum is the transverse entry at j = n - 1
+    (
+        "src/liehofer/su2_loops.py",
+        "_SQRT2 / math.pi * transverse(n - 1)",
+        "_SQRT2 / math.pi * transverse(n - 2)",
+        "tests/test_su2_loops.py::test_lplus_lane_slice_is_the_energy_sign_mask",
+    ),
+    # the L+ maximum is the last energy-unstable transverse entry, j = n - 2m + 1
+    (
+        "src/liehofer/su2_loops.py",
+        "transverse(n - 2 * m + 1)",
+        "transverse(n - 2 * m)",
+        "tests/test_su2_loops.py::test_lplus_lane_slice_is_the_energy_sign_mask",
+    ),
+    # the norm memo divides the square by gram_den X, not by X alone
+    (
+        "src/liehofer/hofer.py",
+        "sq, d = m * m, den * x",
+        "sq, d = m * m, x",
+        "tests/test_hofer.py::test_norm_memo_keys_on_the_system",
+    ),
     # is_invertible multiplies by the conjugate a - b PT, not by x itself
     (
         "src/liehofer/quantum_cp1.py",

@@ -18,6 +18,7 @@ from liehofer.hofer import (
     NormReport,
     _invariants,
     _length,
+    _norm,
     check_norm_inequality,
     hofer_length_circle,
     orbit_maximum,
@@ -28,7 +29,7 @@ from liehofer.su2_loops import apply_tangent, discrete_lplus, energy_hessian, ge
 from liehofer.verify import ALL_SYSTEMS
 from bourbaki_oracle import cartan_matrix, coweight_gram
 from sphere_oracle import max_length_measure, normalization_integral_s2, sphere_moment_max
-from weyl_oracle import weyl_orbit
+from weyl_oracle import reflect_coweight, weyl_orbit
 
 
 def test_positive_norm_at_generator():
@@ -162,9 +163,10 @@ def _zero_xi_calls(system):
 def test_zero_xi_rejected_cold_and_memoized(label):
     # the zero test reads the memo record of xi: it must hold on a cold memo
     # and again once the zero record is there, when the call is a memo hit;
-    # the zero coweight never enters the length memo
+    # the zero coweight never enters the length memo or the norm memo
     calls = _zero_xi_calls(from_label(label))
     _length.cache_clear()
+    _norm.cache_clear()
     for call in calls:
         _invariants.cache_clear()
         with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
@@ -176,13 +178,15 @@ def test_zero_xi_rejected_cold_and_memoized(label):
             call()
         assert _invariants.cache_info().hits == hits + 1
     assert _length.cache_info().currsize == 0
+    assert _norm.cache_info().misses == 0  # not even looked up
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
 def test_length_reports_are_built_only_where_read(label, monkeypatch):
     # on a cold memo the norms build no length report of their own: the
     # orbit maximum and the inequality none, the positive norm its one
-    # result, and the Hofer length one per distinct xi, none on a repeat
+    # result and none for a second pair with the same numerators (m, x),
+    # and the Hofer length one per distinct xi, none on a repeat
     built = []
 
     def counted(*args):
@@ -192,12 +196,17 @@ def test_length_reports_are_built_only_where_read(label, monkeypatch):
     monkeypatch.setattr(hofer, "NormReport", counted)
     system = from_label(label)
     eta = system.coweight([(-1) ** i * (i + 2) for i in range(system.rank)])
+    # s_0 eta has other coordinates than eta (its first is nonzero), and the
+    # same dominant point, so the same m against every xi
+    twin = system.coweight(reflect_coweight(system, eta.coords, 0))
+    assert twin.coords != eta.coords
     distinct = dict.fromkeys([*_probes(system.rank), (-2,) * system.rank])
     xis = [system.coweight(p) for p in distinct]
 
     def cold():
         _invariants.cache_clear()
         _length.cache_clear()
+        _norm.cache_clear()
         built.clear()
 
     for xi in xis:
@@ -208,6 +217,8 @@ def test_length_reports_are_built_only_where_read(label, monkeypatch):
         cold()
         _, report = positive_norm(eta, xi)
         assert built == [(report.value_squared, report.value_float)]
+        assert positive_norm(twin, xi)[1] is report
+        assert len(built) == 1
     cold()
     reports = [hofer_length_circle(xi) for xi in xis]
     assert len(built) == len(xis)
@@ -445,6 +456,86 @@ def test_memo_builds_one_record_per_coweight():
                 for eta_c in grid[::5]:
                     _check_against_oracle(label, eta_c, xi_c)
     assert _invariants.cache_info().misses == distinct
+
+
+def _expected_norm(eta, xi):
+    """positive_norm's result from orbit_maximum and inner, neither of
+    which reads the norm memo."""
+    m = orbit_maximum(eta, xi)
+    square = m * m / inner(xi, xi)
+    return m, NormReport(square, math.sqrt(float(square)))
+
+
+def test_norm_memo_keys_on_the_system():
+    # pairs on A2 (gram_den 3) and B2 (gram_den 2) with the same numerators
+    # (m, x) are two keys: interleaved, each gets its own system's report
+    systems = [from_label(label) for label in ("A2", "B2")]
+    assert [s.gram_den for s in systems] == [3, 2]
+    grid = [c for c in itertools.product(range(-2, 3), repeat=2) if any(c)]
+    by_key = []
+    for system in systems:
+        pairs = {}
+        for xi_c, eta_c in itertools.product(grid, repeat=2):
+            eta, xi = system.coweight(eta_c), system.coweight(xi_c)
+            _, m, x, _ = hofer._orbit_maximum_numerator(eta, xi)
+            if m:
+                pairs.setdefault((m, x), (eta, xi))
+        by_key.append(pairs)
+    shared = sorted(by_key[0].keys() & by_key[1].keys())
+    assert len(shared) >= 5
+    _norm.cache_clear()
+    for key in shared:
+        results = []
+        for pairs in by_key:
+            eta, xi = pairs[key]
+            results.append(positive_norm(eta, xi))
+            assert results[-1] == _expected_norm(eta, xi), (key, eta, xi)
+        assert results[0] != results[1], key
+    assert _norm.cache_info().misses == 2 * len(shared)
+
+
+def test_norm_memo_eviction_keeps_results():
+    # more distinct (system, m, x) keys than the memo holds: the first keys
+    # are evicted, built again on their next call, and equal to before
+    f4 = from_label("F4")
+    grid = [f4.coweight(c) for c in itertools.product(range(-2, 3), repeat=4) if any(c)]
+    pairs = {}
+    for xi in grid[::25]:
+        for eta in grid:
+            pairs.setdefault(hofer._orbit_maximum_numerator(eta, xi)[1:3], (eta, xi))
+    pairs = list(pairs.values())
+    maxsize = _norm.cache_info().maxsize
+    assert len(pairs) > maxsize + 50
+    _norm.cache_clear()
+    first = [positive_norm(eta, xi) for eta, xi in pairs[:50]]
+    for eta, xi in pairs:
+        positive_norm(eta, xi)
+    info = _norm.cache_info()
+    assert info.currsize == maxsize
+    again = [positive_norm(eta, xi) for eta, xi in pairs[:50]]
+    assert _norm.cache_info().misses == info.misses + 50  # the first ones were evicted
+    assert again == first == [_expected_norm(eta, xi) for eta, xi in pairs[:50]]
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_length_and_self_norm_are_two_computations(label):
+    # verify.check_seidel compares the length of xi with the positive norm
+    # of xi on its own orbit: equal values, from two memos, in either order
+    # of first call, so the check never compares one object with itself
+    system = from_label(label)
+    for first_norm in (True, False):
+        _length.cache_clear()
+        _norm.cache_clear()
+        for p in _probes(system.rank):
+            xi = system.coweight(p)
+            if first_norm:
+                m, report = positive_norm(xi, xi)
+                length = hofer_length_circle(xi)
+            else:
+                length = hofer_length_circle(xi)
+                m, report = positive_norm(xi, xi)
+            assert length == report and length is not report, xi
+            assert m == length.value_squared, xi
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)

@@ -200,19 +200,20 @@ def test_walk_evaluates_few_candidates(monkeypatch):
 
 def test_walk_builds_each_coweight_once(monkeypatch):
     # one coweight per Bott evaluation, plus the zero start; a walk that
-    # builds the coordinates again at each leaf makes 390 at A4, cutoff 40
+    # builds the coordinates again at each leaf makes 390 at A4, cutoff 40.
+    # Every build is counted, checked through RootSystem.coweight or direct
     coweights, botts = [], []
-    real_coweight, real_bott = root_system.RootSystem.coweight, loop_morse.bott_index
+    real_init, real_bott = root_system.Coweight.__init__, loop_morse.bott_index
 
-    def counting_coweight(system, coords):
-        coweights.append(tuple(coords))
-        return real_coweight(system, coords)
+    def counting_init(self, system, coords):
+        coweights.append(coords)
+        real_init(self, system, coords)
 
     def counting_bott(xi):
         botts.append(xi)
         return real_bott(xi)
 
-    monkeypatch.setattr(root_system.RootSystem, "coweight", counting_coweight)
+    monkeypatch.setattr(root_system.Coweight, "__init__", counting_init)
     monkeypatch.setattr(loop_morse, "bott_index", counting_bott)
     enumerate_critical_strata(from_label("A4"), 40)
     assert len(coweights) == len(botts) + 1 == 237
