@@ -108,6 +108,29 @@ MUTANTS = [
         "- len(row))",
         "tests/test_circle_index.py::test_index_sums_match_generator_forms",
     ),
+    # the orbit key is taken from |v|: on the signed row a point off the
+    # dominant chamber gets positive weights
+    (
+        "src/liehofer/circle_index.py",
+        "sorted(map(abs, pairings(gamma.xi)), reverse=True)",
+        "sorted(pairings(gamma.xi), reverse=True)",
+        "tests/test_circle_index.py::test_index_sums_match_generator_forms",
+    ),
+    # the orbit key is sorted largest first, so its weights come out sorted
+    (
+        "src/liehofer/circle_index.py",
+        "sorted(map(abs, pairings(gamma.xi)), reverse=True)",
+        "sorted(map(abs, pairings(gamma.xi)))",
+        "tests/test_circle_index.py::test_weights_examples",
+    ),
+    # a memoized report compares the virtual index with the point's own
+    # count; only a count that disagrees with its key can tell
+    (
+        "src/liehofer/circle_index.py",
+        "agree=iv == riemannian)",
+        "agree=True)",
+        "tests/test_circle_index.py::test_report_memo_reads_each_points_own_count",
+    ),
     # inner pairs xi1 with the Gram row of xi2, not of xi1
     (
         "src/liehofer/root_system.py",
@@ -206,6 +229,9 @@ MUTANTS = [
     # - inner's "for row in system.gram_num" -> "for row in
     #   zip(*system.gram_num)": the Gram matrix is symmetric, so its rows
     #   are its columns.
+    # - circle_index's "@lru_cache(maxsize=256)" -> "@lru_cache(maxsize=None)":
+    #   a report is a function of its key, so the memo's size moves only its
+    #   hit rate and memory, never a result.
 ]
 
 

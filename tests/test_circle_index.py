@@ -8,6 +8,7 @@ import liehofer.loop_morse as loop_morse
 from conjugate_oracle import conjugate_times, riemannian_index_oracle
 from liehofer.circle_index import (
     CircleSubgroup,
+    IndexReport,
     WeightMultiset,
     index_equality_report,
     riemannian_index_conjugate,
@@ -139,6 +140,39 @@ def test_index_check_builds_three_pairing_rows_per_coweight(label, monkeypatch):
         dom = dominant_representative(xi)
         bott_index(dom)
         assert rows == [xi.coords, xi.coords, dom.coords], xi
+
+
+def test_report_memo_reads_each_points_own_count(monkeypatch):
+    # the memo keys on the orbit key and the point's own conjugate count: a
+    # point whose count is off by one reports the disagreement although its
+    # orbit key is cached, and the next point of the orbit gets the cached
+    # report back
+    first, patched, after = sorted(weyl_orbit(from_label("B2").coweight([2, 1])),
+                                   key=lambda xi: xi.coords)[:3]
+    report = index_equality_report(CircleSubgroup(first))
+    assert report.agree
+    counted = circle_index.riemannian_index_conjugate
+    monkeypatch.setattr(circle_index, "riemannian_index_conjugate",
+                        lambda g: counted(g) + (g.xi.coords == patched.coords))
+    off = index_equality_report(CircleSubgroup(patched))
+    assert not off.agree and off.weights == report.weights
+    assert off.riemannian_index == report.riemannian_index + 1
+    assert index_equality_report(CircleSubgroup(after)) is report
+
+
+@pytest.mark.parametrize("label", ["B3", "F4"])
+def test_memoized_report_equals_a_direct_build(label):
+    # every nonzero box-2 point, singular ones included; the memo starts
+    # empty, so the sweep takes both misses and hits
+    circle_index._report.cache_clear()
+    for xi in box(from_label(label), 2):
+        if not xi.is_zero:
+            g = CircleSubgroup(xi)
+            w = weights_at_max(g)
+            iv, ir = virtual_index(w), riemannian_index_conjugate(g)
+            assert index_equality_report(g) == IndexReport(w, iv, ir, iv == ir), xi
+    info = circle_index._report.cache_info()
+    assert info.hits and info.misses
 
 
 def test_conjugate_times_listed():
