@@ -17,21 +17,23 @@ row G dom, and the numerator x = dom . G dom of <x, x> (the Gram form is
 Weyl-invariant, so dom gives the same x as the coordinates themselves),
 both from one call of ``gram_form``.  The orbit maximum is then one
 integer dot product of length ``rank``, dom(eta) . G dom(xi) (the Gram
-matrix is symmetric).  The length report of a circle, which only
-``hofer_length_circle`` reads, is memoized apart, for the same 1024
-coweights, so the norms build none.  The report of a positive norm is a
-function of three integers alone, the system, the numerator M of the
-orbit maximum and the numerator X of <xi, xi>, so a third memo of 1024
-keys holds it: pairs with the same (system, M, X), which a grid of small
-coweights repeats many times, share one report.  The length does not read
-that memo with M = X: ``verify.check_seidel`` compares the length with
-the positive norm of xi on its own orbit, and the two values must come
-from two paths.  The zero test of the base coweight
-reads x: the Gram form is positive definite, so x = 0 exactly when
-xi = 0, and no function here scans the coordinates again.  All lengths
-are reported in lattice units (long roots at squared length 2, loops
-parametrized in turns), stored as exact squares with the correctly
-rounded square root of the int / int quotient.
+matrix is symmetric).  The report of a positive norm is a function of
+three integers alone, the system, the numerator M of the orbit maximum
+and the numerator X of <xi, xi>, so a second memo of 1024 keys holds it:
+pairs with the same (system, M, X), which a grid of small coweights
+repeats many times, share one report.  The length of a circle is that
+report at M = X = x, read from the same memo, so the module writes the
+report's formula once.  ``verify.check_seidel`` compares the length with
+the positive norm of xi on its own orbit.  Its length side keys the norm
+memo on x, the form that ``gram_form`` returns; its positive-norm side
+keys it on M, the dot product of the orbit maximum.  The two sides meet
+in one memo entry exactly when M = x, and that equality is the claim the
+check makes.  The zero test of the base coweight reads x: the Gram form is positive
+definite, so x = 0 exactly when xi = 0, and no function here scans the
+coordinates again.  All lengths are reported in lattice units (long roots
+at squared length 2, loops parametrized in turns), stored as exact
+squares with the correctly rounded square root of the int / int
+quotient.
 """
 
 from __future__ import annotations
@@ -63,25 +65,14 @@ def _invariants(system, coords):
     from one call of the system's generated ``gram_form``.  The Gram form
     is Weyl-invariant, so x is taken on dom, the same integer as on
     ``coords``.  It is positive definite, so x is 0 exactly for the zero
-    coweight: the callers' zero test reads x instead of the coordinates."""
+    coweight: the callers' zero test reads x instead of the coordinates.
+    Memoized for the norms, the length and the norm sweep: ``verify --box
+    4 --systems all`` hits the memo 52,140 times and misses it 3,845
+    times, and the two sweeps at box 10 on every system hit it 1,551,422
+    times and miss it 5,738 times."""
     dom = dominant_coords(system, coords)
     g_dom, x = system.gram_form(dom)
     return dom, g_dom, x
-
-
-@lru_cache(maxsize=1024)
-def _length(system, coords):
-    """Length report of sqrt(<x, x>) for the coweight with coordinate tuple
-    ``coords``, memoized apart from ``_invariants``, whose x it reads: only
-    ``hofer_length_circle`` needs it.  The zero coweight raises, so it
-    never enters this memo.  The float is the square root of the correctly
-    rounded int / int quotient, the same double as
-    ``math.sqrt(float(Fraction(x, den)))``."""
-    x = _invariants(system, coords)[2]
-    if not x:
-        raise DegenerateOrbit("orbit of the zero coweight is a point")
-    den = system.gram_den
-    return NormReport(Fraction(x, den), math.sqrt(x / den))
 
 
 def _orbit_maximum_numerator(eta, xi):
@@ -115,7 +106,15 @@ def _norm(system, m, x):
     """(m / gram_den, report of m^2 / (gram_den x)): the result of
     ``positive_norm`` for the integer numerators m of the orbit maximum and
     x != 0 of <xi, xi>.  Both objects are immutable, so every caller with
-    the same key may share them."""
+    the same key may share them.  ``positive_norm`` and
+    ``hofer_length_circle`` read it.  A command hits it only where the two
+    read one key, M = x: the ``seidel`` check of ``verify`` and ``hofer``
+    with ``--eta`` equal to ``--xi`` miss it on the length and hit it on
+    the norm, once each; ``hofer`` with another eta misses it twice and
+    ``seidel-cp1`` once.  So no command needs the memo; it is kept for the
+    bound of the ``orbit-norms`` benchmark, whose rank-2 grid repeats keys,
+    while 2,946 of its 3,200 seeded rank-3/4 pairs miss it on the norm
+    (2,888 when each pair reads its length too, as the benchmark does)."""
     den = system.gram_den
     sq, d = m * m, den * x
     return Fraction(m, den), NormReport(Fraction(sq, d), math.sqrt(sq / d))
@@ -130,9 +129,11 @@ def positive_norm(eta, xi):
     and its float is the square root of the correctly rounded int / int
     quotient.  Both depend on (system, M, X) alone, so they come from the
     memo ``_norm`` on that key; the zero xi raises before, and never
-    enters it.  ``hofer_length_circle`` keeps its own memo instead of
-    reading this one at M = X, so that a check comparing the two compares
-    two computations.
+    enters it.  ``hofer_length_circle`` reads the same memo at M = X = x.
+    On xi against itself, M is the dot product dom(xi) . G dom(xi) and x
+    the form ``gram_form`` returns, so this norm and the length share one
+    memo entry exactly when the two integers agree: the equality that
+    ``verify.check_seidel`` checks.
     """
     return _norm(*_orbit_maximum_numerator(eta, xi)[:3])
 
@@ -151,7 +152,13 @@ def check_norm_inequality(eta, xi):
 
 def hofer_length_circle(xi):
     """Positive Hofer length of the circle action generated by xi: equals
-    ||xi||, returned as the exact square <xi, xi>: the report of the
-    length memo ``_length``, whose zero test reads the record's numerator
-    x of <xi, xi>, 0 only for xi = 0."""
-    return _length(xi.system, xi.coords)
+    ||xi||, returned as the exact square <xi, xi>.  The zero test reads the
+    record's numerator x of <xi, xi>, 0 only for xi = 0; the report is the
+    positive norm memo's at M = X = x.  Its square x^2 / (gram_den x) is
+    x / gram_den, and the correctly rounded int / int quotient of equal
+    rationals is one double, so the float is ``math.sqrt(x / gram_den)``."""
+    system = xi.system
+    x = _invariants(system, xi.coords)[2]
+    if not x:
+        raise DegenerateOrbit("orbit of the zero coweight is a point")
+    return _norm(system, x, x)[1]

@@ -14,16 +14,17 @@ sweeps also check it, for callers that run them directly.
 ``box_coweights`` streams the box one line along the last coordinate at a
 time, in Python ints, with one call of the generated kernel
 ``line_zeros`` per line for the regular filter; the tests hold that
-filter to the per-root ``pairing`` oracle, one point at a time.  Only the
-seeded norm draw reads numpy, which ``check_norm_inequality`` imports
-when it runs.
+filter to the per-root ``pairing`` oracle, one point at a time.  numpy
+is imported only where it is read, when the check runs: by the seeded
+norm draw of ``check_norm_inequality``, and with ``su2_loops`` by
+``check_hessian``.  Importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import hofer, loop_morse, quantum_cp1, su2_loops
+from . import hofer, loop_morse, quantum_cp1
 from .circle_index import CircleSubgroup, index_equality_report
 from .errors import EnergyBoundViolation
 from .loop_morse import bott_index
@@ -160,6 +161,8 @@ def check_omega_series(labels):
 
 def check_hessian():
     """Spectral counts at the once-around SU(2) geodesic, n = 48 points."""
+    from . import su2_loops  # it loads numpy, so it is imported when the check runs
+
     n = 48
     fields = ("negative_count", "zero_count", "positive_count")
     for functional, expected, message in (
@@ -176,8 +179,14 @@ def check_hessian():
 def check_seidel():
     """Leading-term exponent matches the Hofer length of [2] on A1, and
     the strict energy bound rejects offending corrections (unit area).
+
     The exponent is compared with L+ of [2] on its own orbit, taken through
-    the orbit maximum rather than the length handed to ``psi_leading``."""
+    the orbit maximum rather than the length handed to ``psi_leading``.
+    Both sides read one record of [2] and one norm memo: the length keys
+    the memo on x, the form that ``gram_form`` returns, and L+ keys it on
+    M, the dot product of the orbit maximum.  So the two sides meet in one
+    memo entry exactly when M = x, and that equality is the claim checked:
+    two closed forms of <xi, xi> over one record."""
     xi = build_root_system("A", 1).coweight([2])
     length = hofer.hofer_length_circle(xi)
     report = quantum_cp1.psi_leading(length.value_float, +1)

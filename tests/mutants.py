@@ -58,12 +58,29 @@ MUTANTS = [
         'f"c{i} * g{(i + 1) % rank}"',
         KERNELS,
     ),
-    # the length memo refuses the zero coweight, so it never holds a record
+    # the length refuses the zero coweight before it reads the norm memo
     (
         "src/liehofer/hofer.py",
-        "    x = _invariants(system, coords)[2]\n    if not x:\n",
-        "    x = _invariants(system, coords)[2]\n    if False:\n",
+        "    x = _invariants(system, xi.coords)[2]\n    if not x:\n",
+        "    x = _invariants(system, xi.coords)[2]\n    if False:\n",
         "tests/test_hofer.py::test_zero_xi_rejected_cold_and_memoized",
+    ),
+    # the Seidel check takes L+ through the orbit maximum, not from the
+    # length that psi_leading was handed
+    (
+        "src/liehofer/verify.py",
+        "l_plus = hofer.positive_norm(xi, xi)[1].value_float",
+        "l_plus = hofer.hofer_length_circle(xi).value_float",
+        "tests/test_verify.py::test_seidel_check_compares_with_an_independent_length",
+    ),
+    # the orbit maximum is the dot product M even where eta is xi: keyed on
+    # the record's x, the Seidel check's two sides would agree by design
+    (
+        "src/liehofer/hofer.py",
+        "    return system, sum(map(operator.mul, dom_eta, g_xi)), x, e\n",
+        "    if eta.coords == xi.coords:\n        return system, x, x, e\n"
+        "    return system, sum(map(operator.mul, dom_eta, g_xi)), x, e\n",
+        "tests/test_verify.py::test_seidel_check_fails_when_the_form_and_the_orbit_maximum_disagree",
     ),
     # the walk hands the raised coweight, not its parent's, down to the leaf
     (

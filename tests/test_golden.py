@@ -27,7 +27,7 @@ CASES = {
     "seidel_cp1_xi2.json": ["seidel-cp1", "--xi", "2"],
     "weights_F4.json": ["weights", "--system", "F4", "--xi", "1,-2,0,3"],
     "hofer_G2_eta.json": ["hofer", "--system", "G2", "--xi", "2,-1", "--eta=-3,1"],
-    # every coordinate at the bound, in the Hofer memo and its length memo
+    # every coordinate at the bound, in the Hofer memo record and the norm memo
     "hofer_F4_corner.json": [
         "hofer", "--system", "F4", "--xi", "100000,100000,100000,100000",
         "--eta=-100000,100000,-100000,100000",

@@ -17,7 +17,6 @@ from liehofer.errors import DegenerateOrbit, DimensionError
 from liehofer.hofer import (
     NormReport,
     _invariants,
-    _length,
     _norm,
     check_norm_inequality,
     hofer_length_circle,
@@ -163,9 +162,8 @@ def _zero_xi_calls(system):
 def test_zero_xi_rejected_cold_and_memoized(label):
     # the zero test reads the memo record of xi: it must hold on a cold memo
     # and again once the zero record is there, when the call is a memo hit;
-    # the zero coweight never enters the length memo or the norm memo
+    # the zero coweight never enters the norm memo, which the length reads
     calls = _zero_xi_calls(from_label(label))
-    _length.cache_clear()
     _norm.cache_clear()
     for call in calls:
         _invariants.cache_clear()
@@ -177,7 +175,6 @@ def test_zero_xi_rejected_cold_and_memoized(label):
         with pytest.raises(DegenerateOrbit, match=f"^{ZERO_ORBIT}$"):
             call()
         assert _invariants.cache_info().hits == hits + 1
-    assert _length.cache_info().currsize == 0
     assert _norm.cache_info().misses == 0  # not even looked up
 
 
@@ -186,7 +183,8 @@ def test_length_reports_are_built_only_where_read(label, monkeypatch):
     # on a cold memo the norms build no length report of their own: the
     # orbit maximum and the inequality none, the positive norm its one
     # result and none for a second pair with the same numerators (m, x),
-    # and the Hofer length one per distinct xi, none on a repeat
+    # and the Hofer length one per distinct <xi, xi>, none on a repeat or
+    # for a second coweight with the same <xi, xi>
     built = []
 
     def counted(*args):
@@ -205,7 +203,6 @@ def test_length_reports_are_built_only_where_read(label, monkeypatch):
 
     def cold():
         _invariants.cache_clear()
-        _length.cache_clear()
         _norm.cache_clear()
         built.clear()
 
@@ -221,9 +218,14 @@ def test_length_reports_are_built_only_where_read(label, monkeypatch):
         assert len(built) == 1
     cold()
     reports = [hofer_length_circle(xi) for xi in xis]
-    assert len(built) == len(xis)
+    squares = {inner(xi, xi) for xi in xis}
+    assert len(built) == len(squares)
     assert [hofer_length_circle(xi) for xi in xis] == reports
-    assert len(built) == len(xis)
+    assert len(built) == len(squares)
+    # eta and its reflection s_0 eta, two coordinate tuples with one
+    # <xi, xi>, share one length report
+    assert hofer_length_circle(twin) is hofer_length_circle(eta)
+    assert len(built) == len(squares | {inner(eta, eta)})
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
@@ -518,13 +520,15 @@ def test_norm_memo_eviction_keeps_results():
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
-def test_length_and_self_norm_are_two_computations(label):
+def test_length_and_self_norm_are_two_computations(label, monkeypatch):
     # verify.check_seidel compares the length of xi with the positive norm
-    # of xi on its own orbit: equal values, from two memos, in either order
-    # of first call, so the check never compares one object with itself
+    # of xi on its own orbit.  The length keys the norm memo on x, the form
+    # gram_form returns; the norm keys it on M, the dot product of the orbit
+    # maximum.  On true records the two keys agree, so the sides share one
+    # report in either order of first call; with x off by one and the Gram
+    # row kept, the two computations part
     system = from_label(label)
     for first_norm in (True, False):
-        _length.cache_clear()
         _norm.cache_clear()
         for p in _probes(system.rank):
             xi = system.coweight(p)
@@ -534,8 +538,17 @@ def test_length_and_self_norm_are_two_computations(label):
             else:
                 length = hofer_length_circle(xi)
                 m, report = positive_norm(xi, xi)
-            assert length == report and length is not report, xi
+            assert length is report, xi
             assert m == length.value_squared, xi
+
+    def x_off_by_one(system, coords):
+        dom, g_dom, x = _invariants(system, coords)
+        return dom, g_dom, x + 1
+
+    monkeypatch.setattr(hofer, "_invariants", x_off_by_one)
+    for p in _probes(system.rank):
+        xi = system.coweight(p)
+        assert hofer_length_circle(xi) != positive_norm(xi, xi)[1], xi
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)

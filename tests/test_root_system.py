@@ -11,7 +11,7 @@ import pytest
 from liehofer.circle_index import CircleSubgroup
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DimensionError, InputError, UnsupportedSystem
-from liehofer.hofer import _invariants, _length, check_norm_inequality, hofer_length_circle
+from liehofer.hofer import _invariants, _norm, check_norm_inequality, hofer_length_circle
 from liehofer.loop_morse import omega_g_series
 from liehofer.root_system import (
     EXPONENTS,
@@ -386,7 +386,7 @@ def test_hot_path_compiles_nothing(monkeypatch):
         assert check_index_equality(ALL_LABELS, 2)[0]
         omega_g_series(from_label("F4"), 20)  # raises if it disagrees with the oracle
         _invariants.cache_clear()  # cold: every record is built by gram_form
-        _length.cache_clear()
+        _norm.cache_clear()
         for label in ALL_LABELS:
             system = from_label(label)
             xi = system.coweight(range(1, system.rank + 1))

@@ -1,11 +1,15 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
-from liehofer import hofer, su2_loops, verify
+from liehofer import hofer, quantum_cp1, su2_loops, verify
 from liehofer.root_system import from_label, pairing
 from liehofer.verify import (
     ALL_SYSTEMS,
@@ -49,6 +53,83 @@ def test_seidel_check_compares_with_an_independent_length(monkeypatch):
     passed, detail, counterexample = check_seidel()
     assert passed is False and detail == "exponent mismatch"
     assert counterexample["hofer_length"] != counterexample["exponent"]
+
+
+def test_seidel_check_fails_when_the_form_and_the_orbit_maximum_disagree(monkeypatch):
+    # the two sides share one memo entry only when M = x: with the record
+    # of A1 [2] holding x off by one and its Gram row right, the length
+    # keys the norm memo on the false x and L+ on the true dot product M
+    invariants = hofer._invariants
+    a1 = from_label("A1")
+
+    def x_off_by_one(system, coords):
+        dom, g_dom, x = invariants(system, coords)
+        return (dom, g_dom, x + 1) if (system, coords) == (a1, (2,)) else (dom, g_dom, x)
+
+    monkeypatch.setattr(hofer, "_invariants", x_off_by_one)
+    passed, detail, counterexample = check_seidel()
+    assert passed is False and detail == "exponent mismatch"
+    assert counterexample["hofer_length"] != counterexample["exponent"]
+
+
+# The package functions that both sides of check_seidel enter: the record
+# of xi (its dominant reduction and Gram form) and the norm memo.  A change
+# that makes the two sides share more must edit this set.
+SEIDEL_SHARED = {"_invariants", "dominant_coords", "dominant_reduction", "gram_form", "_norm"}
+
+
+def _package_code_names(system):
+    """The names of every function in the package's source and of the
+    system's generated kernels, whose co_filename is "<string>".  Dunder
+    methods are left out: a dataclass's generated ``__init__`` (a
+    ``NormReport`` built on each side) has a "<string>" file too and the
+    name of a hand-written one."""
+    names = {name for name, value in vars(system).items() if inspect.isfunction(value)}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liehofer."):
+            tree = ast.parse(inspect.getsource(module))
+            names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+    return {name for name in names if not name.startswith("__")}
+
+
+def _entered(call, names):
+    """The names in ``names`` of the functions that ``call`` enters, each
+    side from cold memos."""
+    hofer._invariants.cache_clear()
+    hofer._norm.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in names:
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_seidel_sides_share_only_the_record_and_the_norm_memo():
+    xi = from_label("A1").coweight([2])
+    names = _package_code_names(xi.system)
+    assert {"gram_form", "dominant_reduction", "hofer_length_circle", "psi_leading"} <= names
+    length_side = _entered(
+        lambda: quantum_cp1.psi_leading(hofer.hofer_length_circle(xi).value_float, +1), names
+    )
+    l_plus_side = _entered(lambda: hofer.positive_norm(xi, xi), names)
+    assert "psi_leading" in length_side and "_orbit_maximum_numerator" in l_plus_side
+    assert length_side & l_plus_side == SEIDEL_SHARED
+
+
+def test_verify_imports_no_numpy():
+    # numpy enters with the norm sweep's seeded draw and check_hessian's
+    # su2_loops, each imported when it runs
+    code = "import sys, liehofer.verify; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("check", [check_index_equality, check_norm_inequality])
