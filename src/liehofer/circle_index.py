@@ -26,6 +26,11 @@ point's own row, and the Bott index the sweep compares with from the row
 of dom xi, so a point whose count disagreed with its key's weights would
 get a report of its own.
 
+Both computations refuse the zero coweight from the row they have
+already built, not from the coordinates: the simple roots pair to the
+coordinates, so xi is zero exactly when the orbit key's first (largest)
+entry is 0, and exactly when every entry of the row is 0.
+
 With the sign conventions used throughout the package the weights at the
 maximum are negative; a weight that is not raises InvalidWeights, and is
 never silently fixed.
@@ -41,9 +46,11 @@ from .root_system import Coweight, pairings
 from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CircleSubgroup:
-    """Circle subgroup of G encoded by a nonzero coweight."""
+    """Circle subgroup of G encoded by a nonzero coweight.  A slots record
+    like ``Coweight``, and for the same reason: one is built per sweep
+    point, and no memo holds one."""
 
     xi: Coweight
 
@@ -85,10 +92,13 @@ class IndexReport:
 def _orbit_key(gamma):
     """The Weyl-invariant key of gamma: |alpha(xi)| over the positive roots,
     largest first, from gamma's own pairing row.  The Weyl group permutes
-    the roots up to sign, so every point of the orbit of xi has this key."""
-    if gamma.xi.is_zero:
+    the roots up to sign, so every point of the orbit of xi has this key.
+    The simple roots pair to the coordinates, so xi is zero exactly when
+    the key's largest entry is."""
+    key = tuple(sorted(map(abs, pairings(gamma.xi)), reverse=True))
+    if not key[0]:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return tuple(sorted(map(abs, pairings(gamma.xi)), reverse=True))
+    return key
 
 
 def _weights(key):
@@ -124,9 +134,9 @@ def riemannian_index_conjugate(gamma):
     count over the row is the closed form 2 (sum |v| - #v + #{v = 0}).
     ``tests/conjugate_oracle.py`` lists the times one by one as the oracle.
     """
-    if gamma.xi.is_zero:
-        raise DegenerateSubgroup("zero coweight generates no circle subgroup")
     row = pairings(gamma.xi)
+    if row.count(0) == len(row):  # xi is zero: the simple roots pair to 0
+        raise DegenerateSubgroup("zero coweight generates no circle subgroup")
     return 2 * (sum(map(abs, row)) - len(row) + row.count(0))
 
 

@@ -337,7 +337,7 @@ class RootSystem:
         return f"RootSystem({self.label})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Coweight:
     """Integer vector in the fundamental-coweight basis; encodes a circle
     subgroup theta -> exp(2 pi theta xi).
@@ -348,7 +348,15 @@ class Coweight:
     ``Coweight`` directly only from coordinates it has already checked or
     built with the right length itself (a box point, a dominant
     reduction, a candidate of the strata walk), so a sweep item pays for
-    no check."""
+    no check.
+
+    A slots record with value equality and a value hash, not a frozen
+    one: a sweep builds one or two per point, and the frozen ``__init__``
+    sets each field through ``object.__setattr__``, which made the record
+    about three times as dear to build.  No memo keys on or holds a
+    ``Coweight`` (the memos key on coordinate tuples), and no code
+    assigns to its fields; the records that memos share between callers
+    (``IndexReport``, ``WeightMultiset``, ``NormReport``) stay frozen."""
 
     system: RootSystem
     coords: tuple

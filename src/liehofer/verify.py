@@ -37,10 +37,10 @@ ALL_SYSTEMS = tuple(f"{family}{rank}" for family, rank in EXPONENTS)
 # Largest coordinate bound of the two box sweeps.  The box holds
 # (2 box + 1)^rank coweights; at the cap the slowest system takes about 1.4 s
 # (`verify --box 10 --systems F4 --checks index-equality`; C4 and A4 take
-# about 1.3 and 1.1 s), the index sweep over every system about 5.7 s
-# (`--systems all`), and the norm sweep over every system about 0.9 s
+# about 1.3 s each), the index sweep over every system about 5.1 s
+# (`--systems all`), and the norm sweep over every system about 1.1 s
 # (`verify --box 10 --systems all --checks norm-inequality`); medians of 5
-# to 10 CLI runs, import included, on a 2-vCPU VM (`nproc` 2), Python
+# to 8 CLI runs, import included, on a 2-vCPU VM (`nproc` 2), Python
 # 3.11.7, numpy 2.4.6, whose speed drifts by about 25% between runs.
 # Enumerating F4's 97,870 regular box coweights takes about 0.1 s of that.
 MAX_BOX = 10

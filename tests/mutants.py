@@ -125,6 +125,36 @@ MUTANTS = [
         "- len(row))",
         "tests/test_circle_index.py::test_index_sums_match_generator_forms",
     ),
+    # the orbit key refuses xi when its largest entry is 0; its smallest
+    # entry is 0 at every singular point too
+    (
+        "src/liehofer/circle_index.py",
+        "    if not key[0]:\n",
+        "    if not key[-1]:\n",
+        "tests/test_circle_index.py::test_memoized_report_equals_a_direct_build",
+    ),
+    # the orbit key refuses the zero coweight
+    (
+        "src/liehofer/circle_index.py",
+        "    if not key[0]:\n",
+        "    if False:\n",
+        "tests/test_circle_index.py::test_zero_coweight_rejected_on_every_system",
+    ),
+    # the conjugate count refuses xi when every entry of the row is 0, not
+    # when one is
+    (
+        "src/liehofer/circle_index.py",
+        "    if row.count(0) == len(row):",
+        "    if row.count(0):",
+        "tests/test_circle_index.py::test_memoized_report_equals_a_direct_build",
+    ),
+    # the conjugate count refuses the zero coweight
+    (
+        "src/liehofer/circle_index.py",
+        "    if row.count(0) == len(row):",
+        "    if False:",
+        "tests/test_circle_index.py::test_zero_coweight_rejected_on_every_system",
+    ),
     # the orbit key is taken from |v|: on the signed row a point off the
     # dominant chamber gets positive weights
     (

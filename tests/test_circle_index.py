@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from liehofer.circle_index import (
 )
 from liehofer.cli import MAX_COORD
 from liehofer.errors import DegenerateSubgroup, InvalidWeights
+from liehofer.hofer import NormReport
 from liehofer.loop_morse import bott_index
 from liehofer.root_system import dominant_representative, from_label, pairing, pairings
 from liehofer.verify import ALL_SYSTEMS, box_coweights
@@ -46,6 +48,21 @@ def test_zero_coweight_rejected_on_every_system(label):
     for fn in (weights_at_max, riemannian_index_conjugate, index_equality_report):
         with pytest.raises(DegenerateSubgroup, match="^zero coweight generates no circle subgroup$"):
             fn(zero)
+
+
+def test_per_point_records_are_slots_and_memo_values_frozen():
+    # a sweep builds a Coweight and a CircleSubgroup per point: slots
+    # records, cheap to build, equal and hashed by value
+    g, again = gamma("F4", [1, 2, 3, 4]), gamma("F4", [1, 2, 3, 4])
+    for record in (g, g.xi):
+        assert not hasattr(record, "__dict__")
+    assert g is not again and g == again and hash(g) == hash(again)
+    # the records a memo hands to many callers stay frozen
+    report = index_equality_report(g)
+    for record, field in ((report, "agree"), (report.weights, "weights"),
+                          (NormReport(Fraction(2), 2 ** 0.5), "value_float")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, None)
 
 
 def test_weights_count_regular():

@@ -170,3 +170,7 @@ def test_root_systems_are_canonical_and_compare_by_identity():
     assert from_label("B3") is b3
     assert b3 != from_label("C3")
     assert b3.coweight([1, 0, 2]) == from_label("B3").coweight([1, 0, 2])
+    # a coweight compares and hashes by value: its system and coordinates
+    xi, again = b3.coweight([1, 0, 2]), b3.coweight((1, 0, 2))
+    assert xi is not again and hash(xi) == hash(again)
+    assert from_label("A2").coweight([1, 1]) != from_label("G2").coweight([1, 1])

@@ -19,6 +19,19 @@ CASES = {
         "from liehofer.root_system import from_label\n"
         "from_label('A2').coweight((1, 2, 3))\n",
     ),
+    # each index computation makes its own zero test, on its pairing row
+    "zero-coweight-report": (
+        "DegenerateSubgroup",
+        "from liehofer.circle_index import CircleSubgroup, index_equality_report\n"
+        "from liehofer.root_system import from_label\n"
+        "index_equality_report(CircleSubgroup(from_label('F4').coweight((0, 0, 0, 0))))\n",
+    ),
+    "zero-coweight-conjugate": (
+        "DegenerateSubgroup",
+        "from liehofer.circle_index import CircleSubgroup, riemannian_index_conjugate\n"
+        "from liehofer.root_system import from_label\n"
+        "riemannian_index_conjugate(CircleSubgroup(from_label('F4').coweight((0, 0, 0, 0))))\n",
+    ),
     "positive-root-count": (
         "ConsistencyError",
         "import liehofer.root_system as rs\n"

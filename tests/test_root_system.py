@@ -128,7 +128,7 @@ def test_coweight_takes_integer_coordinates_only():
     # no coordinate is truncated: [0.5, 0.4] would become the zero coweight;
     # the integer check comes before the count, so [0.5, 1, 2] fails it
     for coords in ([1.7, -0.2], [0.5, 0.4], [1, 2.0], [np.float64(1), 0], ["1", 0],
-                   [1, Fraction(2)], [0.5, 1, 2]):
+                   [1, Fraction(2)], [0.5, 1, 2], (c for c in (1, 2.5))):
         with pytest.raises(InputError) as info:
             a2.coweight(coords)
         assert str(info.value).startswith("coweight coordinates must be integers, got ")
