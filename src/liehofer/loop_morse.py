@@ -15,11 +15,13 @@ it made (they need no input check), for its Bott index, and hands it
 down to the stratum it becomes; it also refuses a bad cutoff for the
 series, before the series allocates its coefficients.
 The series builds a stratum polynomial only for the strata it sums, the
-coroot-lattice ones.  Stratum polynomials are quotients of Weyl Poincare
-polynomials, which ``weyl_poincare`` builds in closed form from the root
-heights and memoizes per system and parabolic.  The two sides of the check share no
-Lie data: the oracle takes its exponents from the literature table
-``root_system.EXPONENTS``, which no stratum computation reads.
+coroot-lattice ones.  A stratum polynomial W(t) / W_xi(t) is one closed
+form, Macdonald's product over the heights of the roots that the
+stratum's pairing row finds positive, memoized on those heights
+(``root_system._root_poincare``); no polynomial is divided.  The two sides
+of the check share no code and no Lie data: the oracle takes its
+exponents from the literature table ``root_system.EXPONENTS``, which no
+stratum computation reads, and keeps its own recurrence.
 """
 
 from __future__ import annotations
@@ -27,39 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDominant
-from .root_system import EXPONENTS, Coweight, pairings, weyl_poincare
-from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
+from .root_system import EXPONENTS, Coweight, _root_poincare, pairings
+# re-exports, unread here: perfbench/tracing.py wraps both names in this module
+from .root_system import pairing, weyl_poincare  # noqa: F401
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
-# takes about 0.65 s through the CLI (`omega-series --system A4 --cutoff
-# 200`, median of 6 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7, numpy
-# 2.4.6); the number of strata grows like cutoff^rank.
+# takes about 0.30 s through the CLI (`omega-series --system A4 --cutoff
+# 200`, median of 11 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7, numpy
+# 2.4.6).  About 0.09 s of that is the series, most of it the strata walk,
+# and the rest is starting Python and importing numpy; the number of
+# strata grows like cutoff^rank.
 MAX_CUTOFF = 200
-
-
-# -- exact polynomial division (coefficient tuples, index = degree) --
-
-def poly_divexact(num, den):
-    """Exact polynomial division; raises ArithmeticError on a remainder,
-    and ZeroDivisionError (an ArithmeticError) on a zero divisor."""
-    if not any(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    dd = len(den) - 1
-    while den[dd] == 0:
-        dd -= 1
-    lead = den[dd]
-    q = [0] * (len(num) - dd)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c, r = divmod(num[k + dd], lead)
-        if r:
-            raise ArithmeticError("polynomial division is not exact")
-        q[k] = c
-        for j in range(dd + 1):
-            num[k + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division leaves a remainder")
-    return tuple(q)
 
 
 @dataclass(frozen=True)
@@ -96,14 +76,14 @@ def bott_index(xi):
 
 
 def stratum_poincare(xi):
-    """Poincare polynomial of the adjoint orbit through xi, as the exact
-    quotient W(t) / W_xi(t) over the stabilizer parabolic."""
+    """Poincare polynomial W(t) / W_xi(t) of the adjoint orbit through xi:
+    Macdonald's product over the heights of the positive roots outside
+    the stabilizer parabolic, which are the roots that xi's own pairing
+    row ``pairings(xi)`` finds positive."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    walls = frozenset(i for i, c in enumerate(xi.coords) if c == 0)
-    full = weyl_poincare(xi.system)
-    sub = weyl_poincare(xi.system, walls)
-    return poly_divexact(full, sub)
+    heights = (sum(r) for r, p in zip(xi.system.positive_roots, pairings(xi)) if p > 0)
+    return _root_poincare(tuple(sorted(heights)))
 
 
 def in_coroot_lattice(xi):

@@ -262,12 +262,34 @@ MUTANTS = [
         "    if False:\n",
         "tests/test_verify.py::test_empty_sweep_is_vacuous_not_a_pass",
     ),
-    # a zero divisor raises ZeroDivisionError, not IndexError
+    # Macdonald's product: each root multiplies by 1 - t^(2h + 2)
+    (
+        "src/liehofer/root_system.py",
+        "        step = 2 * h + 2\n",
+        "        step = 2 * h + 4\n",
+        "tests/test_loop_morse.py::test_stratum_poincare_times_stabilizer_is_the_weyl_group",
+    ),
+    # ... and then divides by 1 - t^(2h)
+    (
+        "src/liehofer/root_system.py",
+        "        for d in range(step, top + 1):\n            coeffs[d] += coeffs[d - step]\n",
+        "",
+        "tests/test_loop_morse.py::test_stratum_poincare_examples",
+    ),
+    # a stratum's roots are those its pairing row finds positive, the roots
+    # outside the stabilizer parabolic, not those inside it
     (
         "src/liehofer/loop_morse.py",
-        "    if not any(den):\n",
+        "pairings(xi)) if p > 0)",
+        "pairings(xi)) if p <= 0)",
+        "tests/test_loop_morse.py::test_stratum_poincare_times_stabilizer_is_the_weyl_group",
+    ),
+    # a truncated power series that is no polynomial raises, by Poincare duality
+    (
+        "src/liehofer/root_system.py",
+        "    if coeffs != coeffs[::-1]:\n",
         "    if False:\n",
-        "tests/test_loop_morse.py::test_poly_divexact_refuses_a_zero_divisor",
+        "tests/test_loop_morse.py::test_root_poincare_refuses_a_truncated_power_series",
     ),
     # Equivalent, left out (tier-1 passes with each applied):
     # - bott_index's sum(row) -> sum(map(abs, row)): bott_index refuses a

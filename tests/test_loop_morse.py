@@ -15,27 +15,23 @@ from liehofer.loop_morse import (
     enumerate_critical_strata,
     in_coroot_lattice,
     omega_g_series,
-    poly_divexact,
     stratum_poincare,
     transgression_series,
 )
 from liehofer.root_system import EXPONENTS, from_label, weyl_poincare
 from liehofer.verify import ALL_SYSTEMS
-from weyl_oracle import bfs_weyl_poincare, weyl_orbit
+from weyl_oracle import bfs_weyl_poincare, schoolbook_product, weyl_orbit
 
 ALL_LABELS = ALL_SYSTEMS
 
 
-def test_poly_helpers():
-    assert poly_divexact((1, 2, 1), (1, 1)) == (1, 1)
-    with pytest.raises(ArithmeticError):
-        poly_divexact((1, 1, 1), (1, 1))
-
-
-@pytest.mark.parametrize("den", [(0,), (0, 0), ()])
-def test_poly_divexact_refuses_a_zero_divisor(den):
-    with pytest.raises(ZeroDivisionError):
-        poly_divexact((1, 2, 1), den)
+def test_root_poincare_refuses_a_truncated_power_series():
+    # (1 - t^6) / (1 - t^4) is no polynomial, and its truncation to degree
+    # 2 is (1, 0, 0); with [2]_{t^2} / [1]_{t^2} in front, (1, 0, 1, 0, 0).
+    # Neither is palindromic, so neither is the Poincare polynomial of a G/P
+    for heights in ((2,), (1, 3)):
+        with pytest.raises(ArithmeticError):
+            root_system._root_poincare(heights)
 
 
 def test_bott_index_examples():
@@ -67,6 +63,19 @@ def test_stratum_poincare_examples():
     a2 = from_label("A2")
     assert stratum_poincare(a2.coweight([1, 1])) == (1, 0, 2, 0, 2, 0, 1)  # full flag
     assert stratum_poincare(a2.coweight([1, 0])) == (1, 0, 1, 0, 1)  # CP^2
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_stratum_poincare_times_stabilizer_is_the_weyl_group(label):
+    # the whole polynomial, not its value at t = 1: P(O_xi) W_xi(t) = W(t),
+    # with both Weyl polynomials counted by BFS depth
+    system = from_label(label)
+    full = bfs_weyl_poincare(system, range(system.rank))
+    for coords in itertools.product((0, 1), repeat=system.rank):
+        walls = [i for i, c in enumerate(coords) if not c]
+        stabilizer = bfs_weyl_poincare(system, walls)
+        orbit = stratum_poincare(system.coweight(coords))
+        assert schoolbook_product(orbit, stabilizer) == full
 
 
 def test_stratum_poincare_at_one_is_orbit_size():
@@ -253,15 +262,20 @@ def test_cutoff_cap():
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_memoized_weyl_poincare_matches_fresh_bfs(label):
     system = from_label(label)
+    root_system._root_poincare.cache_clear()
     assert weyl_poincare(system) == bfs_weyl_poincare(system, range(system.rank))
     for size in range(system.rank + 1):
         for walls in itertools.combinations(range(system.rank), size):
             expected = bfs_weyl_poincare(system, walls)
             for given in (list(walls), set(walls), frozenset(walls)):
                 assert weyl_poincare(system, given) == expected
-    info = root_system._weyl_poincare.cache_info()
+    # the memo keys on root heights: a wall set given three ways, or two
+    # wall sets with the same heights, build one polynomial
+    info = root_system._root_poincare.cache_info()
+    assert info.hits + info.misses == 1 + 3 * 2 ** system.rank
+    assert info.misses <= 2 ** system.rank
     weyl_poincare(system, [0])
-    assert root_system._weyl_poincare.cache_info().hits == info.hits + 1
+    assert root_system._root_poincare.cache_info().hits == info.hits + 1
 
 
 def test_stratum_side_reads_no_literature_exponents(monkeypatch):
@@ -270,7 +284,9 @@ def test_stratum_side_reads_no_literature_exponents(monkeypatch):
     f4 = from_label("F4")
     before = omega_g_series(f4, 20, check=False)
     monkeypatch.setitem(EXPONENTS, ("F", 4), (1, 3, 9, 11))
-    root_system._weyl_poincare.cache_clear()
+    root_system._root_poincare.cache_clear()
     assert omega_g_series(f4, 20, check=False) == before
+    # the stratum side built its polynomials again, with the table patched
+    assert root_system._root_poincare.cache_info().misses == 3
     with pytest.raises(ArithmeticError):
         omega_g_series(f4, 20, check=True)

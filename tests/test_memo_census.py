@@ -10,7 +10,7 @@ import liehofer
 
 MEMOS = {
     "root_system.build_root_system": "from_label, in every command",
-    "root_system._weyl_poincare": "weyl_poincare, per stratum of omega-series",
+    "root_system._root_poincare": "stratum_poincare, per stratum of omega-series",
     "root_system._orbit_coords": "no command: perfbench/worker.py reads its cache_info()",
     "hofer._invariants": "the Hofer norms and length, and the norm sweep",
     "hofer._norm": "positive_norm and hofer_length_circle, for the orbit-norms benchmark",

@@ -19,7 +19,6 @@ from liehofer.root_system import (
     dominant_coords,
     dominant_representative,
     from_label,
-    height_exponents,
     inner,
     pairing,
     pairings,
@@ -28,7 +27,9 @@ from liehofer.root_system import (
 from liehofer.verify import ALL_SYSTEMS, box_coweights, check_index_equality
 
 from bourbaki_oracle import cartan_matrix, coweight_gram
-from weyl_oracle import bfs_orbit, bfs_weyl_poincare, reflect_coweight, weyl_orbit
+from weyl_oracle import (
+    bfs_orbit, bfs_weyl_poincare, reflect_coweight, schoolbook_product, weyl_orbit,
+)
 
 ALL_LABELS = ALL_SYSTEMS
 
@@ -257,11 +258,29 @@ def test_weyl_poincare_structure(label):
         assert sum(weyl_poincare(system, frozenset([0]))) == 2
 
 
+def _exponent_product(exponents):
+    """prod [m + 1]_{t^2} = prod (1 + t^2 + ... + t^(2m)) over the exponents."""
+    poly = (1,)
+    for m in exponents:
+        poly = schoolbook_product(poly, (1,) + (0, 1) * m)
+    return poly
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_height_exponents_match_literature_table(label):
+    # Macdonald's product over the root heights is prod [m + 1]_{t^2} over
+    # the exponents that the heights determine (Kostant), so it equals the
+    # product over the literature table exactly when the two agree
     system = from_label(label)
-    assert height_exponents(system, range(system.rank)) == EXPONENTS[(system.family, system.rank)]
-    assert height_exponents(system, ()) == ()
+    assert weyl_poincare(system) == _exponent_product(EXPONENTS[(system.family, system.rank)])
+    assert weyl_poincare(system, ()) == (1,)
+
+
+def test_literature_exponent_check_tells_a_swap_that_keeps_the_sum():
+    # the root count check at build time sees only the sum, 24 on F4
+    f4 = from_label("F4")
+    assert sum((1, 5, 8, 10)) == sum(EXPONENTS[("F", 4)])
+    assert weyl_poincare(f4) != _exponent_product((1, 5, 8, 10))
 
 
 def _seeded_coweights(system, rng, count=40, box=5):

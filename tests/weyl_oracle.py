@@ -7,6 +7,8 @@ root heights, so it shares nothing with the closed form it checks.
 ``bfs_orbit`` checks ``dominant_coords``: it enumerates a whole Weyl orbit
 and reads neither the sparse ``cartan_columns`` nor the reduction order.
 ``weyl_orbit`` wraps it for the brute-force orbit maxima and orbit sizes.
+``schoolbook_product`` multiplies two such polynomials, so that the tests
+compare whole polynomials rather than their values at t = 1.
 The reflection reads only the Cartan matrix, so no oracle here shares the
 package's reflection code.
 """
@@ -59,3 +61,12 @@ def bfs_orbit(system, coords):
 def weyl_orbit(xi):
     """Weyl orbit of a coweight, as a frozenset of coweights."""
     return frozenset(map(xi.system.coweight, bfs_orbit(xi.system, xi.coords)))
+
+
+def schoolbook_product(p, q):
+    """Product of two coefficient tuples (index = degree), term by term."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
