@@ -2,17 +2,18 @@
 index, and its Riemannian index by counting conjugate points.
 
 Loops are parametrized over [0, 1] (turns), so all frequencies are the
-integer root pairings; each computation builds its own pairing row
-``pairings(xi)`` and shares it with no other.  Both computations are
-closed forms over that row, evaluated by C-level builtins: the weights are
--|v| over the nonzero entries v, and a root with |v| > 0 has |v| - 1
+integer root pairings.  Neither computation reads a sign: each builds its
+own absolute pairing row, the |alpha(xi)| over the positive roots from the
+system's generated ``abs_pairing_row``, and shares it with no other.  Both
+are closed forms over that row, evaluated by C-level builtins: the weights
+are -v over the nonzero entries v, and a root with v > 0 has v - 1
 interior conjugate times, so the conjugate-point count is
-2 (sum |v| - #v + #{v = 0}).  Their oracles live in the tests:
+2 (sum v - #v + #{v = 0}).  Their oracles live in the tests:
 ``tests/conjugate_oracle.py`` lists the conjugate times one by one as
 Fractions, and ``tests/test_circle_index.py`` sums the per-root
-generator forms over the per-root ``pairing``.
+generator forms over the signed per-root ``pairing``.
 
-The weights read the row through its orbit key, the |v| sorted largest
+The weights read the row through its orbit key, the row sorted largest
 first.  The Weyl group permutes the roots up to sign, so every point of a
 Weyl orbit has one key, and the weights (-v for each nonzero v of the key)
 and the virtual index are functions of it.  ``index_equality_report``
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateSubgroup, InvalidWeights
-from .root_system import Coweight, pairings
+from .root_system import Coweight, abs_pairings
 from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
@@ -56,16 +57,18 @@ class CircleSubgroup:
 
     @property
     def regular(self):
-        """True iff the pairing row of xi has no zero (centralizer is the
-        torus).  The index sweep filters a whole line of its box at once
-        with the system's ``line_zeros`` instead."""
-        return 0 not in pairings(self.xi)
+        """True iff the absolute pairing row of xi has no zero (centralizer
+        is the torus).  The index sweep filters a whole line of its box at
+        once with the system's ``line_zeros`` instead."""
+        return 0 not in abs_pairings(self.xi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightMultiset:
     """Negative weights k_i of the linearized action at the moment-map
-    maximum, one entry per complex dimension, sorted."""
+    maximum, one entry per complex dimension, sorted.  Frozen, since the
+    report memo shares it between callers, and slotted, with no
+    per-instance dict."""
 
     weights: tuple
 
@@ -78,10 +81,11 @@ class WeightMultiset:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexReport:
     """Both indices of a circle subgroup, its weights at the maximum, and
-    whether the two indices agree."""
+    whether the two indices agree.  A memo value like ``WeightMultiset``:
+    frozen and slotted."""
 
     weights: WeightMultiset
     virtual_index: int
@@ -90,15 +94,17 @@ class IndexReport:
 
 
 def _orbit_key(gamma):
-    """The Weyl-invariant key of gamma: |alpha(xi)| over the positive roots,
-    largest first, from gamma's own pairing row.  The Weyl group permutes
-    the roots up to sign, so every point of the orbit of xi has this key.
-    The simple roots pair to the coordinates, so xi is zero exactly when
-    the key's largest entry is."""
-    key = tuple(sorted(map(abs, pairings(gamma.xi)), reverse=True))
+    """The Weyl-invariant key of gamma: its own absolute pairing row, the
+    |alpha(xi)| over the positive roots, sorted in place largest first.
+    The Weyl group permutes the roots up to sign, so every point of the
+    orbit of xi has this key.  The simple roots pair to the coordinates, so
+    xi is zero exactly when the key's largest entry is."""
+    xi = gamma.xi
+    key = xi.system.abs_pairing_row(xi.coords)
+    key.sort(reverse=True)
     if not key[0]:
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return key
+    return tuple(key)
 
 
 def _weights(key):
@@ -131,13 +137,16 @@ def riemannian_index_conjugate(gamma):
     For each positive root with |pairing| = v > 0 the interior conjugate
     times are {j/v : 0 < j < v}, each counted with multiplicity 2 (the real
     root-space pair).  There are v - 1 of them, and none for v = 0, so the
-    count over the row is the closed form 2 (sum |v| - #v + #{v = 0}).
-    ``tests/conjugate_oracle.py`` lists the times one by one as the oracle.
+    count over gamma's own absolute pairing row is the closed form
+    2 (sum v - #v + #{v = 0}).  ``tests/conjugate_oracle.py`` lists the
+    times one by one as the oracle.
     """
-    row = pairings(gamma.xi)
-    if row.count(0) == len(row):  # xi is zero: the simple roots pair to 0
+    xi = gamma.xi
+    row = xi.system.abs_pairing_row(xi.coords)
+    n, zeros = len(row), row.count(0)
+    if zeros == n:  # xi is zero: the simple roots pair to 0
         raise DegenerateSubgroup("zero coweight generates no circle subgroup")
-    return 2 * (sum(map(abs, row)) - len(row) + row.count(0))
+    return 2 * (sum(row) - n + zeros)
 
 
 @lru_cache(maxsize=256)

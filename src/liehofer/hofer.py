@@ -49,9 +49,11 @@ from .root_system import dominant_coords
 from .root_system import inner, orbit_array  # noqa: F401  (re-exports: perfbench/tracing.py wraps them here)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormReport:
-    """Exact squared norm plus its floating-point square root."""
+    """Exact squared norm plus its floating-point square root.  Frozen,
+    since the norm memo shares it between callers, and slotted, with no
+    per-instance dict."""
 
     value_squared: Fraction
     value_float: float
@@ -135,7 +137,8 @@ def positive_norm(eta, xi):
     memo entry exactly when the two integers agree: the equality that
     ``verify.check_seidel`` checks.
     """
-    return _norm(*_orbit_maximum_numerator(eta, xi)[:3])
+    system, m, x, _ = _orbit_maximum_numerator(eta, xi)
+    return _norm(system, m, x)
 
 
 def check_norm_inequality(eta, xi):

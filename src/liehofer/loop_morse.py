@@ -15,9 +15,12 @@ it made (they need no input check), for its Bott index, and hands it
 down to the stratum it becomes; it also refuses a bad cutoff for the
 series, before the series allocates its coefficients.
 The series builds a stratum polynomial only for the strata it sums, the
-coroot-lattice ones.  A stratum polynomial W(t) / W_xi(t) is one closed
-form, Macdonald's product over the heights of the roots that the
-stratum's pairing row finds positive, memoized on those heights
+coroot-lattice ones.  Every stratum is dominant, so its absolute pairing
+row (``root_system.abs_pairings``, the |alpha(xi)| over the positive
+roots) is its pairing row itself: the Bott index and the stratum
+polynomial read it with no sign lost.  A stratum polynomial W(t) / W_xi(t)
+is one closed form, Macdonald's product over the heights of the roots
+that the stratum's row finds positive, memoized on those heights
 (``root_system._root_poincare``); no polynomial is divided.  The two sides
 of the check share no code and no Lie data: the oracle takes its
 exponents from the literature table ``root_system.EXPONENTS``, which no
@@ -26,10 +29,11 @@ stratum computation reads, and keeps its own recurrence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import NotDominant
-from .root_system import EXPONENTS, Coweight, _root_poincare, pairings
+from .root_system import EXPONENTS, Coweight, _root_poincare, abs_pairings
 # re-exports, unread here: perfbench/tracing.py wraps both names in this module
 from .root_system import pairing, weyl_poincare  # noqa: F401
 
@@ -64,14 +68,16 @@ class CriticalStratum:
 
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:
-    sum of 2(p - 1) over the positive entries p of its own pairing row
-    ``pairings(xi)``, built from the dominant coweight itself.  A dominant
-    row has no negative entry, so this is the closed form
+    sum of 2(p - 1) over the positive entries p of its own pairing row,
+    built from the dominant coweight itself by the system's generated
+    ``abs_pairing_row``.  A dominant row has no negative entry, so it is
+    its absolute row, and this is the closed form
     2 (sum p - #p + #{p = 0}).  ``tests/test_circle_index.py`` checks it
     against the per-root sum over the per-root ``pairing``."""
-    if not xi.is_dominant:
+    coords = xi.coords
+    if min(coords) < 0:
         raise NotDominant(f"{xi} has a negative coordinate")
-    row = pairings(xi)
+    row = xi.system.abs_pairing_row(coords)
     return 2 * (sum(row) - len(row) + row.count(0))
 
 
@@ -79,10 +85,11 @@ def stratum_poincare(xi):
     """Poincare polynomial W(t) / W_xi(t) of the adjoint orbit through xi:
     Macdonald's product over the heights of the positive roots outside
     the stabilizer parabolic, which are the roots that xi's own pairing
-    row ``pairings(xi)`` finds positive."""
+    row finds positive.  xi is dominant, so that row is its absolute row
+    ``abs_pairings(xi)``."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    heights = (sum(r) for r, p in zip(xi.system.positive_roots, pairings(xi)) if p > 0)
+    heights = (sum(r) for r, p in zip(xi.system.positive_roots, abs_pairings(xi)) if p > 0)
     return _root_poincare(tuple(sorted(heights)))
 
 
@@ -90,13 +97,14 @@ def in_coroot_lattice(xi):
     """True iff xi lies in the coroot lattice (i.e. comes from a loop in
     the simply connected group).  The coroot alpha_j^vee has coordinates
     (cartan[i][j])_i, so the test is C^-1 xi integral, i.e.
-    adj(C) xi = 0 mod det(C)."""
-    system = xi.system
+    adj(C) xi = 0 mod det(C), row by row, stopping at the first row with
+    a nonzero residue."""
+    system, coords = xi.system, xi.coords
     det = system.cartan_det
-    return all(
-        sum(a * c for a, c in zip(row, xi.coords)) % det == 0
-        for row in system.cartan_adj
-    )
+    for row in system.cartan_adj:
+        if sum(map(operator.mul, row, coords)) % det:
+            return False
+    return True
 
 
 def _check_cutoff(cutoff, even=False):

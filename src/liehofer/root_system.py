@@ -15,23 +15,28 @@ tables, built once with the system.  The positive roots are grown in one
 upward pass from the simple roots along alpha-strings (Humphreys, Lie
 Algebras 9.4), and ``root_steps`` records the step that made each root
 beta: a simple alpha_i with beta - alpha_i a positive root or zero, so
-<beta, xi> = <beta - alpha_i, xi> + xi_i, and ``pairings`` builds a whole
-pairing row with one addition per root.  ``cartan_columns`` lists the
-nonzero entries of each Cartan column, the Dynkin neighbours a simple
-reflection touches.
+<beta, xi> = <beta - alpha_i, xi> + xi_i, and one addition per root builds
+a whole pairing row.  ``cartan_columns`` lists the nonzero entries of each
+Cartan column, the Dynkin neighbours a simple reflection touches.
 
-Four generated kernels work on coordinates.  Through the first two,
-``pairings`` gives the pairing row of a coweight, and ``dominant_coords``
-reduces coordinates to the dominant chamber.  Both run on every item of
-every sweep, where a loop over the sparse tables spent most of its time
-unpacking and indexing them.  So ``build_root_system`` writes each
-system's two tables out as straight-line Python and compiles it once,
-with one ``exec`` (as ``dataclasses`` does for ``__init__``), into
-``pairing_row`` and ``dominant_reduction``, which ``pairings`` and
-``dominant_coords`` call: the same additions and reflections in the same
-order, so no runtime code reads the tables themselves.  The same ``exec`` also compiles
-``line_zeros``, with which ``verify.box_coweights`` finds the singular
-points of a whole line of its box at once.  Both row kernels write their
+Four generated kernels work on coordinates.  The first two give the
+absolute pairing row of a coweight, and reduce coordinates to the
+dominant chamber.  Both run on every item of every sweep, where a loop
+over the sparse tables spent most of its time unpacking and indexing
+them.  So ``build_root_system`` writes each system's two tables out as
+straight-line Python and compiles it once, with one ``exec`` (as
+``dataclasses`` does for ``__init__``), into ``abs_pairing_row`` and
+``dominant_reduction``: the same additions and reflections in the same
+order, so no runtime code reads the tables themselves.  The row kernel
+returns |alpha(xi)|, not alpha(xi), since no runtime reader needs a
+sign: the index sums read the row up to the Weyl group, which permutes
+the roots up to sign (Humphreys, Lie Algebras 10), and the Bott index
+and the stratum polynomials read the row of a dominant coweight, which
+has no negative entry.  The index sweep calls both kernels on the system
+directly; ``abs_pairings`` and ``dominant_coords`` wrap them for the
+other callers.  The same ``exec`` also compiles ``line_zeros``, with
+which ``verify.box_coweights`` finds the singular points of a whole line
+of its box at once.  Both row kernels write their
 additions with one scheme, ``_row_scheme``; ``line_zeros`` runs it with
 the last coordinate folded to 0 and reads each root's coefficient of the
 last simple root from the root itself.  A fourth kernel, ``gram_form``,
@@ -40,13 +45,14 @@ tuple c and the form c . G c, with the entries of ``gram_num`` as
 literals; the Hofer memo builds each record with it.  The source holds
 only local names and integers from the Cartan data, never a label or an
 input.  The per-root ``pairing`` remains the test oracle of the pairing
-row and of ``line_zeros``, the BFS orbit of ``tests/weyl_oracle.py`` that
-of the reduction, and the Bourbaki Gram matrix of
-``tests/bourbaki_oracle.py`` that of ``gram_form``.  ``inner``, the exact
-inner product over ``gram_den``, keeps its own product over ``gram_num``
-and builds the only Fraction in this module; ``dominant_representative``
-wraps the reduction.  The Hofer norms call the kernels, building a
-Fraction only for the value they return.
+row, through its absolute value, and of ``line_zeros``, the BFS orbit of
+``tests/weyl_oracle.py`` that of the reduction, and the Bourbaki Gram
+matrix of ``tests/bourbaki_oracle.py`` that of ``gram_form``.  ``inner``,
+the exact inner product over ``gram_den``, keeps its own product over
+``gram_num`` and builds the only Fraction in this module;
+``dominant_representative`` builds a coweight from the reduction.  The
+Hofer norms call the kernels, building a Fraction only for the value
+they return.
 
 The module needs only the standard library.  No runtime path enumerates a
 Weyl orbit: the tests' oracle (``tests/weyl_oracle.py``) does, with its
@@ -204,17 +210,20 @@ def _row_scheme(steps, folded=None):
 
 
 def _kernels(roots, steps, columns, gram_num):
-    """The four generated coordinate kernels of a system, ``pairing_row``,
-    ``dominant_reduction``, ``line_zeros`` and ``gram_form``, as
-    straight-line Python compiled by one ``exec``.
+    """The four generated coordinate kernels of a system,
+    ``abs_pairing_row``, ``dominant_reduction``, ``line_zeros`` and
+    ``gram_form``, as straight-line Python compiled by one ``exec``.
 
     The source holds only local names (``c<i>``, ``r<k>``, ``g<i>``) and
     the integer literals of ``columns``, ``steps``, ``roots`` and
     ``gram_num``; it looks up no global and no attribute.  Both row
     kernels write their additions with one scheme, ``_row_scheme``:
-    ``pairing_row`` binds the coordinates to locals, computes one local
-    per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a simple root is its
-    own coordinate), and returns them as one list.  ``dominant_reduction`` tests ``c<i> < 0`` in index order and
+    ``abs_pairing_row`` binds the coordinates to locals, computes one
+    signed local per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a
+    simple root is its own coordinate), and returns their absolute values
+    as one list, each written ``r if r > 0 else -r``: no call of ``abs``,
+    which would be a global lookup.  ``dominant_reduction`` tests
+    ``c<i> < 0`` in index order and
     applies the first such s_i with its Cartan entries as literals,
     restarting at index 0 after each reflection, until no coordinate is
     negative.
@@ -235,8 +244,8 @@ def _kernels(roots, steps, columns, gram_num):
     rank = len(columns)
     coords = ", ".join(f"c{i}" for i in range(rank))
     names, adds = _row_scheme(steps)
-    row = [f"def pairing_row(c):\n    {coords}, = c\n", *adds]
-    row.append(f"    return [{', '.join(names)}]\n")
+    row = [f"def abs_pairing_row(c):\n    {coords}, = c\n", *adds]
+    row.append(f"    return [{', '.join(f'{n} if {n} > 0 else -{n}' for n in names)}]\n")
     reduce = [f"def dominant_reduction(c):\n    {coords}, = c\n    while True:\n"]
     for i, column in enumerate(columns):
         reduce.append(f"        {'elif' if i else 'if'} c{i} < 0:\n")
@@ -270,7 +279,7 @@ def _kernels(roots, steps, columns, gram_num):
     gram.append(f"    return ({g_row},), {form}\n")
     namespace = {"__name__": __name__}
     exec("".join(row + reduce + zeros + gram), namespace)
-    names = ("pairing_row", "dominant_reduction", "line_zeros", "gram_form")
+    names = ("abs_pairing_row", "dominant_reduction", "line_zeros", "gram_form")
     return tuple(namespace[name] for name in names)
 
 
@@ -286,9 +295,10 @@ class RootSystem:
     ``root_steps`` holds one (parent slot, simple index) pair per positive
     root, and ``cartan_columns[i]`` the pairs
     (j, c_ji) with c_ji nonzero.  The four generated kernels are functions
-    of a coordinate sequence (see ``_kernels``): ``pairing_row``,
-    ``dominant_reduction`` and ``line_zeros`` are those two tables
-    compiled, and ``gram_form`` is ``gram_num`` compiled.  Hofer norms need
+    of a coordinate sequence (see ``_kernels``): ``abs_pairing_row`` (the
+    |alpha(xi)| over the positive roots), ``dominant_reduction`` and
+    ``line_zeros`` are those two tables compiled, and ``gram_form`` is
+    ``gram_num`` compiled.  Hofer norms need
     no Weyl orbit: the orbit maximum is the inner product of the dominant
     representatives.
 
@@ -306,7 +316,7 @@ class RootSystem:
     gram_den: int
     root_steps: tuple
     cartan_columns: tuple
-    pairing_row: object
+    abs_pairing_row: object
     dominant_reduction: object
     line_zeros: object
     gram_form: object
@@ -318,19 +328,24 @@ class RootSystem:
     def coweight(self, coords):
         """The coweight of this system with the given coordinates: the one
         checked constructor of ``Coweight``.  Each coordinate must be an
-        integer (``operator.index``: numpy integers pass and become Python
-        ints); a float or a string raises InputError, never truncated to an
-        integer.  Then their count must be the rank, or DimensionError."""
+        integer (``operator.index``: bools and numpy integers pass and become
+        Python ints); a float or a string raises InputError, never truncated
+        to an integer.  Then their count must be the rank, or
+        DimensionError.  A tuple whose entries are all Python ints is kept
+        as it is, with no conversion pass."""
         coords = tuple(coords)
-        try:
-            coords = tuple(map(operator.index, coords))
-        except TypeError:
-            for c in coords:
-                if not hasattr(type(c), "__index__"):
-                    raise InputError(
-                        f"coweight coordinates must be integers, got {clipped_repr(c)}"
-                    ) from None
-            raise
+        for c in coords:  # a loop: cheaper than a conversion pass at rank <= 4
+            if type(c) is not int:
+                try:
+                    coords = tuple(map(operator.index, coords))
+                except TypeError:
+                    for c in coords:
+                        if not hasattr(type(c), "__index__"):
+                            raise InputError(
+                                f"coweight coordinates must be integers, got {clipped_repr(c)}"
+                            ) from None
+                    raise
+                break
         if len(coords) != self.rank:
             raise DimensionError(f"expected {self.rank} coordinates, got {len(coords)}")
         return Coweight(self, coords)
@@ -358,7 +373,8 @@ class Coweight:
     about three times as dear to build.  No memo keys on or holds a
     ``Coweight`` (the memos key on coordinate tuples), and no code
     assigns to its fields; the records that memos share between callers
-    (``IndexReport``, ``WeightMultiset``, ``NormReport``) stay frozen."""
+    (``IndexReport``, ``WeightMultiset``, ``NormReport``) stay frozen, and
+    are slotted too."""
 
     system: RootSystem
     coords: tuple
@@ -429,11 +445,11 @@ def pairing(root, xi):
     return sum(map(operator.mul, root, xi.coords))
 
 
-def pairings(xi):
-    """Pairing row of a coweight: its Python-int pairings with the positive
-    roots, in their order, one addition per root along ``root_steps``, by
-    the system's generated ``pairing_row``."""
-    return xi.system.pairing_row(xi.coords)
+def abs_pairings(xi):
+    """Absolute pairing row of a coweight: the Python ints |alpha(xi)| over
+    the positive roots alpha, in their order, one addition per root along
+    ``root_steps``, by the system's generated ``abs_pairing_row``."""
+    return xi.system.abs_pairing_row(xi.coords)
 
 
 def inner(xi1, xi2):
@@ -486,7 +502,7 @@ def orbit_array(xi):
 
 def dominant_coords(system, coords):
     """Coordinates of the unique dominant coweight in the Weyl orbit of
-    ``coords``: apply the simple reflection of the first negative coordinate
+    ``coords`` (for the Hofer memo): apply the simple reflection of the first negative coordinate
     until none is left, restarting at index 0 after each reflection, by the
     system's generated ``dominant_reduction``.  A reflection s_i changes
     only coordinate i and its Dynkin neighbours, the entries of
@@ -495,8 +511,9 @@ def dominant_coords(system, coords):
 
 
 def dominant_representative(xi):
-    """The unique dominant coweight in the Weyl orbit of xi."""
-    return Coweight(xi.system, dominant_coords(xi.system, xi.coords))
+    """The unique dominant coweight in the Weyl orbit of xi, by the
+    system's generated ``dominant_reduction``."""
+    return Coweight(xi.system, xi.system.dominant_reduction(xi.coords))
 
 
 def weyl_poincare(system, walls=None):

@@ -110,6 +110,14 @@ MUTANTS = [
         "2 * (sum(row) - len(row))",
         "tests/test_loop_morse.py::test_bott_index_examples",
     ),
+    # the Bott index refuses a coweight that is not dominant: its absolute
+    # row would give a number all the same
+    (
+        "src/liehofer/loop_morse.py",
+        "    if min(coords) < 0:\n",
+        "    if False:\n",
+        "tests/test_loop_morse.py::test_bott_index_requires_dominant",
+    ),
     # the virtual index sums 2(|k| - 1): -2 (sum k + #k), not -2 (sum k - #k)
     (
         "src/liehofer/circle_index.py",
@@ -121,8 +129,8 @@ MUTANTS = [
     # coweight has one, so the index sweep (regular points) cannot kill this
     (
         "src/liehofer/circle_index.py",
-        "- len(row) + row.count(0))",
-        "- len(row))",
+        "    return 2 * (sum(row) - n + zeros)\n",
+        "    return 2 * (sum(row) - n)\n",
         "tests/test_circle_index.py::test_index_sums_match_generator_forms",
     ),
     # the orbit key refuses xi when its largest entry is 0; its smallest
@@ -144,30 +152,31 @@ MUTANTS = [
     # when one is
     (
         "src/liehofer/circle_index.py",
-        "    if row.count(0) == len(row):",
-        "    if row.count(0):",
+        "    if zeros == n:",
+        "    if zeros:",
         "tests/test_circle_index.py::test_memoized_report_equals_a_direct_build",
     ),
     # the conjugate count refuses the zero coweight
     (
         "src/liehofer/circle_index.py",
-        "    if row.count(0) == len(row):",
+        "    if zeros == n:",
         "    if False:",
         "tests/test_circle_index.py::test_zero_coweight_rejected_on_every_system",
     ),
-    # the orbit key is taken from |v|: on the signed row a point off the
-    # dominant chamber gets positive weights
+    # the orbit key is taken from |v|, which the generated row kernel
+    # returns: on the signed row a point off the dominant chamber gets
+    # positive weights
     (
-        "src/liehofer/circle_index.py",
-        "sorted(map(abs, pairings(gamma.xi)), reverse=True)",
-        "sorted(pairings(gamma.xi), reverse=True)",
+        "src/liehofer/root_system.py",
+        "f'{n} if {n} > 0 else -{n}' for n in names",
+        "n for n in names",
         "tests/test_circle_index.py::test_index_sums_match_generator_forms",
     ),
     # the orbit key is sorted largest first, so its weights come out sorted
     (
         "src/liehofer/circle_index.py",
-        "sorted(map(abs, pairings(gamma.xi)), reverse=True)",
-        "sorted(map(abs, pairings(gamma.xi)))",
+        "    key.sort(reverse=True)\n",
+        "    key.sort()\n",
         "tests/test_circle_index.py::test_weights_examples",
     ),
     # a memoized report compares the virtual index with the point's own
@@ -177,6 +186,14 @@ MUTANTS = [
         "agree=iv == riemannian)",
         "agree=True)",
         "tests/test_circle_index.py::test_report_memo_reads_each_points_own_count",
+    ),
+    # the checked constructor converts every coordinate that is not a
+    # Python int, a bool or a numpy integer among them
+    (
+        "src/liehofer/root_system.py",
+        "            if type(c) is not int:\n",
+        "            if False:\n",
+        "tests/test_root_system.py::test_coweight_stores_python_ints_and_keeps_each_error",
     ),
     # inner pairs xi1 with the Gram row of xi2, not of xi1
     (
@@ -251,8 +268,8 @@ MUTANTS = [
     # the coroot lattice test reduces adj(C) xi modulo det(C)
     (
         "src/liehofer/loop_morse.py",
-        "for a, c in zip(row, xi.coords)) % det == 0",
-        "for a, c in zip(row, xi.coords)) % 2 == 0",
+        "sum(map(operator.mul, row, coords)) % det:",
+        "sum(map(operator.mul, row, coords)) % 2:",
         "tests/test_integer_core.py::test_in_coroot_lattice_matches_gauss_jordan_solve",
     ),
     # a sweep that checked nothing fails as vacuous instead of passing
@@ -280,8 +297,8 @@ MUTANTS = [
     # outside the stabilizer parabolic, not those inside it
     (
         "src/liehofer/loop_morse.py",
-        "pairings(xi)) if p > 0)",
-        "pairings(xi)) if p <= 0)",
+        "abs_pairings(xi)) if p > 0)",
+        "abs_pairings(xi)) if p <= 0)",
         "tests/test_loop_morse.py::test_stratum_poincare_times_stabilizer_is_the_weyl_group",
     ),
     # a truncated power series that is no polynomial raises, by Poincare duality
@@ -292,9 +309,8 @@ MUTANTS = [
         "tests/test_loop_morse.py::test_root_poincare_refuses_a_truncated_power_series",
     ),
     # Equivalent, left out (tier-1 passes with each applied):
-    # - bott_index's sum(row) -> sum(map(abs, row)): bott_index refuses a
-    #   coweight that is not dominant, and a dominant row has no negative
-    #   entry, so the two sums are equal.
+    # - bott_index's sum(row) -> sum(map(abs, row)): the row kernel
+    #   returns |alpha(xi)|, so abs changes no entry.
     # - inner's "for row in system.gram_num" -> "for row in
     #   zip(*system.gram_num)": the Gram matrix is symmetric, so its rows
     #   are its columns.

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import liehofer.circle_index as circle_index
-import liehofer.loop_morse as loop_morse
 from conjugate_oracle import conjugate_times, riemannian_index_oracle
 from liehofer.circle_index import (
     CircleSubgroup,
@@ -20,7 +19,7 @@ from liehofer.cli import MAX_COORD
 from liehofer.errors import DegenerateSubgroup, InvalidWeights
 from liehofer.hofer import NormReport
 from liehofer.loop_morse import bott_index
-from liehofer.root_system import dominant_representative, from_label, pairing, pairings
+from liehofer.root_system import dominant_representative, from_label, pairing
 from liehofer.verify import ALL_SYSTEMS, box_coweights
 from weyl_oracle import weyl_orbit
 
@@ -57,12 +56,25 @@ def test_per_point_records_are_slots_and_memo_values_frozen():
     for record in (g, g.xi):
         assert not hasattr(record, "__dict__")
     assert g is not again and g == again and hash(g) == hash(again)
-    # the records a memo hands to many callers stay frozen
-    report = index_equality_report(g)
-    for record, field in ((report, "agree"), (report.weights, "weights"),
-                          (NormReport(Fraction(2), 2 ** 0.5), "value_float")):
+    # the records a memo hands to many callers stay frozen, are slots
+    # records too (no per-instance dict), and compare, hash and print by
+    # value
+    report = index_equality_report(gamma("A2", [1, 1]))
+    norm = NormReport(Fraction(2), 2 ** 0.5)
+    for record, field in ((report, "agree"), (report.weights, "weights"), (norm, "value_float")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, None)
+        assert not hasattr(record, "__dict__")
+    twins = (IndexReport(WeightMultiset((-2, -1, -1)), 2, 2, True),
+             NormReport(Fraction(2), 2 ** 0.5))
+    for record, twin in zip((report, norm), twins):
+        assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert report != IndexReport(WeightMultiset((-2, -1, -1)), 2, 4, False)
+    assert repr(report) == (
+        "IndexReport(weights=WeightMultiset(weights=(-2, -1, -1)), "
+        "virtual_index=2, riemannian_index=2, agree=True)"
+    )
+    assert repr(norm) == "NormReport(value_squared=Fraction(2, 1), value_float=1.4142135623730951)"
 
 
 def test_weights_count_regular():
@@ -140,18 +152,20 @@ def test_index_sums_match_generator_forms(label):
 
 
 @pytest.mark.parametrize("label", ALL_SYSTEMS)
-def test_index_check_builds_three_pairing_rows_per_coweight(label, monkeypatch):
+def test_index_check_builds_three_pairing_rows_per_coweight(label):
     # the weights, the conjugate count and the Bott index each build their
-    # own row, so no two of the three sums share an input
+    # own row, so no two of the three sums share an input.  All three call
+    # the system's row kernel, so the sweep runs on a copy of the system
+    # whose kernel counts the rows it builds
+    system = from_label(label)
     rows = []
 
-    def counting(xi):
-        rows.append(xi.coords)
-        return pairings(xi)
+    def counting(coords):
+        rows.append(coords)
+        return system.abs_pairing_row(coords)
 
-    monkeypatch.setattr(circle_index, "pairings", counting)
-    monkeypatch.setattr(loop_morse, "pairings", counting)
-    for xi in box_coweights(from_label(label), 2, regular_only=True):
+    counted = dataclasses.replace(system, abs_pairing_row=counting)
+    for xi in box_coweights(counted, 2, regular_only=True):
         rows.clear()
         index_equality_report(CircleSubgroup(xi))
         dom = dominant_representative(xi)

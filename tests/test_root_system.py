@@ -15,13 +15,13 @@ from liehofer.hofer import _invariants, _norm, check_norm_inequality, hofer_leng
 from liehofer.loop_morse import omega_g_series
 from liehofer.root_system import (
     EXPONENTS,
+    abs_pairings,
     build_root_system,
     dominant_coords,
     dominant_representative,
     from_label,
     inner,
     pairing,
-    pairings,
     weyl_poincare,
 )
 from liehofer.verify import ALL_SYSTEMS, box_coweights, check_index_equality
@@ -145,6 +145,44 @@ def test_coweight_count_message():
         with pytest.raises(DimensionError) as info:
             a2.coweight(coords)
         assert str(info.value) == f"expected 2 coordinates, got {len(coords)}"
+
+
+_NOT_INTEGER = "coweight coordinates must be integers, got "
+
+
+@pytest.mark.parametrize("coords, expected", [
+    ([3, -1], (3, -1)),
+    ((3, -1), (3, -1)),
+    ((c for c in (3, -1)), (3, -1)),
+    (range(2), (0, 1)),
+    ([True, False], (1, 0)),
+    ((1, True), (1, 1)),
+    ((np.int64(3), -1), (3, -1)),
+    (np.array([3, -1], dtype=np.int64), (3, -1)),
+    ([1.5, 0], InputError(_NOT_INTEGER + "1.5")),
+    ((1, 2.0), InputError(_NOT_INTEGER + "2.0")),
+    (["1", 0], InputError(_NOT_INTEGER + "'1'")),
+    ((c for c in (1, 2.5)), InputError(_NOT_INTEGER + "2.5")),
+    ([0.5, 1, 2], InputError(_NOT_INTEGER + "0.5")),  # the integer check comes first
+    ([1, 2, 3], DimensionError("expected 2 coordinates, got 3")),
+    ((np.int64(1),), DimensionError("expected 2 coordinates, got 1")),
+    ([True], DimensionError("expected 2 coordinates, got 1")),
+    ((), DimensionError("expected 2 coordinates, got 0")),
+])
+def test_coweight_stores_python_ints_and_keeps_each_error(coords, expected):
+    # every stored coordinate is a Python int whatever integer type came
+    # in, and an all-int tuple is stored as it is; each refusal keeps its
+    # class and message
+    a2 = from_label("A2")
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            a2.coweight(coords)
+        assert str(info.value) == str(expected)
+        return
+    xi = a2.coweight(coords)
+    assert xi.coords == expected and all(type(c) is int for c in xi.coords)
+    if type(coords) is tuple and {type(c) for c in coords} == {int}:
+        assert xi.coords is coords
 
 
 def test_pairing_dimension_mismatch():
@@ -336,7 +374,8 @@ def test_dominant_coords_at_the_antidominant_corner(label):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_pairings_row_matches_per_root_pairing(label):
     # every box-3 coweight, the +-MAX_COORD corners and 40 seeded box-5
-    # coweights, against the per-root pairing and an int64 matrix product
+    # coweights: the absolute row against the absolute per-root pairing and
+    # an int64 matrix product
     system = from_label(label)
     rng = random.Random(f"pairings-{label}")
     points = [xi.coords for xi in _seeded_coweights(system, rng, box=5)]
@@ -345,10 +384,10 @@ def test_pairings_row_matches_per_root_pairing(label):
     products = np.array(points, dtype=np.int64) @ np.array(system.positive_roots).T
     for coords, product in zip(points, products.tolist()):
         xi = system.coweight(coords)
-        row = pairings(xi)
-        assert row == [pairing(alpha, xi) for alpha in system.positive_roots]
-        assert row == product
-        assert all(type(p) is int for p in row)
+        row = abs_pairings(xi)
+        assert row == [abs(pairing(alpha, xi)) for alpha in system.positive_roots]
+        assert row == [abs(p) for p in product]
+        assert all(type(p) is int and p >= 0 for p in row)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -357,7 +396,7 @@ def test_generated_kernels_on_every_box3_coweight(label):
     # per-root pairing, the dense reflections and the Bourbaki Gram matrix
     # of the oracles
     system = from_label(label)
-    kernels = (system.pairing_row, system.dominant_reduction, system.line_zeros,
+    kernels = (system.abs_pairing_row, system.dominant_reduction, system.line_zeros,
                system.gram_form)
     for kernel in kernels:
         # the generated text holds local names and integer literals only
@@ -370,7 +409,9 @@ def test_generated_kernels_on_every_box3_coweight(label):
     points += itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
     for coords in points:
         xi = system.coweight(coords)
-        assert pairings(xi) == [pairing(alpha, xi) for alpha in system.positive_roots]
+        row = system.abs_pairing_row(coords)
+        assert row == [abs(pairing(alpha, xi)) for alpha in system.positive_roots]
+        assert all(type(p) is int and p >= 0 for p in row)
         g_row = tuple(sum(g * c for g, c in zip(row, coords)) for row in gram)
         assert system.gram_form(coords) == (g_row, sum(c * g for c, g in zip(coords, g_row)))
         dom = dominant_coords(system, coords)
@@ -411,7 +452,7 @@ def test_hot_path_compiles_nothing(monkeypatch):
             xi = system.coweight(range(1, system.rank + 1))
             assert hofer_length_circle(xi).value_squared == inner(xi, xi)
             assert check_norm_inequality(system.coweight([-1] * system.rank), xi)
-        assert from_label("f4").pairing_row is from_label("F4").pairing_row
+        assert from_label("f4").abs_pairing_row is from_label("F4").abs_pairing_row
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
