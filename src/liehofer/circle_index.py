@@ -23,9 +23,10 @@ needs.  In the box-4 sweep of every system, 8,690 of the 9,900 regular
 points get a report built for an earlier point of their orbit.  The key
 carries no system, since the report depends on none.  The memo joins no
 two computations: the count is still taken for every point from the
-point's own row, and the Bott index the sweep compares with from the row
-of dom xi, so a point whose count disagreed with its key's weights would
-get a report of its own.
+point's own row, so a point whose count disagreed with its key's weights
+would get a report of its own.  The Bott index the sweep compares with
+reads no row at all: ``loop_morse.bott_index`` takes it from the face of
+the dominant chamber that holds dom xi, by the system's ``bott_form``.
 
 Both computations refuse the zero coweight from the row they have
 already built, not from the coordinates: the simple roots pair to the
@@ -173,7 +174,8 @@ def index_equality_report(gamma):
     rank-4 system needs; 1,024 entries took more memory and raised the
     box-4 sweep's hits only from 8,690 to 8,717.  The three sums stay independent: the key and
     the count are each taken for every gamma from a pairing row of its
-    own, and the sweep's Bott index from the row of dom xi, so a point
-    whose count disagrees with its key's weights gets a report of its own.
+    own, so a point whose count disagrees with its key's weights gets a
+    report of its own, and the sweep's Bott index reads no row, only the
+    face of the dominant chamber that holds dom xi.
     """
     return _report(_orbit_key(gamma), riemannian_index_conjugate(gamma))

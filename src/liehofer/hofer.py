@@ -17,18 +17,19 @@ row G dom, and the numerator x = dom . G dom of <x, x> (the Gram form is
 Weyl-invariant, so dom gives the same x as the coordinates themselves),
 both from one call of ``gram_form``.  The orbit maximum is then one
 integer dot product of length ``rank``, dom(eta) . G dom(xi) (the Gram
-matrix is symmetric).  The report of a positive norm is a function of
-three integers alone, the system, the numerator M of the orbit maximum
-and the numerator X of <xi, xi>, so a second memo of 1024 keys holds it:
-pairs with the same (system, M, X), which a grid of small coweights
-repeats many times, share one report.  The length of a circle is that
-report at M = X = x, read from the same memo, so the module writes the
-report's formula once.  ``verify.check_seidel`` compares the length with
-the positive norm of xi on its own orbit.  Its length side keys the norm
-memo on x, the form that ``gram_form`` returns; its positive-norm side
-keys it on M, the dot product of the orbit maximum.  The two sides meet
-in one memo entry exactly when M = x, and that equality is the claim the
-check makes.  The zero test of the base coweight reads x: the Gram form is positive
+matrix is symmetric), by the system's generated ``dot``.  The report of a
+positive norm is a function of three integers alone, the system, the
+numerator M of the orbit maximum and the numerator X of <xi, xi>, so a
+second memo of 1024 keys holds it: pairs with the same (system, M, X),
+which a grid of small coweights repeats many times, share one report.
+The length of a circle is that report at M = X = x, read from the same
+memo, so the module writes the report's formula once.
+``verify.check_seidel`` compares the length with the positive norm of xi
+on its own orbit.  Its length side keys the norm memo on x, the form
+that ``gram_form`` returns; its positive-norm side keys it on M, the dot
+product of the orbit maximum.  The two sides meet in one memo entry
+exactly when M = x, and that equality is the claim the check makes.  The
+zero test of the base coweight reads x: the Gram form is positive
 definite, so x = 0 exactly when xi = 0, and no function here scans the
 coordinates again.  All lengths are reported in lattice units (long roots
 at squared length 2, loops parametrized in turns), stored as exact
@@ -39,7 +40,6 @@ quotient.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,9 +80,10 @@ def _invariants(system, coords):
 def _orbit_maximum_numerator(eta, xi):
     """(system, M, X, E): the orbit maximum is M / gram_den, where M is the
     integer numerator of <dom(xi), dom(eta)>, one dot product of dom(eta)
-    with the Gram row of dom(xi), and X and E are the numerators of
-    <xi, xi> and <eta, eta>.  xi's record comes first: the zero test
-    reads its x, and precedes the different-system test."""
+    with the Gram row of dom(xi) by the system's generated ``dot``, and X
+    and E are the numerators of <xi, xi> and <eta, eta>.  xi's record
+    comes first: the zero test reads its x, and precedes the
+    different-system test."""
     system = xi.system
     _, g_xi, x = _invariants(system, xi.coords)
     if not x:
@@ -90,7 +91,7 @@ def _orbit_maximum_numerator(eta, xi):
     if eta.system is not system:
         raise DimensionError("coweights belong to different root systems")
     dom_eta, _, e = _invariants(system, eta.coords)
-    return system, sum(map(operator.mul, dom_eta, g_xi)), x, e
+    return system, system.dot(dom_eta, g_xi), x, e
 
 
 def orbit_maximum(eta, xi):

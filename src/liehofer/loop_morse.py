@@ -15,12 +15,14 @@ it made (they need no input check), for its Bott index, and hands it
 down to the stratum it becomes; it also refuses a bad cutoff for the
 series, before the series allocates its coefficients.
 The series builds a stratum polynomial only for the strata it sums, the
-coroot-lattice ones.  Every stratum is dominant, so its absolute pairing
-row (``root_system.abs_pairings``, the |alpha(xi)| over the positive
-roots) is its pairing row itself: the Bott index and the stratum
-polynomial read it with no sign lost.  A stratum polynomial W(t) / W_xi(t)
-is one closed form, Macdonald's product over the heights of the roots
-that the stratum's row finds positive, memoized on those heights
+coroot-lattice ones.  Every stratum is dominant, and both of its numbers
+depend only on the open face of the dominant chamber that holds it, the
+zero set J of its coordinates, so neither builds a pairing row.  The Bott
+index is linear on the face, and the system's generated ``bott_form``
+evaluates it.  The stratum polynomial W(t) / W_xi(t) is one closed form,
+Macdonald's product over the heights of the roots that xi pairs
+positively, the roots not supported in J, read from the system's table
+``face_heights`` and memoized on those heights
 (``root_system._root_poincare``); no polynomial is divided.  The two sides
 of the check share no code and no Lie data: the oracle takes its
 exponents from the literature table ``root_system.EXPONENTS``, which no
@@ -33,14 +35,14 @@ import operator
 from dataclasses import dataclass
 
 from .errors import NotDominant
-from .root_system import EXPONENTS, Coweight, _root_poincare, abs_pairings
+from .root_system import EXPONENTS, Coweight, _root_poincare
 # re-exports, unread here: perfbench/tracing.py wraps both names in this module
 from .root_system import pairing, weyl_poincare  # noqa: F401
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
-# takes about 0.30 s through the CLI (`omega-series --system A4 --cutoff
+# takes about 0.26 s through the CLI (`omega-series --system A4 --cutoff
 # 200`, median of 11 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7, numpy
-# 2.4.6).  About 0.09 s of that is the series, most of it the strata walk,
+# 2.4.6).  About 0.04 s of that is the series, most of it the strata walk,
 # and the rest is starting Python and importing numpy; the number of
 # strata grows like cutoff^rank.
 MAX_CUTOFF = 200
@@ -54,12 +56,17 @@ class TruncatedSeries:
     coeffs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CriticalStratum:
     """One critical manifold of the energy functional: a dominant coweight
     with its Bott index, and whether it lies in the coroot lattice.  The
     Poincare polynomial of its adjoint orbit is ``stratum_poincare(xi)``,
-    built only where a caller reads it."""
+    built only where a caller reads it.
+
+    A slots record with value equality and a value hash, like
+    ``root_system.Coweight``: the walk builds one per stratum (14,985 on
+    A4 at cutoff 200), no memo holds one, and no code assigns to its
+    fields."""
 
     xi: Coweight
     bott_index: int
@@ -68,29 +75,30 @@ class CriticalStratum:
 
 def bott_index(xi):
     """Bott (Morse) index of the stratum of a dominant coweight:
-    sum of 2(p - 1) over the positive entries p of its own pairing row,
-    built from the dominant coweight itself by the system's generated
-    ``abs_pairing_row``.  A dominant row has no negative entry, so it is
-    its absolute row, and this is the closed form
-    2 (sum p - #p + #{p = 0}).  ``tests/test_circle_index.py`` checks it
-    against the per-root sum over the per-root ``pairing``."""
+    sum of 2(p - 1) over the positive pairings p of the positive roots
+    with xi, read off the face of the dominant chamber holding xi by the
+    system's generated ``bott_form``, with no pairing row built.  On a
+    face the index is linear: 2 <2 rho, xi> minus 2 for each root that xi
+    pairs positively, and those roots are the ones not supported in the
+    zero set of xi (see ``RootSystem``).  ``tests/test_circle_index.py``
+    checks it against the per-root sum over the per-root ``pairing``."""
     coords = xi.coords
     if min(coords) < 0:
         raise NotDominant(f"{xi} has a negative coordinate")
-    row = xi.system.abs_pairing_row(coords)
-    return 2 * (sum(row) - len(row) + row.count(0))
+    return xi.system.bott_form(coords)
 
 
 def stratum_poincare(xi):
     """Poincare polynomial W(t) / W_xi(t) of the adjoint orbit through xi:
     Macdonald's product over the heights of the positive roots outside
-    the stabilizer parabolic, which are the roots that xi's own pairing
-    row finds positive.  xi is dominant, so that row is its absolute row
-    ``abs_pairings(xi)``."""
+    the stabilizer parabolic, which are the roots that xi pairs
+    positively.  They depend only on the zero set J of xi, so their
+    heights are the entry J of the system's ``face_heights``; no pairing
+    row is built."""
     if not xi.is_dominant:
         raise NotDominant(f"{xi} has a negative coordinate")
-    heights = (sum(r) for r, p in zip(xi.system.positive_roots, abs_pairings(xi)) if p > 0)
-    return _root_poincare(tuple(sorted(heights)))
+    zeros = sum(1 << i for i, c in enumerate(xi.coords) if not c)
+    return _root_poincare(xi.system.face_heights[zeros])
 
 
 def in_coroot_lattice(xi):

@@ -10,16 +10,25 @@ Every system comes from one Cartan rule (a chain or the D fork, plus the
 one multiple bond of a non-simply-laced diagram), and all of its data are
 integers.  Each system inverts its Cartan matrix once, as an adjugate over
 the determinant, and keeps the coweight Gram matrix as an integer matrix
-``gram_num`` over one denominator ``gram_den``.  It also keeps two sparse
-tables, built once with the system.  The positive roots are grown in one
-upward pass from the simple roots along alpha-strings (Humphreys, Lie
-Algebras 9.4), and ``root_steps`` records the step that made each root
-beta: a simple alpha_i with beta - alpha_i a positive root or zero, so
-<beta, xi> = <beta - alpha_i, xi> + xi_i, and one addition per root builds
-a whole pairing row.  ``cartan_columns`` lists the nonzero entries of each
-Cartan column, the Dynkin neighbours a simple reflection touches.
+``gram_num`` over one denominator ``gram_den``.  It also keeps three
+tables, built once with the system, two of them sparse.  The positive
+roots are grown in one upward pass from the simple roots along
+alpha-strings (Humphreys, Lie Algebras 9.4), and ``root_steps`` records
+the step that made each root beta: a simple alpha_i with beta - alpha_i a
+positive root or zero, so <beta, xi> = <beta - alpha_i, xi> + xi_i, and
+one addition per root builds a whole pairing row.  ``cartan_columns``
+lists the nonzero entries of each Cartan column, the Dynkin neighbours a
+simple reflection touches.
 
-Four generated kernels work on coordinates.  The first two give the
+The open faces of the dominant chamber are indexed by the zero set J of
+their coordinates, a bit mask.  A dominant coweight in face J pairs to 0
+with exactly the positive roots supported in J, the roots of the
+parabolic subsystem Phi_J, and positively with every other one.  So
+``face_heights``, the third table, holds for each of the 2^rank masks J
+the sorted heights of the roots outside Phi_J, each root's support one
+bit mask; ``loop_morse.stratum_poincare`` reads it.
+
+Six generated kernels work on coordinates.  The first two give the
 absolute pairing row of a coweight, and reduce coordinates to the
 dominant chamber.  Both run on every item of every sweep, where a loop
 over the sparse tables spent most of its time unpacking and indexing
@@ -28,24 +37,30 @@ straight-line Python and compiles it once, with one ``exec`` (as
 ``dataclasses`` does for ``__init__``), into ``abs_pairing_row`` and
 ``dominant_reduction``: the same additions and reflections in the same
 order, so no runtime code reads the tables themselves.  The row kernel
-returns |alpha(xi)|, not alpha(xi), since no runtime reader needs a
-sign: the index sums read the row up to the Weyl group, which permutes
-the roots up to sign (Humphreys, Lie Algebras 10), and the Bott index
-and the stratum polynomials read the row of a dominant coweight, which
-has no negative entry.  The index sweep calls both kernels on the system
-directly; ``abs_pairings`` and ``dominant_coords`` wrap them for the
-other callers.  The same ``exec`` also compiles ``line_zeros``, with
-which ``verify.box_coweights`` finds the singular points of a whole line
-of its box at once.  Both row kernels write their
-additions with one scheme, ``_row_scheme``; ``line_zeros`` runs it with
-the last coordinate folded to 0 and reads each root's coefficient of the
-last simple root from the root itself.  A fourth kernel, ``gram_form``,
-writes out the Gram matrix: it returns the Gram row G c of a coordinate
-tuple c and the form c . G c, with the entries of ``gram_num`` as
-literals; the Hofer memo builds each record with it.  The source holds
-only local names and integers from the Cartan data, never a label or an
-input.  The per-root ``pairing`` remains the test oracle of the pairing
-row, through its absolute value, and of ``line_zeros``, the BFS orbit of
+returns |alpha(xi)|, not alpha(xi), since its readers, the weights and
+the conjugate-point count, need no sign: they read the row up to the
+Weyl group, which permutes the roots up to sign (Humphreys, Lie Algebras
+10).  The index sweep calls both kernels on the system directly;
+``abs_pairings`` and ``dominant_coords`` wrap them for the other callers.
+The same ``exec`` also compiles ``line_zeros``, with which
+``verify.box_coweights`` finds the singular points of a whole line of its
+box at once.  Both row kernels write their additions with one scheme,
+``_row_scheme``; ``line_zeros`` runs it with the last coordinate folded
+to 0 and reads each root's coefficient of the last simple root from the
+root itself.  A fourth kernel, ``gram_form``, writes out the Gram matrix:
+it returns the Gram row G c of a coordinate tuple c and the form
+c . G c, with the entries of ``gram_num`` as literals; the Hofer memo
+builds each record with it, and ``dot``, the sixth, the dot product of
+two coordinate tuples, takes the orbit maximum from it.  The fifth,
+``bott_form``, is the Bott index on the dominant chamber: on face J it is
+the linear form sum_i 2 h_i c_i minus 2 (N - N_J), where h_i is the
+coefficient of alpha_i in 2 rho, N = |Phi+| and N_J = |Phi_J+| (Bott
+1956; Bourbaki, Lie VI), and a tree of zero tests on the coordinates,
+``rank`` deep, picks the face, so no pairing row is built.  The source
+holds only local names and integers from the Cartan data, never a label
+or an input.  The per-root ``pairing`` remains the test oracle of the
+pairing row, through its absolute value, of ``line_zeros``, of
+``bott_form`` and of ``face_heights``, the BFS orbit of
 ``tests/weyl_oracle.py`` that of the reduction, and the Bourbaki Gram
 matrix of ``tests/bourbaki_oracle.py`` that of ``gram_form``.  ``inner``,
 the exact inner product over ``gram_den``, keeps its own product over
@@ -66,8 +81,9 @@ each supported system.  Weyl groups are never enumerated, and no Poincare
 polynomial reads the exponents: ``_root_poincare`` builds Macdonald's
 product prod [ht a + 1]_{t^2} / [ht a]_{t^2} over a set of positive roots.
 Over the roots of a parabolic subsystem Phi_J it is W_J(t)
-(``weyl_poincare``), and over the roots outside it W(t) / W_J(t), the
-Poincare polynomial of an adjoint orbit (``loop_morse.stratum_poincare``).
+(``weyl_poincare``), and over the roots outside it, entry J of
+``face_heights``, W(t) / W_J(t), the Poincare polynomial of an adjoint
+orbit (``loop_morse.stratum_poincare``).
 """
 
 from __future__ import annotations
@@ -209,24 +225,25 @@ def _row_scheme(steps, folded=None):
     return name[1:], adds
 
 
-def _kernels(roots, steps, columns, gram_num):
-    """The four generated coordinate kernels of a system,
-    ``abs_pairing_row``, ``dominant_reduction``, ``line_zeros`` and
-    ``gram_form``, as straight-line Python compiled by one ``exec``.
+def _kernels(roots, steps, columns, gram_num, face_heights):
+    """The six generated coordinate kernels of a system,
+    ``abs_pairing_row``, ``dominant_reduction``, ``line_zeros``,
+    ``gram_form``, ``bott_form`` and ``dot``, as straight-line Python
+    compiled by one ``exec``.
 
-    The source holds only local names (``c<i>``, ``r<k>``, ``g<i>``) and
-    the integer literals of ``columns``, ``steps``, ``roots`` and
-    ``gram_num``; it looks up no global and no attribute.  Both row
-    kernels write their additions with one scheme, ``_row_scheme``:
-    ``abs_pairing_row`` binds the coordinates to locals, computes one
-    signed local per root, ``r<k> = r<p> + c<i>`` along ``steps`` (a
-    simple root is its own coordinate), and returns their absolute values
-    as one list, each written ``r if r > 0 else -r``: no call of ``abs``,
-    which would be a global lookup.  ``dominant_reduction`` tests
-    ``c<i> < 0`` in index order and
-    applies the first such s_i with its Cartan entries as literals,
-    restarting at index 0 after each reflection, until no coordinate is
-    negative.
+    The source holds only local names (``b``, ``b<i>``, ``c``, ``c<i>``,
+    ``r<k>``, ``g<i>``) and the integer literals of ``columns``,
+    ``steps``, ``roots``, ``gram_num`` and ``face_heights``; it looks up
+    no global and no attribute.  Both row kernels write their additions
+    with one scheme, ``_row_scheme``: ``abs_pairing_row`` binds the
+    coordinates to locals, computes one signed local per root,
+    ``r<k> = r<p> + c<i>`` along ``steps`` (a simple root is its own
+    coordinate), and returns their absolute values as one list, each
+    written ``r if r > 0 else -r``: no call of ``abs``, which would be a
+    global lookup.  ``dominant_reduction`` tests ``c<i> < 0`` in index
+    order and applies the first such s_i with its Cartan entries as
+    literals, restarting at index 0 after each reflection, until no
+    coordinate is negative.
 
     ``line_zeros`` takes the first rank - 1 coordinates h of the line
     h + (c,).  On it a root pairs to p + b c, with p its pairing at
@@ -240,6 +257,14 @@ def _kernels(roots, steps, columns, gram_num):
     ``gram_form`` binds the coordinates to locals, computes the Gram row
     ``g<i>`` = sum_j gram_num[i][j] c<j> with the entries as literals, and
     returns the tuple of the g<i> and the form sum_i c<i> g<i>.
+
+    ``bott_form`` takes dominant coordinates.  It computes the linear part
+    b = sum_i 2 h_i c<i>, h_i = sum over the positive roots of their i-th
+    coordinate, then descends a tree of ``if c<i>:`` tests, one level per
+    coordinate, to the leaf of the zero set J of c.  Each of the 2^rank
+    leaves returns b minus twice the number of roots not supported in J,
+    the length of entry J of ``face_heights``, as a literal.  ``dot``
+    binds two coordinate tuples and returns sum_i c<i> b<i>.
     """
     rank = len(columns)
     coords = ", ".join(f"c{i}" for i in range(rank))
@@ -277,10 +302,43 @@ def _kernels(roots, steps, columns, gram_num):
     g_row = ", ".join(f"g{i}" for i in range(rank))
     form = " + ".join(f"c{i} * g{i}" for i in range(rank))
     gram.append(f"    return ({g_row},), {form}\n")
+    twice_rho = [2 * sum(column) for column in zip(*roots)]
+    linear = " + ".join(f"{h} * c{i}" for i, h in enumerate(twice_rho))
+    bott = [f"def bott_form(c):\n    {coords}, = c\n    b = {linear}\n"]
+
+    def face(i, zeros, indent):
+        # the subtree below the tests of c0 .. c<i-1>; zeros masks those at 0
+        if i == rank:
+            return [f"{indent}return b - {2 * len(face_heights[zeros])}\n"]
+        deeper = indent + "    "
+        return [
+            f"{indent}if c{i}:\n", *face(i + 1, zeros, deeper),
+            f"{indent}else:\n", *face(i + 1, zeros | 1 << i, deeper),
+        ]
+
+    bott += face(0, 0, "    ")
+    bs = ", ".join(f"b{i}" for i in range(rank))
+    dot = [f"def dot(c, b):\n    {coords}, = c\n    {bs}, = b\n"]
+    dot.append(f"    return {' + '.join(f'c{i} * b{i}' for i in range(rank))}\n")
     namespace = {"__name__": __name__}
-    exec("".join(row + reduce + zeros + gram), namespace)
-    names = ("abs_pairing_row", "dominant_reduction", "line_zeros", "gram_form")
+    exec("".join(row + reduce + zeros + gram + bott + dot), namespace)
+    names = ("abs_pairing_row", "dominant_reduction", "line_zeros", "gram_form", "bott_form", "dot")
     return tuple(namespace[name] for name in names)
+
+
+def _face_heights(roots):
+    """The face table: entry J, a bit mask of simple-root indices, holds
+    the sorted heights of the positive roots not supported in J, one per
+    mask.  A dominant coweight whose zero coordinates are J pairs to 0
+    with exactly the roots supported in J, so entry J lists the roots it
+    pairs positively.  Each root's support is one bit mask, so a root lies
+    outside J exactly when its support meets the complement of J."""
+    supports = [sum(1 << i for i, x in enumerate(root) if x) for root in roots]
+    heights = [sum(root) for root in roots]
+    return tuple(
+        tuple(sorted(h for s, h in zip(supports, heights) if s & ~m))
+        for m in range(1 << len(roots[0]))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,14 +351,18 @@ class RootSystem:
     products of the fundamental coweights, an integer matrix over one
     denominator: the one Gram form, which every inner product uses.
     ``root_steps`` holds one (parent slot, simple index) pair per positive
-    root, and ``cartan_columns[i]`` the pairs
-    (j, c_ji) with c_ji nonzero.  The four generated kernels are functions
-    of a coordinate sequence (see ``_kernels``): ``abs_pairing_row`` (the
-    |alpha(xi)| over the positive roots), ``dominant_reduction`` and
-    ``line_zeros`` are those two tables compiled, and ``gram_form`` is
-    ``gram_num`` compiled.  Hofer norms need
-    no Weyl orbit: the orbit maximum is the inner product of the dominant
-    representatives.
+    root, ``cartan_columns[i]`` the pairs (j, c_ji) with c_ji nonzero, and
+    ``face_heights[J]``, for each bit mask J of simple-root indices, the
+    sorted heights of the positive roots not supported in J: the roots a
+    dominant coweight with zero set J pairs positively.  The six generated
+    kernels are functions of coordinate sequences (see ``_kernels``):
+    ``abs_pairing_row`` (the |alpha(xi)| over the positive roots),
+    ``dominant_reduction`` and ``line_zeros`` are the two sparse tables
+    compiled, ``gram_form`` is ``gram_num`` compiled, ``bott_form`` is the
+    Bott index of dominant coordinates, linear on each face of the
+    dominant chamber, and ``dot`` is the dot product of two coordinate
+    tuples.  Hofer norms need no Weyl orbit: the orbit maximum is the
+    inner product of the dominant representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
     and hashing are by identity.
@@ -316,10 +378,13 @@ class RootSystem:
     gram_den: int
     root_steps: tuple
     cartan_columns: tuple
+    face_heights: tuple
     abs_pairing_row: object
     dominant_reduction: object
     line_zeros: object
     gram_form: object
+    bott_form: object
+    dot: object
 
     @property
     def label(self):
@@ -419,9 +484,10 @@ def build_root_system(family, rank):
     columns = tuple(
         tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(rank)
     )
+    faces = _face_heights(positive)
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        steps, columns, *_kernels(positive, steps, columns, gram_num),
+        steps, columns, faces, *_kernels(positive, steps, columns, gram_num, faces),
     )
 
 

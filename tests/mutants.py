@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KERNELS = "tests/test_root_system.py::test_generated_kernels_on_every_box3_coweight"
+FACE = "tests/test_root_system.py::test_face_table_and_bott_form_on_every_face"
 
 # (file, exact old text, new text, killer test)
 MUTANTS = [
@@ -77,9 +78,9 @@ MUTANTS = [
     # the record's x, the Seidel check's two sides would agree by design
     (
         "src/liehofer/hofer.py",
-        "    return system, sum(map(operator.mul, dom_eta, g_xi)), x, e\n",
+        "    return system, system.dot(dom_eta, g_xi), x, e\n",
         "    if eta.coords == xi.coords:\n        return system, x, x, e\n"
-        "    return system, sum(map(operator.mul, dom_eta, g_xi)), x, e\n",
+        "    return system, system.dot(dom_eta, g_xi), x, e\n",
         "tests/test_verify.py::test_seidel_check_fails_when_the_form_and_the_orbit_maximum_disagree",
     ),
     # the walk hands the raised coweight, not its parent's, down to the leaf
@@ -103,12 +104,29 @@ MUTANTS = [
         "        for d in range(2 * m + 1, cutoff + 1):\n",
         "tests/test_loop_morse.py::test_omega_series_a1",
     ),
-    # the Bott index counts the zero entries of the row: p = 0 adds 0, not -2
+    # bott_form: the linear part weighs each coordinate by its own 2 h_i
     (
-        "src/liehofer/loop_morse.py",
-        "2 * (sum(row) - len(row) + row.count(0))",
-        "2 * (sum(row) - len(row))",
-        "tests/test_loop_morse.py::test_bott_index_examples",
+        "src/liehofer/root_system.py",
+        'f"{h} * c{i}" for i, h in enumerate(twice_rho)',
+        'f"{h} * c{(i + 1) % rank}" for i, h in enumerate(twice_rho)',
+        FACE,
+    ),
+    # bott_form: a leaf subtracts 2 for each root xi pairs positively, not
+    # 2 more
+    (
+        "src/liehofer/root_system.py",
+        'return b - {2 * len(face_heights[zeros])}',
+        'return b - {2 * len(face_heights[zeros]) + 2}',
+        FACE,
+    ),
+    # bott_form: the branch of a nonzero c_i leaves i out of the zero set
+    (
+        "src/liehofer/root_system.py",
+        'f"{indent}if c{i}:\\n", *face(i + 1, zeros, deeper),\n'
+        '            f"{indent}else:\\n", *face(i + 1, zeros | 1 << i, deeper),',
+        'f"{indent}if c{i}:\\n", *face(i + 1, zeros | 1 << i, deeper),\n'
+        '            f"{indent}else:\\n", *face(i + 1, zeros, deeper),',
+        FACE,
     ),
     # the Bott index refuses a coweight that is not dominant: its absolute
     # row would give a number all the same
@@ -194,6 +212,13 @@ MUTANTS = [
         "            if type(c) is not int:\n",
         "            if False:\n",
         "tests/test_root_system.py::test_coweight_stores_python_ints_and_keeps_each_error",
+    ),
+    # dot: each coordinate of c meets its own coordinate of b
+    (
+        "src/liehofer/root_system.py",
+        "f'c{i} * b{i}'",
+        "f'c{i} * b{(i + 1) % rank}'",
+        KERNELS,
     ),
     # inner pairs xi1 with the Gram row of xi2, not of xi1
     (
@@ -293,13 +318,13 @@ MUTANTS = [
         "",
         "tests/test_loop_morse.py::test_stratum_poincare_examples",
     ),
-    # a stratum's roots are those its pairing row finds positive, the roots
-    # outside the stabilizer parabolic, not those inside it
+    # a face's roots are those not supported in its zero set, the roots
+    # outside the stabilizer parabolic, not those meeting it
     (
-        "src/liehofer/loop_morse.py",
-        "abs_pairings(xi)) if p > 0)",
-        "abs_pairings(xi)) if p <= 0)",
-        "tests/test_loop_morse.py::test_stratum_poincare_times_stabilizer_is_the_weyl_group",
+        "src/liehofer/root_system.py",
+        "if s & ~m))",
+        "if s & m))",
+        FACE,
     ),
     # a truncated power series that is no polynomial raises, by Poincare duality
     (
@@ -309,8 +334,6 @@ MUTANTS = [
         "tests/test_loop_morse.py::test_root_poincare_refuses_a_truncated_power_series",
     ),
     # Equivalent, left out (tier-1 passes with each applied):
-    # - bott_index's sum(row) -> sum(map(abs, row)): the row kernel
-    #   returns |alpha(xi)|, so abs changes no entry.
     # - inner's "for row in system.gram_num" -> "for row in
     #   zip(*system.gram_num)": the Gram matrix is symmetric, so its rows
     #   are its columns.

@@ -34,6 +34,8 @@ CASES = {
     ],
     "omega_series_D4_cutoff40.json": ["omega-series", "--system", "D4", "--cutoff", "40"],
     "omega_series_A4_cutoff40.json": ["omega-series", "--system", "A4", "--cutoff", "40"],
+    # the largest walk: 14,985 strata, 2,997 of them summed
+    "omega_series_A4_cutoff200.json": ["omega-series", "--system", "A4", "--cutoff", "200"],
 }
 
 HESSIAN_CASES = {

@@ -228,6 +228,25 @@ def test_walk_builds_each_coweight_once(monkeypatch):
     assert len(coweights) == len(botts) + 1 == 237
 
 
+def test_stratum_is_a_slots_record_equal_and_hashed_by_value():
+    # the walk builds one stratum per leaf (14,985 on A4 at cutoff 200): a
+    # slots record, with the value equality, hash and repr of the frozen
+    # record it replaced
+    a2 = from_label("A2")
+    stratum = enumerate_critical_strata(a2, 4)[-1]
+    twin = CriticalStratum(a2.coweight(stratum.xi.coords), stratum.bott_index,
+                           stratum.in_coroot_lattice)
+    assert not hasattr(stratum, "__dict__")
+    assert stratum is not twin and stratum == twin
+    assert hash(stratum) == hash(twin) == hash(
+        (stratum.xi, stratum.bott_index, stratum.in_coroot_lattice))
+    assert stratum != CriticalStratum(twin.xi, twin.bott_index + 2, twin.in_coroot_lattice)
+    assert repr(stratum) == (
+        f"CriticalStratum(xi={stratum.xi!r}, bott_index={stratum.bott_index}, "
+        f"in_coroot_lattice={stratum.in_coroot_lattice})"
+    )
+
+
 def test_series_builds_one_polynomial_per_coroot_stratum(monkeypatch):
     # the strata outside the coroot lattice enter no sum, so no polynomial
     # is built for them: 30 of the 154 strata at A4, cutoff 40

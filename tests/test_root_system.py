@@ -26,7 +26,7 @@ from liehofer.root_system import (
 )
 from liehofer.verify import ALL_SYSTEMS, box_coweights, check_index_equality
 
-from bourbaki_oracle import cartan_matrix, coweight_gram
+from bourbaki_oracle import cartan_matrix, coweight_gram, invert
 from weyl_oracle import (
     bfs_orbit, bfs_weyl_poincare, reflect_coweight, schoolbook_product, weyl_orbit,
 )
@@ -397,13 +397,13 @@ def test_generated_kernels_on_every_box3_coweight(label):
     # of the oracles
     system = from_label(label)
     kernels = (system.abs_pairing_row, system.dominant_reduction, system.line_zeros,
-               system.gram_form)
+               system.gram_form, system.bott_form, system.dot)
     for kernel in kernels:
         # the generated text holds local names and integer literals only
         code = kernel.__code__
         assert code.co_names == ()
         assert {type(k) for k in code.co_consts} <= {int, bool, type(None)}
-        assert all(re.fullmatch(r"c\d*|r\d+|g\d+", v) for v in code.co_varnames)
+        assert all(re.fullmatch(r"[bc]\d*|r\d+|g\d+", v) for v in code.co_varnames)
     gram = [[x * system.gram_den for x in row] for row in coweight_gram(label)]
     points = [xi.coords for xi in box_coweights(system, 3)]
     points += itertools.product((-MAX_COORD, MAX_COORD), repeat=system.rank)
@@ -416,6 +416,7 @@ def test_generated_kernels_on_every_box3_coweight(label):
         assert system.gram_form(coords) == (g_row, sum(c * g for c, g in zip(coords, g_row)))
         dom = dominant_coords(system, coords)
         assert type(dom) is tuple and min(dom) >= 0
+        assert system.dot(dom, g_row) == sum(d * g for d, g in zip(dom, g_row))
         assert dominant_coords(system, dom) == dom
         for i in range(system.rank):
             assert dominant_coords(system, reflect_coweight(system, coords, i)) == dom
@@ -427,6 +428,30 @@ def test_generated_kernels_on_every_box3_coweight(label):
             xi = system.coweight(head + (c,))
             singular = any(pairing(alpha, xi) == 0 for alpha in system.positive_roots)
             assert singular == (zeros is None or c in zeros), (head, c)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_face_table_and_bott_form_on_every_face(label):
+    # for every zero set J, the dominant xi with zeros J and ones elsewhere:
+    # N_J, the length of the longest element of W_J, from the BFS depth of
+    # W_J; h_i, the coefficient of alpha_i in 2 rho = 2 (omega_1 + ... +
+    # omega_r), from the Bourbaki inverse Cartan matrix; and the heights of
+    # the roots that the per-root pairing finds positive on xi
+    system = from_label(label)
+    rank, roots = system.rank, system.positive_roots
+    inverse = invert(cartan_matrix(label))
+    h = [2 * sum(row[i] for row in inverse) for i in range(rank)]
+    assert len(system.face_heights) == 2 ** rank
+    for zeros in range(2 ** rank):
+        walls = [i for i in range(rank) if zeros >> i & 1]
+        coords = tuple(int(i not in walls) for i in range(rank))
+        xi = system.coweight(coords)
+        n_j = (len(bfs_weyl_poincare(system, walls)) - 1) // 2
+        positive = sorted(sum(r) for r in roots if pairing(r, xi) > 0)
+        assert system.face_heights[zeros] == tuple(positive), walls
+        assert len(positive) == len(roots) - n_j, walls
+        linear = sum(2 * hi * c for hi, c in zip(h, coords))
+        assert system.bott_form(coords) == linear - 2 * (len(roots) - n_j), walls
 
 
 def test_hot_path_compiles_nothing(monkeypatch):
