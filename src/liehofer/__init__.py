@@ -6,8 +6,9 @@ leading term.
 The package re-exports nothing: import the submodule that holds a name.
 ``root_system``, ``circle_index``, ``hofer``, ``loop_morse`` and
 ``quantum_cp1`` need only the standard library; ``su2_loops`` uses numpy,
-and ``verify`` imports numpy only inside the norm sweep's seeded draw and
-``su2_loops`` only inside ``check_hessian``, so ``import liehofer.verify``
-loads no numpy."""
+``verify`` imports numpy only inside the norm sweep's seeded draw and
+``su2_loops`` only inside ``check_hessian``, and ``cli`` imports
+``su2_loops`` only inside ``hessian-su2``, so neither ``import
+liehofer.verify`` nor ``import liehofer.cli`` loads numpy."""
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateSubgroup, InvalidWeights
-from .root_system import Coweight, abs_pairings
+from .root_system import Coweight
 from .root_system import pairing  # noqa: F401  (re-export: perfbench/tracing.py wraps it here)
 
 
@@ -61,7 +61,7 @@ class CircleSubgroup:
         """True iff the absolute pairing row of xi has no zero (centralizer
         is the torus).  The index sweep filters a whole line of its box at
         once with the system's ``line_zeros`` instead."""
-        return 0 not in abs_pairings(self.xi)
+        return 0 not in self.xi.system.abs_pairing_row(self.xi.coords)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +77,6 @@ class WeightMultiset:
         if max(self.weights, default=-1) > -1:
             bad = [k for k in self.weights if k > -1]
             raise InvalidWeights(f"nonnegative weights present: {bad}")
-
-    def __len__(self):
-        return len(self.weights)
 
 
 @dataclass(frozen=True, slots=True)

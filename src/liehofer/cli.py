@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import hofer, loop_morse, quantum_cp1, su2_loops, verify
+from . import hofer, loop_morse, quantum_cp1, verify
 from .circle_index import CircleSubgroup, index_equality_report, weights_at_max
 from .errors import InputError, LieHoferError, clipped, clipped_repr
 from .root_system import from_label
@@ -87,8 +87,9 @@ class _Parser(argparse.ArgumentParser):
 # Largest |coweight coordinate| on the command line: the fixed input domain of
 # every --xi and --eta, which the tests and CI probe at its corners.  No command
 # is slow at the bound: the conjugate-point count takes one step per root, and
-# `index --system F4` at either corner takes about 0.35 s, the time of the
-# import (2-vCPU VM, Python 3.11.7).
+# `index --system F4` at either corner takes about 0.07 s, nearly all of it
+# starting Python and importing the package, which loads no numpy (median of
+# 5 runs, 2-vCPU VM, Python 3.11.7).
 MAX_COORD = 10**5
 
 
@@ -208,6 +209,8 @@ def _cmd_omega_series(args):
 
 
 def _cmd_hessian(args):
+    from . import su2_loops  # it loads numpy, which no other command needs
+
     report = su2_loops.hessian_spectrum(args.functional, args.m, args.n)
     return {
         **dataclasses.asdict(report),
@@ -310,7 +313,8 @@ def _build_parser():
     p.add_argument("--m", type=_integer, required=True, help="winding number, m >= 1, 4m <= n")
     p.add_argument(
         "--n", type=_integer, default=64,
-        help=f"loop resolution, max(32, 4m)..{su2_loops.MAX_N}",
+        # su2_loops.MAX_N, written out: importing it would load numpy here
+        help="loop resolution, max(32, 4m)..65536",
     )
     p.add_argument("--functional", choices=("energy", "lplus"), default="energy")
 

@@ -45,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegenerateOrbit, DimensionError
-from .root_system import dominant_coords
 from .root_system import inner, orbit_array  # noqa: F401  (re-exports: perfbench/tracing.py wraps them here)
 
 
@@ -72,7 +71,7 @@ def _invariants(system, coords):
     4 --systems all`` hits the memo 52,140 times and misses it 3,845
     times, and the two sweeps at box 10 on every system hit it 1,551,422
     times and miss it 5,738 times."""
-    dom = dominant_coords(system, coords)
+    dom = system.dominant_reduction(coords)
     g_dom, x = system.gram_form(dom)
     return dom, g_dom, x
 

@@ -40,11 +40,11 @@ from .root_system import EXPONENTS, Coweight, _root_poincare
 from .root_system import pairing, weyl_poincare  # noqa: F401
 
 # Largest series degree accepted.  The slowest system at this cutoff, A4,
-# takes about 0.26 s through the CLI (`omega-series --system A4 --cutoff
-# 200`, median of 11 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7, numpy
-# 2.4.6).  About 0.04 s of that is the series, most of it the strata walk,
-# and the rest is starting Python and importing numpy; the number of
-# strata grows like cutoff^rank.
+# takes about 0.12 s through the CLI (`omega-series --system A4 --cutoff
+# 200`, median of 10 runs on a 2-vCPU VM, `nproc` 2, Python 3.11.7).
+# About 0.04 s of that is the series, most of it the strata walk, and the
+# rest is starting Python and importing the package, which loads no numpy;
+# the number of strata grows like cutoff^rank.
 MAX_CUTOFF = 200
 
 
@@ -95,7 +95,7 @@ def stratum_poincare(xi):
     positively.  They depend only on the zero set J of xi, so their
     heights are the entry J of the system's ``face_heights``; no pairing
     row is built."""
-    if not xi.is_dominant:
+    if min(xi.coords) < 0:
         raise NotDominant(f"{xi} has a negative coordinate")
     zeros = sum(1 << i for i, c in enumerate(xi.coords) if not c)
     return _root_poincare(xi.system.face_heights[zeros])

@@ -48,14 +48,6 @@ class QuantumElement:
         return not self.terms
 
 
-def unit():
-    return QuantumElement.from_terms([(1, FUND, 0)])
-
-
-def zero():
-    return QuantumElement(())
-
-
 def quantum_product(a, b, area):
     """Bilinear extension of the CP^1 table at the given line area, which
     must be finite and positive."""

@@ -10,29 +10,29 @@ Every system comes from one Cartan rule (a chain or the D fork, plus the
 one multiple bond of a non-simply-laced diagram), and all of its data are
 integers.  Each system inverts its Cartan matrix once, as an adjugate over
 the determinant, and keeps the coweight Gram matrix as an integer matrix
-``gram_num`` over one denominator ``gram_den``.  It also keeps three
-tables, built once with the system, two of them sparse.  The positive
-roots are grown in one upward pass from the simple roots along
-alpha-strings (Humphreys, Lie Algebras 9.4), and ``root_steps`` records
+``gram_num`` over one denominator ``gram_den``.  Two sparse tables are
+built with the system and read only by the kernel generator.  The
+positive roots are grown in one upward pass from the simple roots along
+alpha-strings (Humphreys, Lie Algebras 9.4), and the step table records
 the step that made each root beta: a simple alpha_i with beta - alpha_i a
 positive root or zero, so <beta, xi> = <beta - alpha_i, xi> + xi_i, and
-one addition per root builds a whole pairing row.  ``cartan_columns``
-lists the nonzero entries of each Cartan column, the Dynkin neighbours a
-simple reflection touches.
+one addition per root builds a whole pairing row.  The Cartan columns
+list the nonzero entries of each column of the Cartan matrix, the Dynkin
+neighbours a simple reflection touches.
 
 The open faces of the dominant chamber are indexed by the zero set J of
 their coordinates, a bit mask.  A dominant coweight in face J pairs to 0
 with exactly the positive roots supported in J, the roots of the
 parabolic subsystem Phi_J, and positively with every other one.  So
-``face_heights``, the third table, holds for each of the 2^rank masks J
-the sorted heights of the roots outside Phi_J, each root's support one
-bit mask; ``loop_morse.stratum_poincare`` reads it.
+``face_heights``, the one table a system keeps, holds for each of the
+2^rank masks J the sorted heights of the roots outside Phi_J, each
+root's support one bit mask; ``loop_morse.stratum_poincare`` reads it.
 
 Six generated kernels work on coordinates.  The first two give the
 absolute pairing row of a coweight, and reduce coordinates to the
 dominant chamber.  Both run on every item of every sweep, where a loop
 over the sparse tables spent most of its time unpacking and indexing
-them.  So ``build_root_system`` writes each system's two tables out as
+them.  So ``build_root_system`` writes the two sparse tables out as
 straight-line Python and compiles it once, with one ``exec`` (as
 ``dataclasses`` does for ``__init__``), into ``abs_pairing_row`` and
 ``dominant_reduction``: the same additions and reflections in the same
@@ -40,9 +40,8 @@ order, so no runtime code reads the tables themselves.  The row kernel
 returns |alpha(xi)|, not alpha(xi), since its readers, the weights and
 the conjugate-point count, need no sign: they read the row up to the
 Weyl group, which permutes the roots up to sign (Humphreys, Lie Algebras
-10).  The index sweep calls both kernels on the system directly;
-``abs_pairings`` and ``dominant_coords`` wrap them for the other callers.
-The same ``exec`` also compiles ``line_zeros``, with which
+10).  Every caller calls both kernels on the system directly.  The same
+``exec`` also compiles ``line_zeros``, with which
 ``verify.box_coweights`` finds the singular points of a whole line of its
 box at once.  Both row kernels write their additions with one scheme,
 ``_row_scheme``; ``line_zeros`` runs it with the last coordinate folded
@@ -350,19 +349,18 @@ class RootSystem:
     adj(C) / det(C).  ``gram_num`` / ``gram_den`` is the matrix of inner
     products of the fundamental coweights, an integer matrix over one
     denominator: the one Gram form, which every inner product uses.
-    ``root_steps`` holds one (parent slot, simple index) pair per positive
-    root, ``cartan_columns[i]`` the pairs (j, c_ji) with c_ji nonzero, and
-    ``face_heights[J]``, for each bit mask J of simple-root indices, the
-    sorted heights of the positive roots not supported in J: the roots a
-    dominant coweight with zero set J pairs positively.  The six generated
-    kernels are functions of coordinate sequences (see ``_kernels``):
-    ``abs_pairing_row`` (the |alpha(xi)| over the positive roots),
-    ``dominant_reduction`` and ``line_zeros`` are the two sparse tables
-    compiled, ``gram_form`` is ``gram_num`` compiled, ``bott_form`` is the
-    Bott index of dominant coordinates, linear on each face of the
-    dominant chamber, and ``dot`` is the dot product of two coordinate
-    tuples.  Hofer norms need no Weyl orbit: the orbit maximum is the
-    inner product of the dominant representatives.
+    ``face_heights[J]``, for each bit mask J of simple-root indices, holds
+    the sorted heights of the positive roots not supported in J: the roots
+    a dominant coweight with zero set J pairs positively.  The six
+    generated kernels are functions of coordinate sequences (see
+    ``_kernels``): ``abs_pairing_row`` (the |alpha(xi)| over the positive
+    roots), ``dominant_reduction`` and ``line_zeros`` are the step table
+    and the Cartan columns of ``build_root_system`` compiled, ``gram_form``
+    is ``gram_num`` compiled, ``bott_form`` is the Bott index of dominant
+    coordinates, linear on each face of the dominant chamber, and ``dot``
+    is the dot product of two coordinate tuples.  Hofer norms need no Weyl
+    orbit: the orbit maximum is the inner product of the dominant
+    representatives.
 
     Systems are canonical (``build_root_system`` is cached), so equality
     and hashing are by identity.
@@ -376,8 +374,6 @@ class RootSystem:
     cartan_det: int
     gram_num: tuple
     gram_den: int
-    root_steps: tuple
-    cartan_columns: tuple
     face_heights: tuple
     abs_pairing_row: object
     dominant_reduction: object
@@ -448,10 +444,6 @@ class Coweight:
     def is_zero(self):
         return not any(self.coords)
 
-    @property
-    def is_dominant(self):
-        return min(self.coords) >= 0
-
     def __repr__(self):
         return f"Coweight({self.system.label}, {list(self.coords)})"
 
@@ -487,7 +479,7 @@ def build_root_system(family, rank):
     faces = _face_heights(positive)
     return RootSystem(
         family, rank, cartan, positive, adj, det, gram_num, gram_den,
-        steps, columns, faces, *_kernels(positive, steps, columns, gram_num, faces),
+        faces, *_kernels(positive, steps, columns, gram_num, faces),
     )
 
 
@@ -509,13 +501,6 @@ def pairing(root, xi):
             f"root has {len(root)} coordinates, system rank is {xi.system.rank}"
         )
     return sum(map(operator.mul, root, xi.coords))
-
-
-def abs_pairings(xi):
-    """Absolute pairing row of a coweight: the Python ints |alpha(xi)| over
-    the positive roots alpha, in their order, one addition per root along
-    ``root_steps``, by the system's generated ``abs_pairing_row``."""
-    return xi.system.abs_pairing_row(xi.coords)
 
 
 def inner(xi1, xi2):
@@ -564,16 +549,6 @@ def orbit_array(xi):
     import numpy as np
 
     return np.array(_orbit_coords(xi.system, xi.coords), dtype=np.int64)
-
-
-def dominant_coords(system, coords):
-    """Coordinates of the unique dominant coweight in the Weyl orbit of
-    ``coords`` (for the Hofer memo): apply the simple reflection of the first negative coordinate
-    until none is left, restarting at index 0 after each reflection, by the
-    system's generated ``dominant_reduction``.  A reflection s_i changes
-    only coordinate i and its Dynkin neighbours, the entries of
-    ``cartan_columns[i]``."""
-    return system.dominant_reduction(coords)
 
 
 def dominant_representative(xi):

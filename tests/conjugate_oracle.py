@@ -5,8 +5,8 @@ positive root alpha with pairing v = <alpha, xi>, the interior conjugate
 times are the t in (0, 1) with |v| t an integer.  ``conjugate_times`` lists
 them one by one, as Fractions, root by root; the Riemannian index counts
 each with multiplicity 2 (the real root-space pair).  Each pairing comes
-from the per-root ``pairing``, never from the pairing row ``abs_pairings`` that
-the runtime count reads.
+from the per-root ``pairing``, never from the generated pairing row
+``abs_pairing_row`` that the runtime count reads.
 """
 
 from fractions import Fraction

@@ -136,6 +136,14 @@ MUTANTS = [
         "    if False:\n",
         "tests/test_loop_morse.py::test_bott_index_requires_dominant",
     ),
+    # the stratum polynomial refuses a coweight that is not dominant: its
+    # zero set would name a face that does not hold it
+    (
+        "src/liehofer/loop_morse.py",
+        "    if min(xi.coords) < 0:\n",
+        "    if False:\n",
+        "tests/test_loop_morse.py::test_bott_index_requires_dominant",
+    ),
     # the virtual index sums 2(|k| - 1): -2 (sum k + #k), not -2 (sum k - #k)
     (
         "src/liehofer/circle_index.py",
@@ -165,6 +173,15 @@ MUTANTS = [
         "    if not key[0]:\n",
         "    if False:\n",
         "tests/test_circle_index.py::test_zero_coweight_rejected_on_every_system",
+    ),
+    # the conjugate count reads a row of its own, not the orbit key's: the
+    # sorted key gives the same sum and zeros, so only the shared-path test
+    # can tell that the two index sums would share their input
+    (
+        "src/liehofer/circle_index.py",
+        "    row = xi.system.abs_pairing_row(xi.coords)\n",
+        "    row = list(_orbit_key(gamma))\n",
+        "tests/test_verify.py::test_index_equality_sides_share_only_the_row_kernel",
     ),
     # the conjugate count refuses xi when every entry of the row is 0, not
     # when one is
@@ -232,7 +249,7 @@ MUTANTS = [
         "src/liehofer/root_system.py",
         'f"{-cji} * "',
         'f"{-cji - 1} * "',
-        "tests/test_root_system.py::test_dominant_coords_is_the_orbit_dominant_point",
+        "tests/test_root_system.py::test_dominant_reduction_is_the_orbit_dominant_point",
     ),
     # the SU(2) spectra: 4m - 2 negative modes
     (

@@ -274,6 +274,36 @@ def test_closed_stdout_exits_1_without_traceback():
     assert err == b""
 
 
+def test_resolution_help_gives_the_spectrum_bound(capsys):
+    # cli writes the bound out rather than importing su2_loops for it
+    with pytest.raises(SystemExit):
+        main(["hessian-su2", "--help"])
+    assert f"max(32, 4m)..{MAX_N}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_only_the_numerical_commands_load_numpy():
+    # every other command runs on the standard library: cli imports
+    # su2_loops inside hessian-su2, and verify inside its hessian check
+    script = (
+        "import contextlib, io, sys\n"
+        "from liehofer.cli import main\n"
+        "argvs = [\n"
+        "    ['index', '--system', 'F4', '--xi', '1,1,1,1'],\n"
+        "    ['weights', '--system', 'A2', '--xi', '1,0'],\n"
+        "    ['hofer', '--system', 'G2', '--xi', '2,-1', '--eta=-3,1'],\n"
+        "    ['omega-series', '--system', 'B2', '--cutoff', '8'],\n"
+        "    ['seidel-cp1', '--xi', '2'],\n"
+        "    ['verify', '--box', '1', '--systems', 'A2', '--checks', 'index-equality'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in argvs]\n"
+        "sys.exit(codes != [0] * len(argvs) or 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0
+
+
 # Inputs of the generated argvs: good and bad labels (the rank of a good one
 # is its digit), coordinates at and past MAX_COORD, non-ASCII digits, and
 # cutoffs, resolutions, areas and signs on both sides of their bounds.  No

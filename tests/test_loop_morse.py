@@ -43,8 +43,13 @@ def test_bott_index_examples():
 
 
 def test_bott_index_requires_dominant():
+    a2 = from_label("A2")
     with pytest.raises(NotDominant):
-        bott_index(from_label("A2").coweight([1, -1]))
+        bott_index(a2.coweight([1, -1]))
+    # the stratum polynomial makes the same test, on the face's zero set
+    for coords in ([1, -1], [0, -1], [-2, 0]):
+        with pytest.raises(NotDominant):
+            stratum_poincare(a2.coweight(coords))
 
 
 def test_bott_index_matches_conjugate_point_oracle():

@@ -13,14 +13,20 @@ from liehofer.quantum_cp1 import (
     is_invertible,
     psi_leading,
     quantum_product,
-    unit,
-    zero,
 )
 from liehofer.root_system import from_label
 
 
 def element(*terms):
     return QuantumElement.from_terms(terms)
+
+
+def unit():
+    return element((1, FUND, 0))
+
+
+def zero():
+    return QuantumElement(())
 
 
 def random_element(rng):

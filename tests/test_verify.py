@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from liehofer import hofer, quantum_cp1, su2_loops, verify
-from liehofer.root_system import from_label, pairing
+from liehofer.circle_index import CircleSubgroup, riemannian_index_conjugate, weights_at_max
+from liehofer.loop_morse import bott_index
+from liehofer.root_system import dominant_representative, from_label, pairing
 from liehofer.verify import (
     ALL_SYSTEMS,
     MAX_BOX,
@@ -75,7 +77,7 @@ def test_seidel_check_fails_when_the_form_and_the_orbit_maximum_disagree(monkeyp
 # The package functions that both sides of check_seidel enter: the record
 # of xi (its dominant reduction and Gram form) and the norm memo.  A change
 # that makes the two sides share more must edit this set.
-SEIDEL_SHARED = {"_invariants", "dominant_coords", "dominant_reduction", "gram_form", "_norm"}
+SEIDEL_SHARED = {"_invariants", "dominant_reduction", "gram_form", "_norm"}
 
 
 def _package_code_names(system):
@@ -121,6 +123,25 @@ def test_seidel_sides_share_only_the_record_and_the_norm_memo():
     l_plus_side = _entered(lambda: hofer.positive_norm(xi, xi), names)
     assert "psi_leading" in length_side and "_orbit_maximum_numerator" in l_plus_side
     assert length_side & l_plus_side == SEIDEL_SHARED
+
+
+@pytest.mark.parametrize("label", ALL_SYSTEMS)
+def test_index_equality_sides_share_only_the_row_kernel(label):
+    # the three sums that check_index_equality compares: the weights (and
+    # so the virtual index) read the orbit key, the count reads a row of its
+    # own from the one row kernel, and the Bott index reads no row at all
+    system = from_label(label)
+    xi = system.coweight([(-1) ** i * (i + 1) for i in range(system.rank)])
+    gamma = CircleSubgroup(xi)
+    names = _package_code_names(system)
+    key_side = _entered(lambda: weights_at_max(gamma), names)
+    count_side = _entered(lambda: riemannian_index_conjugate(gamma), names)
+    bott_side = _entered(lambda: bott_index(dominant_representative(xi)), names)
+    assert {"_orbit_key", "_weights", "abs_pairing_row"} <= key_side
+    assert {"riemannian_index_conjugate", "abs_pairing_row"} <= count_side
+    assert {"bott_index", "bott_form", "dominant_reduction"} <= bott_side
+    assert key_side & count_side == {"abs_pairing_row"}
+    assert not bott_side & (key_side | count_side)
 
 
 def test_verify_imports_no_numpy():

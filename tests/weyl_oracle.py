@@ -4,8 +4,9 @@
 enumerates the parabolic subgroup acting on a regular coweight and counts
 elements by BFS depth, which is their length.  It reads no exponents and no
 root heights, so it shares nothing with the closed form it checks.
-``bfs_orbit`` checks ``dominant_coords``: it enumerates a whole Weyl orbit
-and reads neither the sparse ``cartan_columns`` nor the reduction order.
+``bfs_orbit`` checks the generated ``dominant_reduction``: it enumerates a
+whole Weyl orbit and reads neither the sparse Cartan columns nor the
+reduction order.
 ``weyl_orbit`` wraps it for the brute-force orbit maxima and orbit sizes.
 ``schoolbook_product`` multiplies two such polynomials, so that the tests
 compare whole polynomials rather than their values at t = 1.
